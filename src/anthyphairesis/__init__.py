@@ -18,7 +18,7 @@ from .bookx import (
     logos_cross_check,
     render_trace,
 )
-from .convergents import Convergent, convergents, pell_fundamental, pell_negative
+from .convergents import Convergent, convergents, pell_fundamental, pell_negative, pell_solutions
 from .engine import (
     AnthState,
     Expansion,
@@ -88,6 +88,7 @@ __all__ = [
     "oracle_is_palindrome",
     "pell_fundamental",
     "pell_negative",
+    "pell_solutions",
     "period_stats",
     "pigeonhole_bound",
     "remainders",

@@ -201,9 +201,10 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
     (no integer state recurrence is used, so this is an independent
     derivation of the quotients), reads off the quotient as the integer
     part of psi/beta, and subtracts to get the next factor. Stops when a
-    phi repeats an earlier one.
+    phi repeats an earlier one, and raises StepLimitExceeded when more
+    than max_steps factors pass without a repeat.
     """
-    from .engine import pigeonhole_bound  # step safety net only
+    from .engine import StepLimitExceeded, pigeonhole_bound  # step safety net only
 
     if N < 2 or is_square_fraction(Fraction(N)):
         raise ValueError("N must be a non-square integer >= 2")
@@ -223,7 +224,10 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
             return steps
         seen[key] = k
         if k > max_steps:
-            raise RuntimeError(f"trace of sqrt({N}) exceeded {max_steps} steps without repeating")
+            raise StepLimitExceeded(
+                f"trace of sqrt({N}) exceeded {max_steps} steps without repeating",
+                [m] + [s.quotient for s in steps],
+            )
         conj = conjugate(phi)
         prod = line_mul(phi, conj)
         constant = prod.c_bb * lam  # lam*phi*conj = constant*beta^2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import multiprocessing
@@ -19,8 +20,9 @@ import sys
 from typing import Optional
 
 from .bookx import euler_trace, render_trace
-from .convergents import convergents, pell_fundamental, pell_negative
+from .convergents import convergents, pell_solutions
 from .engine import (
+    Expansion,
     StepLimit,
     StepLimitExceeded,
     expand_sqrt,
@@ -43,25 +45,32 @@ _SQRT_RE = re.compile(r"^sqrt\((\d+)(?:/(\d+))?\)$")
 _SURD_RE = re.compile(r"^\(([+-]?\d+)\+sqrt\((\d+)\)\)/([+-]?\d+)$")
 
 
+def _parse_int(digits: str, text: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than Python's int-to-str limit allows
+        raise SurdSpecError(f"{exc} in {text!r}") from exc
+
+
 def parse_surd_spec(text: str) -> QuadraticSurd:
     """Parse 'N', 'sqrt(P/Q)' or '(P+sqrt(D))/Q' (whitespace-insensitive)."""
     compact = re.sub(r"\s+", "", text)
     m = _INT_RE.match(compact)
     if m:
-        n = int(compact)
+        n = _parse_int(compact, text)
         if n < 0:
             raise SurdSpecError(f"negative radicand in {text!r}")
         return QuadraticSurd.sqrt_of(n)
     m = _SQRT_RE.match(compact)
     if m:
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
+        num = _parse_int(m.group(1), text)
+        den = _parse_int(m.group(2), text) if m.group(2) else 1
         if den == 0:
             raise SurdSpecError(f"zero denominator in {text!r}")
         return QuadraticSurd.sqrt_of_rational(num, den)
     m = _SURD_RE.match(compact)
     if m:
-        p, d, q = int(m.group(1)), int(m.group(2)), int(m.group(3))
+        p, d, q = (_parse_int(g, text) for g in m.groups())
         if q == 0:
             raise SurdSpecError(f"zero denominator in {text!r}")
         return QuadraticSurd(p, d, q)
@@ -95,14 +104,33 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+_STR_SAFE_BITS = 2000  # under 640 digits, the lowest int-to-str limit Python accepts
+
+
+def _dec(n: int) -> str:
+    """Decimal digits of an exact integer, whatever Python's int-to-str limit is.
+
+    Integers too long for one str() call are split at a power of ten into
+    halves, rendered separately and joined, so output never hits the limit
+    (sys.set_int_max_str_digits), which stays in force for parsing input.
+    """
+    if n.bit_length() <= _STR_SAFE_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _dec(-n)
+    k = n.bit_length() * 3 // 20  # about half of n's decimal digits, so 10**k < n
+    high, low = divmod(n, 10**k)
+    return _dec(high) + _dec(low).zfill(k)
+
+
 def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def _fmt_quotients(preperiod, period) -> str:
-    body = ",".join(str(q) for q in period)
+    body = ",".join(map(_dec, period))
     if preperiod:
-        head = ",".join(str(q) for q in preperiod)
+        head = ",".join(map(_dec, preperiod))
         return f"[{head}; ({body})]"
     return f"[({body})]"
 
@@ -122,16 +150,38 @@ def _is_pure_sqrt(s: QuadraticSurd) -> bool:
     return s.p == 0 and s.q >= 1
 
 
+def _is_sqrt_int(s: QuadraticSurd) -> bool:
+    return s.p == 0 and s.q == 1
+
+
+def _expand(target: QuadraticSurd, limit: StepLimit = StepLimit()) -> Expansion:
+    if not _is_sqrt_int(target):
+        return expand_surd(target, limit)
+    if target.d == 0:
+        raise SurdSpecError("N must be positive")
+    return expand_sqrt(target.d, limit)
+
+
+def _pell_text(pair: Optional[tuple[int, int]]) -> str:
+    return "none" if pair is None else f"({_dec(pair[0])},{_dec(pair[1])})"
+
+
+def _pell_json(pair: Optional[tuple[int, int]]) -> Optional[dict]:
+    return None if pair is None else {"x": _dec(pair[0]), "y": _dec(pair[1])}
+
+
 def cmd_expand(args) -> int:
     target = parse_surd_spec(args.input)
     label = _canonical_input(target, args.input)
     limit = _step_limit(args)
-    sqrt_int = target.p == 0 and target.q == 1
+    if (args.pell or args.negative_pell) and not _is_sqrt_int(target):
+        print("error: Pell solutions require a plain integer radicand", file=sys.stderr)
+        return 2
 
-    if sqrt_int:
-        e = expand_sqrt(target.d, limit)
-    else:
-        e = expand_surd(target, limit)
+    e = _expand(target, limit)
+    if e.terminated and (args.pell or args.negative_pell):
+        print(f"error: Pell needs a non-square N >= 2, got {_dec(target.d)}", file=sys.stderr)
+        return 2
 
     if e.terminated:
         quots = list(e.preperiod)
@@ -139,14 +189,14 @@ def cmd_expand(args) -> int:
             record = {
                 "input": label,
                 "terminated": True,
-                "quotients": [str(q) for q in quots],
+                "quotients": [_dec(q) for q in quots],
             }
             _emit(_json_line(record) + "\n", args.out)
         elif args.format == "csv":
-            row = [label, str(quots[0]), "0", "", "", "", "", ""]
+            row = [label, _dec(quots[0]), "0", "", "", "", "", ""]
             _emit(_csv_text([row]), args.out)
         else:
-            _emit(f"rational: [{', '.join(str(q) for q in quots)}]\n", args.out)
+            _emit(f"rational: [{', '.join(map(_dec, quots))}]\n", args.out)
         return 0
 
     palindrome = None
@@ -155,49 +205,45 @@ def cmd_expand(args) -> int:
     if _is_pure_sqrt(target) and m >= 1:
         palindrome = verify_palindrome(e, m)
 
-    pell = pell_fundamental(target.d) if args.pell and sqrt_int else None
-    negative = pell_negative(target.d) if args.negative_pell and sqrt_int else None
-    if (args.pell or args.negative_pell) and not sqrt_int:
-        print("error: Pell solutions require a plain integer radicand", file=sys.stderr)
-        return 2
+    pell = negative = None
+    if args.pell or args.negative_pell:
+        pell, negative = pell_solutions(target.d, e)
 
     if args.format == "json":
         record = {
             "input": label,
             "terminated": False,
-            "preperiod": [str(q) for q in e.preperiod],
-            "period": [str(q) for q in e.period],
+            "preperiod": [_dec(q) for q in e.preperiod],
+            "period": [_dec(q) for q in e.period],
             "period_length": str(len(e.period)),
             "palindromic": None if palindrome is None else palindrome.holds,
             "case": None if palindrome is None else palindrome.case,
             "distinct_logoi": str(stats.distinct_logoi),
         }
         if args.pell:
-            record["pell_x"], record["pell_y"] = str(pell[0]), str(pell[1])
+            record["pell_x"], record["pell_y"] = _dec(pell[0]), _dec(pell[1])
         if args.negative_pell:
-            record["negative_pell"] = (
-                None if negative is None else {"x": str(negative[0]), "y": str(negative[1])}
-            )
+            record["negative_pell"] = _pell_json(negative)
         _emit(_json_line(record) + "\n", args.out)
     elif args.format == "csv":
         row = [
             label,
-            str(m),
+            _dec(m),
             str(len(e.period)),
             "" if palindrome is None else ("yes" if palindrome.holds else "no"),
             "" if palindrome is None or palindrome.case is None else palindrome.case,
             str(stats.distinct_logoi),
-            "" if pell is None else str(pell[0]),
-            "" if pell is None else str(pell[1]),
+            "" if not args.pell else _dec(pell[0]),
+            "" if not args.pell else _dec(pell[1]),
         ]
         _emit(_csv_text([row]), args.out)
     else:
         verdict = "n/a" if palindrome is None else ("yes" if palindrome.holds else "no")
         line = f"{label} = {_fmt_quotients(e.preperiod, e.period)} palindromic={verdict}"
-        if pell is not None:
-            line += f" pell=({pell[0]},{pell[1]})"
+        if args.pell:
+            line += f" pell={_pell_text(pell)}"
         if args.negative_pell:
-            line += " negative_pell=" + ("none" if negative is None else f"({negative[0]},{negative[1]})")
+            line += f" negative_pell={_pell_text(negative)}"
         _emit(line + "\n", args.out)
     return 0
 
@@ -236,10 +282,8 @@ def _sweep_record(task: tuple[int, bool, bool]) -> Optional[dict]:
         "case": report.case,
         "distinct_logoi": stats.distinct_logoi,
     }
-    if want_pell:
-        rec["pell"] = pell_fundamental(n)
-    if want_negative:
-        rec["negative"] = pell_negative(n)
+    if want_pell or want_negative:
+        rec["pell"], rec["negative"] = pell_solutions(n, e)
     return rec
 
 
@@ -267,8 +311,8 @@ def cmd_sweep(args) -> int:
                     "yes" if r["palindrome"] else "no",
                     r["case"] or "",
                     str(r["distinct_logoi"]),
-                    str(r["pell"][0]) if args.pell else "",
-                    str(r["pell"][1]) if args.pell else "",
+                    _dec(r["pell"][0]) if args.pell else "",
+                    _dec(r["pell"][1]) if args.pell else "",
                 ]
             )
         _emit(_csv_text(rows), args.out)
@@ -288,13 +332,9 @@ def cmd_sweep(args) -> int:
                 "distinct_logoi": str(r["distinct_logoi"]),
             }
             if args.pell:
-                rec["pell_x"], rec["pell_y"] = str(r["pell"][0]), str(r["pell"][1])
+                rec["pell_x"], rec["pell_y"] = _dec(r["pell"][0]), _dec(r["pell"][1])
             if args.negative_pell:
-                rec["negative_pell"] = (
-                    None
-                    if r["negative"] is None
-                    else {"x": str(r["negative"][0]), "y": str(r["negative"][1])}
-                )
+                rec["negative_pell"] = _pell_json(r["negative"])
             lines.append(_json_line(rec))
         summary = {
             "n_max": str(args.n_max),
@@ -312,10 +352,9 @@ def cmd_sweep(args) -> int:
                 f" case={r['case']} distinct_logoi={r['distinct_logoi']}"
             )
             if args.pell:
-                line += f" pell=({r['pell'][0]},{r['pell'][1]})"
+                line += f" pell={_pell_text(r['pell'])}"
             if args.negative_pell:
-                neg = r["negative"]
-                line += " negative_pell=" + ("none" if neg is None else f"({neg[0]},{neg[1]})")
+                line += f" negative_pell={_pell_text(r['negative'])}"
             lines.append(line)
         lines.append(
             f"# {len(records)} non-squares <= {args.n_max}, {failures} palindrome failures"
@@ -329,19 +368,16 @@ def cmd_pell(args) -> int:
     if n < 2 or isqrt(n) ** 2 == n:
         print(f"error: Pell needs a non-square N >= 2, got {n}", file=sys.stderr)
         return 2
-    x, y = pell_fundamental(n)
-    negative = pell_negative(n) if args.negative_pell else None
+    (x, y), negative = pell_solutions(n, expand_sqrt(n))
     if args.format == "json":
-        record = {"N": str(n), "x": str(x), "y": str(y)}
+        record = {"N": _dec(n), "x": _dec(x), "y": _dec(y)}
         if args.negative_pell:
-            record["negative_pell"] = (
-                None if negative is None else {"x": str(negative[0]), "y": str(negative[1])}
-            )
+            record["negative_pell"] = _pell_json(negative)
         _emit(_json_line(record) + "\n", args.out)
     else:
-        line = f"pell({n}): x={x} y={y}"
+        line = f"pell({_dec(n)}): x={_dec(x)} y={_dec(y)}"
         if args.negative_pell:
-            line += " negative=" + ("none" if negative is None else f"({negative[0]},{negative[1]})")
+            line += f" negative={_pell_text(negative)}"
         _emit(line + "\n", args.out)
     return 0
 
@@ -350,19 +386,15 @@ def cmd_approx(args) -> int:
     target = parse_surd_spec(args.input)
     label = _canonical_input(target, args.input)
     count = args.steps if args.steps is not None else 8
-    if target.p == 0 and target.q == 1:
-        e = expand_sqrt(target.d)
-    else:
-        e = expand_surd(target)
-    cs = convergents(e, count)
+    cs = convergents(_expand(target), count)
     if args.format == "json":
         record = {
             "input": label,
-            "convergents": [{"index": str(c.index), "p": str(c.p), "q": str(c.q)} for c in cs],
+            "convergents": [{"index": str(c.index), "p": _dec(c.p), "q": _dec(c.q)} for c in cs],
         }
         _emit(_json_line(record) + "\n", args.out)
     else:
-        lines = [f"k={c.index} {c.p}/{c.q}" for c in cs]
+        lines = [f"k={c.index} {_dec(c.p)}/{_dec(c.q)}" for c in cs]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -439,7 +471,7 @@ def cmd_verify(args) -> int:
                 raise AssertionError(f"quality identity fails at convergent {k}")
 
     def pell():
-        x, y = pell_fundamental(n)
+        x, y = pell_solutions(n, e)[0]
         if x * x - n * y * y != 1:
             raise AssertionError("fundamental solution does not satisfy Pell")
 
@@ -464,7 +496,19 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="anth", description="exact anthyphairesis of quadratic surds"
     )
@@ -476,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="expand a surd and report its period")
     p.add_argument("input", help="N, sqrt(P/Q), or (P+sqrt(D))/Q")
-    p.add_argument("--steps", type=int, default=None, metavar="K")
+    p.add_argument("--steps", type=_positive_int, default=None, metavar="K")
     p.add_argument("--pell", action="store_true")
     p.add_argument("--negative-pell", action="store_true")
     add_common(p)
@@ -484,14 +528,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="symbolic apotome/binomial expansion trace")
     p.add_argument("N", type=int)
-    p.add_argument("--steps", type=int, default=None, metavar="K")
+    p.add_argument("--steps", type=_positive_int, default=None, metavar="K")
     p.add_argument("--golden", metavar="FILE", default=None)
     p.add_argument("--out", metavar="FILE", default=None)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("sweep", help="expand every non-square N up to a limit")
     p.add_argument("n_max", type=int)
-    p.add_argument("--jobs", type=int, default=1, metavar="K")
+    p.add_argument("--jobs", type=_positive_int, default=1, metavar="K")
     p.add_argument("--pell", action="store_true")
     p.add_argument("--negative-pell", action="store_true")
     add_common(p)
@@ -505,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="first convergents of a surd")
     p.add_argument("input")
-    p.add_argument("--steps", type=int, default=None, metavar="K")
+    p.add_argument("--steps", type=_positive_int, default=None, metavar="K")
     add_common(p, formats=("plain", "json"))
     p.set_defaults(func=cmd_approx)
 
@@ -518,16 +562,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except StepLimitExceeded as exc:
         print(f"error: step limit exhausted: {exc}", file=sys.stderr)
         return 3
-    except SurdSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except SurdSpecError as exc:  # bad input; other errors are faults and propagate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,10 @@ k-th increment factor phi_k = (alpha - mu_k*beta)/lam_k, alpha^2 = N*beta^2:
 starting from (mu_1, lam_1) = (m, 1). Both mu_k^2 and lam_k stay below N,
 so some state must recur; the first recurrence of a state is the Logos
 criterion firing, and the quotients emitted between the two occurrences
-are the exact (minimal) period.
+are the exact (minimal) period. For sqrt(N) the state that recurs first
+is always (m, 1), and lam_k = 1 holds nowhere inside the period, so the
+period closes exactly when lam returns to 1 and no set of earlier states
+is needed.
 
 General surds run the same kind of step on the complete quotient
 (p + sqrt(d))/q itself, whose state is the full normalized triple.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -94,20 +98,32 @@ class Expansion:
     """Quotients of one expansion: preperiod, period, and the state trail.
 
     terminated is True for rational inputs (finite quotient list in
-    preperiod, empty period). For sqrt(N) inputs, states holds the
-    AnthState of phi_1 .. phi_{l+1} (one per emitted quotient, the last
-    one repeating the first); for general surds it holds the normalized
-    complete-quotient surds including the closing repeat.
+    preperiod, empty period). For sqrt(N) inputs, mus and lams hold the
+    plain-int trail (mu_k, lam_k) of phi_1 .. phi_{l+1} (one per emitted
+    quotient, the last one repeating the first); for general surds,
+    surds holds the normalized complete-quotient surds including the
+    closing repeat.
     """
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
     terminated: bool
-    states: tuple = ()
+    mus: tuple[int, ...] = ()
+    lams: tuple[int, ...] = ()
+    surds: tuple[QuadraticSurd, ...] = ()
 
     @property
     def quotients(self) -> tuple[int, ...]:
         return self.preperiod + self.period
+
+    @cached_property
+    def states(self) -> tuple:
+        """AnthState views of the sqrt(N) trail, built on first use; else the surds."""
+        if not self.mus:
+            return self.surds
+        return tuple(
+            AnthState(mu, lam, k) for k, (mu, lam) in enumerate(zip(self.mus, self.lams), 1)
+        )
 
     def quotient_stream(self, count: int) -> list[int]:
         """First `count` quotients, recycling the period as needed."""
@@ -135,8 +151,8 @@ def expand_sqrt(N: int, limits: StepLimit = StepLimit()) -> Expansion:
     """Expansion of sqrt(N) for a positive integer N.
 
     Perfect squares terminate with the single quotient isqrt(N).
-    Otherwise the result is preperiod [m] plus the minimal period found
-    at the first recurrence of a (mu, lam) state.
+    Otherwise the result is preperiod [m] plus the minimal period, which
+    closes when lam returns to 1 (the state (m, 1) recurring).
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -149,36 +165,29 @@ def expand_sqrt(N: int, limits: StepLimit = StepLimit()) -> Expansion:
         max_steps = pigeonhole_bound(N) + 1
 
     mu, lam = m, 1
-    seen = {(mu, lam): 1}
     mus = [m]
     lams = [1]
-    quots: list[int] = []
-    k = 1
+    quots = [m]
     while True:
         lam_next, rem = divmod(N - mu * mu, lam)
         if rem:
-            raise AssertionError(f"lost divisibility at step {k} of sqrt({N})")
+            raise AssertionError(f"lost divisibility at step {len(quots)} of sqrt({N})")
         q = (m + mu) // lam_next
         mu = q * lam_next - mu
         lam = lam_next
-        k += 1
         quots.append(q)
         mus.append(mu)
         lams.append(lam)
-        key = (mu, lam)
-        j = seen.get(key)
-        if j is not None:
+        if lam == 1:
+            if mu != m:
+                raise AssertionError(f"lam returned to 1 without mu = m in sqrt({N})")
             break
-        seen[key] = k
-        if k > max_steps:
-            raise StepLimitExceeded(
-                f"sqrt({N}): no state repeated within {max_steps} steps", [m] + quots
-            )
+        if len(quots) > max_steps:
+            raise StepLimitExceeded(f"sqrt({N}): no state repeated within {max_steps} steps", quots)
 
-    states = tuple(AnthState(mus[i], lams[i], i + 1) for i in range(k))
-    preperiod = (m,) + tuple(quots[: j - 1])
-    period = tuple(quots[j - 1 :])
-    return Expansion(preperiod=preperiod, period=period, terminated=False, states=states)
+    return Expansion(
+        preperiod=(m,), period=tuple(quots[1:]), terminated=False, mus=tuple(mus), lams=tuple(lams)
+    )
 
 
 def _expand_rational(value_num: int, value_den: int) -> Expansion:
@@ -232,7 +241,7 @@ def expand_surd(s: QuadraticSurd, limits: StepLimit = StepLimit()) -> Expansion:
                 preperiod=tuple(quots[:j]),
                 period=tuple(quots[j:]),
                 terminated=False,
-                states=tuple(states),
+                surds=tuple(states),
             )
         seen[cur] = len(quots)
         if len(quots) > max_steps:
@@ -271,7 +280,7 @@ def increment_factors(e: Expansion, N: int) -> tuple[IncrementFactor, ...]:
 def _require_sqrt_expansion(e: Expansion) -> None:
     if e.terminated:
         raise ValueError("terminated expansion has no increment factors")
-    if not e.states or not isinstance(e.states[0], AnthState):
+    if not e.mus:
         raise ValueError("expansion does not carry integer increment-factor states")
 
 

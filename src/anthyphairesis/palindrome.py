@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bookx import SurdLine, line_mul
-from .engine import AnthState, Expansion, IncrementFactor, increment_factors
+from .engine import Expansion, IncrementFactor, increment_factors
 
 __all__ = [
     "OmegaState",
@@ -67,14 +67,6 @@ class ReflectionNotFound(RuntimeError):
     """
 
 
-def _phi_key(f: IncrementFactor) -> tuple[int, int]:
-    return (f.state.mu, f.state.lam)
-
-
-def _omega_key(w: OmegaState) -> tuple[int, int]:
-    return (w.mu, w.lambda_next)
-
-
 def find_reflection(
     phis: Sequence[IncrementFactor], omegas: Sequence[OmegaState]
 ) -> tuple[str, int]:
@@ -85,26 +77,35 @@ def find_reflection(
     phi_k). Any other shape of coincidence, or no coincidence at all,
     raises ReflectionNotFound.
     """
-    seen: dict[tuple[int, int], str] = {}
-    for n in range(1, len(phis) + 1):
-        key = _phi_key(phis[n - 1])
+    return _first_coincidence(
+        [(f.state.mu, f.state.lam) for f in phis], [(w.mu, w.lambda_next) for w in omegas]
+    )
+
+
+def _first_coincidence(
+    phi_keys: Sequence[tuple[int, int]], omega_keys: Sequence[tuple[int, int]]
+) -> tuple[str, int]:
+    """find_reflection on the (mu, lam) keys of phi_n and (mu, lam_next) keys of omega_n."""
+    seen: dict[tuple[int, int], tuple[str, int]] = {}
+    for n in range(1, len(phi_keys) + 1):
+        key = phi_keys[n - 1]
         if key in seen:
-            if n >= 2 and key == _omega_key(omegas[n - 2]):
+            if n >= 2 and key == omega_keys[n - 2]:
                 return ("I", n)
             raise ReflectionNotFound(
-                f"phi_{n} repeats {seen[key]} instead of omega_{n - 1}"
+                "phi_{} repeats {}_{} instead of omega_{}".format(n, *seen[key], n - 1)
             )
-        seen[key] = f"phi_{n}"
-        if n - 1 >= len(omegas):
+        seen[key] = ("phi", n)
+        if n - 1 >= len(omega_keys):
             break
-        key = _omega_key(omegas[n - 1])
+        key = omega_keys[n - 1]
         if key in seen:
-            if key == _phi_key(phis[n - 1]):
+            if key == phi_keys[n - 1]:
                 return ("II", n)
             raise ReflectionNotFound(
-                f"omega_{n} repeats {seen[key]} instead of phi_{n}"
+                "omega_{} repeats {}_{} instead of phi_{}".format(n, *seen[key], n)
             )
-        seen[key] = f"omega_{n}"
+        seen[key] = ("omega", n)
     raise ReflectionNotFound("no coincidence found within the supplied sequences")
 
 
@@ -142,13 +143,6 @@ def omega_sequence(e: Expansion, N: int) -> tuple[OmegaState, ...]:
         if lhs != beta_sq:
             raise AssertionError(f"omega_{n + 1}*(I_{n}*beta + omega_{n}) != beta^2 for sqrt({N})")
     return tuple(omegas)
-
-
-def _omega_states_from_trail(states: Sequence[AnthState]) -> tuple[OmegaState, ...]:
-    return tuple(
-        OmegaState(mu=states[n - 1].mu, lambda_next=states[n].lam)
-        for n in range(1, len(states))
-    )
 
 
 def _reflection_implied_period(case: str, k: int, m: int, period: Sequence[int]) -> bool:
@@ -195,10 +189,11 @@ def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     )
     case: Optional[str] = None
     center: Optional[int] = None
-    if e.states and isinstance(e.states[0], AnthState) and len(e.states) >= 2:
-        phis = tuple(IncrementFactor(st) for st in e.states)
-        omegas = _omega_states_from_trail(e.states)
-        case, center = find_reflection(phis, omegas)
+    if len(e.mus) >= 2:
+        # the keys find_reflection would read off phi_n and omega_n
+        phi_keys = list(zip(e.mus, e.lams))
+        omega_keys = list(zip(e.mus, e.lams[1:]))
+        case, center = _first_coincidence(phi_keys, omega_keys)
         structural = _reflection_implied_period(case, center, m, period)
         if structural != holds:
             raise AssertionError(
@@ -218,14 +213,12 @@ def period_stats(e: Expansion) -> PeriodStats:
     if not e.period:
         raise ValueError("expansion has an empty period")
     l = len(e.period)
-    if not e.states:
-        raise ValueError("expansion carries no states")
-    if isinstance(e.states[0], AnthState):
+    if e.mus:
         start = len(e.preperiod) - 1  # phi_1 pairs with the first quotient
-        cycle = e.states[start : start + l]
-        distinct = len({(st.mu, st.lam) for st in cycle})
-    else:
+        distinct = len(set(zip(e.mus[start : start + l], e.lams[start : start + l])))
+    elif e.surds:
         start = len(e.preperiod)  # complete quotients pair one-on-one
-        cycle = e.states[start : start + l]
-        distinct = len(set(cycle))
+        distinct = len(set(e.surds[start : start + l]))
+    else:
+        raise ValueError("expansion carries no states")
     return PeriodStats(period_length=l, distinct_logoi=distinct, platonic_number=distinct + 1)

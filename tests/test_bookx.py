@@ -17,7 +17,7 @@ from anthyphairesis.bookx import (
     logos_cross_check,
     render_trace,
 )
-from anthyphairesis.engine import expand_sqrt, increment_factors, remainders
+from anthyphairesis.engine import StepLimitExceeded, expand_sqrt, increment_factors, remainders
 from anthyphairesis.surd import is_perfect_square, isqrt
 
 
@@ -169,6 +169,9 @@ def test_euler_trace_trivial_and_errors():
     assert steps[1].repeats_index == 1
     with pytest.raises(ValueError):
         euler_trace(16)
+    with pytest.raises(StepLimitExceeded) as exc:
+        euler_trace(54, max_steps=2)
+    assert exc.value.quotients_so_far == (7, 2, 1)
 
 
 def test_euler_trace_agrees_with_engine():

@@ -203,3 +203,132 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "sqrt(46) = [6; (1,3,1,1,2,6,2,1,1,3,1,12)] palindromic=yes\n"
+
+
+@pytest.fixture
+def low_int_str_limit():
+    """Python's lowest int-to-str digit limit while the test runs, where the limit exists."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_dec_renders_past_the_int_str_limit(low_int_str_limit):
+    values = [0, 7, -7, 10**600, 10**5000, -(10**5000) - 1, 3**20000, 10**4000 * 7 + 5]
+    rendered = [cli._dec(v) for v in values]
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    assert [int(text) for text in rendered] == values
+    assert rendered[3] == "1" + "0" * 600
+
+
+def test_pell_over_4300_digits_renders(capsys, low_int_str_limit):
+    # x of N = 92590649 has 4348 digits and y 4344; the -1 solution half as many
+    n = 92590649
+    code, out, _ = run(capsys, "pell", str(n), "--negative-pell", "--format", "json")
+    assert code == 0
+    pell_record = json.loads(out)
+    code, out, _ = run(capsys, "expand", str(n), "--pell", "--negative-pell", "--format", "json")
+    assert code == 0
+    expand_record = json.loads(out)
+    code, out, _ = run(capsys, "expand", str(n), "--pell", "--format", "csv")
+    assert code == 0
+    csv_row = out.splitlines()[1].split(",")
+    code, out, _ = run(capsys, "pell", str(n))
+    assert code == 0
+    plain = out
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    x, y = int(pell_record["x"]), int(pell_record["y"])
+    assert len(pell_record["x"]) == 4348
+    assert x * x - n * y * y == 1
+    a, b = int(pell_record["negative_pell"]["x"]), int(pell_record["negative_pell"]["y"])
+    assert a * a - n * b * b == -1
+    assert (expand_record["pell_x"], expand_record["pell_y"]) == (pell_record["x"], pell_record["y"])
+    assert expand_record["negative_pell"] == pell_record["negative_pell"]
+    assert csv_row[-2:] == [pell_record["x"], pell_record["y"]]
+    assert plain == f"pell({n}): x={pell_record['x']} y={pell_record['y']}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expansions",
+    [
+        (["pell", "61", "--negative-pell"], 1),
+        (["expand", "61", "--pell", "--negative-pell"], 1),
+        (["verify", "61"], 1),
+        (["sweep", "30", "--pell", "--negative-pell"], 25),
+    ],
+)
+def test_pell_commands_expand_each_n_once(capsys, monkeypatch, argv, expansions):
+    from anthyphairesis import engine
+
+    calls = []
+
+    def counting(n, *rest):
+        calls.append(n)
+        return engine.expand_sqrt(n, *rest)
+
+    monkeypatch.setattr(cli, "expand_sqrt", counting)
+    monkeypatch.setattr(sys.modules["anthyphairesis.convergents"], "expand_sqrt", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == expansions == len(set(calls))
+
+
+def test_trace_step_budget_exit_code(capsys):
+    code, out, err = run(capsys, "trace", "54", "--steps", "2")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: step limit exhausted")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "19", "--steps", "0"],
+        ["expand", "19", "--steps", "-1"],
+        ["trace", "54", "--steps", "0"],
+        ["approx", "19", "--steps", "-2"],
+        ["sweep", "10", "--jobs", "0"],
+        ["sweep", "10", "--jobs", "-3"],
+    ],
+)
+def test_flag_values_below_one_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_bad_input_exit_2_and_internal_faults_propagate(capsys, monkeypatch):
+    for argv in (["expand", "1000000", "--pell"], ["expand", "16", "--negative-pell"], ["expand", "0"], ["approx", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ")
+
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "period_stats", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["expand", "19"])
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or not 0 < sys.get_int_max_str_digits() < 5000,
+    reason="needs Python's int-from-str digit limit in force",
+)
+def test_input_over_the_digit_limit_is_bad_input(capsys):
+    code, out, err = run(capsys, "expand", "1" * 5000)
+    assert (code, out) == (2, "")
+    assert "Exceeds the limit" in err

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from anthyphairesis.convergents import convergents, pell_fundamental, pell_negative
+from anthyphairesis.convergents import convergents, pell_fundamental, pell_negative, pell_solutions
 from anthyphairesis.engine import expand_sqrt, expand_surd
 from anthyphairesis.surd import QuadraticSurd, is_perfect_square
 
@@ -91,3 +91,42 @@ def test_pell_minimality_small_range():
         for c in convergents(e, 2 * len(e.period)):
             if c.q < y:
                 assert c.p * c.p - n * c.q * c.q != 1
+
+
+LONG_PERIOD_N = (1000003, 10000019, 92590649, 150008437)
+
+
+def test_pell_solutions_match_convergent_recurrence():
+    # the half-period product tree against the full three-term recurrence
+    for n in range(2, 3001):
+        if is_perfect_square(n):
+            continue
+        e = expand_sqrt(n)
+        l = len(e.period)
+        index = l - 1 if l % 2 == 0 else 2 * l - 1
+        full = convergents(e, index + 1)
+        fundamental, negative = pell_solutions(n, e)
+        assert fundamental == (full[index].p, full[index].q), n
+        if l % 2:
+            assert negative == (full[l - 1].p, full[l - 1].q), n
+        else:
+            assert negative is None, n
+
+
+def test_pell_solutions_rejects_foreign_or_square_expansion():
+    with pytest.raises(ValueError):
+        pell_solutions(54, expand_sqrt(19))
+    with pytest.raises(ValueError):
+        pell_solutions(16, expand_sqrt(16))
+    assert pell_solutions(13) == ((649, 180), (18, 5))
+
+
+def test_pell_against_sympy_diop_dn():
+    pytest.importorskip("sympy")
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    for n in [n for n in range(2, 501) if not is_perfect_square(n)] + list(LONG_PERIOD_N):
+        fundamental, negative = pell_solutions(n)
+        assert [fundamental] == [tuple(map(int, s)) for s in diop_DN(n, 1)], n
+        expected_negative = [tuple(map(int, s)) for s in diop_DN(n, -1)]
+        assert ([] if negative is None else [negative]) == expected_negative, n

@@ -52,6 +52,15 @@ def test_state_trail_shape():
     assert [st.step_index for st in e.states] == list(range(1, len(e.states) + 1))
 
 
+def test_state_trail_is_plain_ints_with_cached_views():
+    e = expand_sqrt(54)
+    assert e.mus == (7, 3, 6, 6, 3, 7, 7)
+    assert e.lams == (1, 5, 9, 2, 9, 5, 1)
+    assert e.states is e.states  # built once, on first use
+    assert [(st.mu, st.lam) for st in e.states] == list(zip(e.mus, e.lams))
+    assert expand_surd(QuadraticSurd(1, 5, 2)).mus == ()
+
+
 def test_recurrence_identities_and_bounds():
     for n in range(2, 400):
         if is_perfect_square(n):
