@@ -1,7 +1,7 @@
 """Exact anthyphairesis (continued fractions) of quadratic surds.
 
-Expansion runs on exact big-integer state, periods are detected by
-state repetition, and the palindromic shape of every period is verified
+Expansion runs on exact big-integer state, a period closes when the
+first reduced state recurs, and the palindromic shape of every period is verified
 both on the quotient list and through the apotome/binomial line algebra
 that makes each inversion step exact.
 """

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .surd import QuadraticSurd, floor_surd, is_square_fraction, sign_of
@@ -169,18 +170,12 @@ def _floor_over_beta(line: SurdLine) -> int:
         raise ValueError("floor helper needs a non-negative alpha coefficient")
     ratio = line.radicand_ratio
     # (A*alpha/L + B*beta/L)/beta with integer A, B over a common denominator L
-    scale = ca.denominator * cb.denominator // _gcd(ca.denominator, cb.denominator)
+    scale = ca.denominator * cb.denominator // gcd(ca.denominator, cb.denominator)
     a_int = ca.numerator * (scale // ca.denominator)
     b_int = cb.numerator * (scale // cb.denominator)
     # value = (B + sqrt(A^2 * ratio)) / L; fold the rational ratio into d
     d_num = a_int * a_int * ratio.numerator
     return floor_surd(QuadraticSurd(b_int * ratio.denominator, d_num * ratio.denominator, scale * ratio.denominator))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _as_lambda_mu(phi: SurdLine) -> tuple[int, int]:
@@ -249,7 +244,7 @@ def _term(coeff: Fraction, symbol: str) -> str:
 
 def render_line(u: SurdLine, name: str) -> str:
     """Integer-scaled rendering 'L*name = A*alpha +/- B*beta'."""
-    scale = u.c_alpha.denominator * u.c_beta.denominator // _gcd(u.c_alpha.denominator, u.c_beta.denominator)
+    scale = u.c_alpha.denominator * u.c_beta.denominator // gcd(u.c_alpha.denominator, u.c_beta.denominator)
     a = u.c_alpha * scale
     b = u.c_beta * scale
     lhs = _term(Fraction(scale), name)

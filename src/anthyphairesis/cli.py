@@ -36,7 +36,11 @@ from .surd import QuadraticSurd, floor_surd, isqrt
 __all__ = ["main", "parse_surd_spec", "SurdSpecError"]
 
 
-class SurdSpecError(ValueError):
+class InputError(ValueError):
+    """Bad user input: one line on stderr and exit 2."""
+
+
+class SurdSpecError(InputError):
     pass
 
 
@@ -98,7 +102,11 @@ def _step_limit(args) -> StepLimit:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -257,7 +265,11 @@ def cmd_trace(args) -> int:
     steps = euler_trace(n, max_steps=limit.max_steps)
     text = render_trace(steps, n)
     if args.golden:
-        with open(args.golden, encoding="utf-8") as fh:
+        try:
+            fh = open(args.golden, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot read {args.golden}: {exc.strerror}") from exc
+        with fh:
             expected = fh.read()
         if text != expected:
             print(f"golden mismatch against {args.golden}", file=sys.stderr)
@@ -568,7 +580,7 @@ def main(argv=None) -> int:
     except StepLimitExceeded as exc:
         print(f"error: step limit exhausted: {exc}", file=sys.stderr)
         return 3
-    except SurdSpecError as exc:  # bad input; other errors are faults and propagate
+    except InputError as exc:  # bad input; other errors are faults and propagate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

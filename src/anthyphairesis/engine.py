@@ -1,22 +1,23 @@
 """Anthyphairesis driver: quotients of quadratic surds by exact integer state.
 
-For sqrt(N) the whole expansion lives in the pair (mu_k, lam_k) of the
-k-th increment factor phi_k = (alpha - mu_k*beta)/lam_k, alpha^2 = N*beta^2:
+Every irrational input is a normalized complete quotient
+x_0 = (p_0 + sqrt(d))/q_0, q_0 | d - p_0^2, and one recurrence on the
+plain ints (p, q), with r = isqrt(d) computed once, emits every quotient:
 
-    lam_{k+1} = (N - mu_k^2) / lam_k        (exact division)
-    I_k       = (m + mu_k) // lam_{k+1}     (m = isqrt(N))
-    mu_{k+1}  = I_k*lam_{k+1} - mu_k
+    a_k     = (p_k + r) // q_k          ((p_k + r + 1) // q_k while q_k < 0)
+    p_{k+1} = a_k*q_k - p_k
+    q_{k+1} = (d - p_{k+1}^2) / q_k     (exact division)
 
-starting from (mu_1, lam_1) = (m, 1). Both mu_k^2 and lam_k stay below N,
-so some state must recur; the first recurrence of a state is the Logos
-criterion firing, and the quotients emitted between the two occurrences
-are the exact (minimal) period. For sqrt(N) the state that recurs first
-is always (m, 1), and lam_k = 1 holds nowhere inside the period, so the
-period closes exactly when lam returns to 1 and no set of earlier states
-is needed.
-
-General surds run the same kind of step on the complete quotient
-(p + sqrt(d))/q itself, whose state is the full normalized triple.
+For sqrt(N) (p_0 = 0, q_0 = 1) this is the increment-factor recurrence
+of phi_k = (alpha - mu_k*beta)/lam_k, alpha^2 = N*beta^2, with
+mu_k = p_k and lam_k = q_{k-1}. By Galois's theorem x is purely periodic
+exactly when it is reduced (x > 1, -1 < conj(x) < 0; on the state q > 0,
+0 < p <= r < p + q, q - p <= r): the first reduced state ends the
+preperiod and its recurrence closes the period (the Logos criterion), so
+no set of earlier states is kept. For sqrt(N) that state is
+x_1 = (m + sqrt(N))/(N - m^2). Reduced states lie in the box
+1 <= p <= r, r - p < q <= r + p of r(r+1) pairs, so every period is
+shorter than pigeonhole_bound(d) = r(r+1) + 1.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import isqrt
 from typing import Optional, Sequence
 
 from .bookx import SurdLine, line_mul
-from .surd import QuadraticSurd, floor_surd, isqrt, normalize, sign_of
+from .surd import QuadraticSurd, normalize, sign_of
 
 __all__ = [
     "AnthState",
@@ -73,9 +75,16 @@ class IncrementFactor:
 class StepLimit:
     """Step budget for an expansion; None means the derived default.
 
-    expand_sqrt defaults to pigeonhole_bound(N) + 1, which provably
-    suffices; expand_surd defaults to ten times the bound of the
-    normalized radicand.
+    For the normalized (p + sqrt(d))/q the default is a preperiod term
+    plus a period term, |q|.bit_length() + 2 + pigeonhole_bound(d), which
+    provably suffices. Preperiod: with convergents P_k/Q_k of x,
+    conj(x_k) = -(Q_{k-2}*conj(x) - P_{k-2})/(Q_{k-1}*conj(x) - P_{k-1}).
+    For k >= 2, x lies between these convergents, 1/(Q_{k-2}*Q_{k-1})
+    apart, and x - conj(x) = 2*sqrt(d)/q; once Q_{k-2}*Q_{k-1} >
+    |q|/(2*sqrt(d)), conj(x) lies outside them, so conj(x_k) < 0 and
+    x_{k+1} = 1/(x_k - a_k) is reduced.
+    Q_{k-2}*Q_{k-1} >= 2^(k-2) (Fibonacci growth), so k = |q|.bit_length()
+    + 1 suffices. Period: fewer steps than pigeonhole_bound(d).
     """
 
     max_steps: Optional[int] = None
@@ -98,32 +107,42 @@ class Expansion:
     """Quotients of one expansion: preperiod, period, and the state trail.
 
     terminated is True for rational inputs (finite quotient list in
-    preperiod, empty period). For sqrt(N) inputs, mus and lams hold the
-    plain-int trail (mu_k, lam_k) of phi_1 .. phi_{l+1} (one per emitted
-    quotient, the last one repeating the first); for general surds,
-    surds holds the normalized complete-quotient surds including the
-    closing repeat.
+    preperiod, empty period). Otherwise trail holds the complete
+    quotients x_k = (p_k + sqrt(radicand))/q_k of the normalized input
+    as the flat ints p_0, q_0, p_1, q_1, ...: one pair per emitted
+    quotient plus the closing repeat of the first periodic state. For
+    sqrt(N) (p_0 = 0, q_0 = 1), mus and lams view that trail as the
+    increment-factor states (mu_k, lam_k) = (p_k, q_{k-1}) of
+    phi_1 .. phi_{l+1}, the last one repeating the first; for other
+    surds they are empty.
     """
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
     terminated: bool
-    mus: tuple[int, ...] = ()
-    lams: tuple[int, ...] = ()
-    surds: tuple[QuadraticSurd, ...] = ()
+    radicand: int = 0
+    trail: tuple[int, ...] = ()
 
     @property
     def quotients(self) -> tuple[int, ...]:
         return self.preperiod + self.period
 
+    @property
+    def mus(self) -> tuple[int, ...]:
+        return self.trail[2::2] if self.trail[:2] == (0, 1) else ()
+
+    @property
+    def lams(self) -> tuple[int, ...]:
+        return self.trail[1:-1:2] if self.trail[:2] == (0, 1) else ()
+
     @cached_property
     def states(self) -> tuple:
-        """AnthState views of the sqrt(N) trail, built on first use; else the surds."""
-        if not self.mus:
-            return self.surds
-        return tuple(
-            AnthState(mu, lam, k) for k, (mu, lam) in enumerate(zip(self.mus, self.lams), 1)
-        )
+        """Views of the trail built on first use: AnthStates for sqrt(N), else QuadraticSurds."""
+        mus = self.mus
+        if mus:
+            return tuple(AnthState(mu, lam, k) for k, (mu, lam) in enumerate(zip(mus, self.lams), 1))
+        t = self.trail
+        return tuple(QuadraticSurd(t[i], self.radicand, t[i + 1]) for i in range(0, len(t), 2))
 
     def quotient_stream(self, count: int) -> list[int]:
         """First `count` quotients, recycling the period as needed."""
@@ -137,115 +156,90 @@ class Expansion:
 
 
 def pigeonhole_bound(N: int) -> int:
-    """Upper bound isqrt(N)*(N-1) on distinct (mu, lam) states.
+    """One more than the number of reduced states over radicand N.
 
-    mu is at most isqrt(N) and 1 <= lam <= N-1 inside the expansion, so
-    a state must repeat within bound + 1 steps.
+    A reduced state (p, q) has 1 <= p <= m and m - p < q <= m + p, with
+    m = isqrt(N): 2p values of q for each p, m(m+1) states in all. A
+    period visits each at most once, so period < bound for every N >= 2.
     """
     if N < 2:
         raise ValueError("bound needs N >= 2")
-    return isqrt(N) * (N - 1)
+    m = isqrt(N)
+    return m * (m + 1) + 1
 
 
 def expand_sqrt(N: int, limits: StepLimit = StepLimit()) -> Expansion:
     """Expansion of sqrt(N) for a positive integer N.
 
     Perfect squares terminate with the single quotient isqrt(N).
-    Otherwise the result is preperiod [m] plus the minimal period, which
-    closes when lam returns to 1 (the state (m, 1) recurring).
+    Otherwise the result is preperiod [m] plus the minimal period.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    m = isqrt(N)
-    if m * m == N:
-        return Expansion(preperiod=(m,), period=(), terminated=True)
-
-    max_steps = limits.max_steps
-    if max_steps is None:
-        max_steps = pigeonhole_bound(N) + 1
-
-    mu, lam = m, 1
-    mus = [m]
-    lams = [1]
-    quots = [m]
-    while True:
-        lam_next, rem = divmod(N - mu * mu, lam)
-        if rem:
-            raise AssertionError(f"lost divisibility at step {len(quots)} of sqrt({N})")
-        q = (m + mu) // lam_next
-        mu = q * lam_next - mu
-        lam = lam_next
-        quots.append(q)
-        mus.append(mu)
-        lams.append(lam)
-        if lam == 1:
-            if mu != m:
-                raise AssertionError(f"lam returned to 1 without mu = m in sqrt({N})")
-            break
-        if len(quots) > max_steps:
-            raise StepLimitExceeded(f"sqrt({N}): no state repeated within {max_steps} steps", quots)
-
-    return Expansion(
-        preperiod=(m,), period=tuple(quots[1:]), terminated=False, mus=tuple(mus), lams=tuple(lams)
-    )
-
-
-def _expand_rational(value_num: int, value_den: int) -> Expansion:
-    # ordinary continued fraction of a rational, finite
-    quots = []
-    num, den = value_num, value_den
-    while True:
-        q, r = divmod(num, den)
-        quots.append(q)
-        if r == 0:
-            break
-        num, den = den, r
-    return Expansion(preperiod=tuple(quots), period=(), terminated=True)
+    return _anthyphairesis(0, N, 1, limits.max_steps)
 
 
 def expand_surd(s: QuadraticSurd, limits: StepLimit = StepLimit()) -> Expansion:
     """Eventually periodic expansion of an arbitrary quadratic surd.
 
     Rational inputs give a finite terminated expansion. Otherwise the
-    repeat test runs on the full normalized (p, d, q) complete-quotient
-    state, which yields the preperiod/period split at the first index
-    whose state recurs (eventual, not necessarily pure, periodicity).
+    preperiod ends at the first reduced complete quotient and the period
+    at its recurrence (see the module docstring).
     """
     s = normalize(s)
-    if s.is_rational:
-        v = s.rational_value()
-        return _expand_rational(v.numerator, v.denominator)
+    return _anthyphairesis(s.p, s.d, s.q, limits.max_steps)
 
-    max_steps = limits.max_steps
+
+def _anthyphairesis(p: int, d: int, q: int, max_steps: Optional[int]) -> Expansion:
+    """The one recurrence, on the normalized (p + sqrt(d))/q."""
+    r = isqrt(d)
+    if r * r == d:  # rational: Euclid on (p + r)/q
+        return _expand_rational(p + r, q)
     if max_steps is None:
-        max_steps = 10 * pigeonhole_bound(s.d)
+        max_steps = abs(q).bit_length() + 2 + pigeonhole_bound(d)
 
-    cur = s
-    seen = {cur: 0}
-    states = [cur]
     quots: list[int] = []
+    trail = [p, q]
+    j = pj = qj = None  # index and state of the first reduced complete quotient
     while True:
-        a = floor_surd(cur)
-        quots.append(a)
-        p1 = cur.p - a * cur.q
-        # reciprocal of (p1 + sqrt(d))/q stays over the same radicand
-        # because q | (d - p1^2), inherited from normalization
-        q_next, rem = divmod(cur.d - p1 * p1, cur.q)
-        if rem:
-            raise AssertionError(f"lost divisibility while expanding {s}")
-        cur = QuadraticSurd(-p1, cur.d, q_next)
-        j = seen.get(cur)
-        states.append(cur)
-        if j is not None:
-            return Expansion(
-                preperiod=tuple(quots[:j]),
-                period=tuple(quots[j:]),
-                terminated=False,
-                surds=tuple(states),
-            )
-        seen[cur] = len(quots)
+        if j is None:
+            if q > 0 and 0 < p <= r < p + q and q - p <= r:
+                j, pj, qj = len(quots), p, q
+        elif p == pj and q == qj:
+            break
         if len(quots) > max_steps:
-            raise StepLimitExceeded(f"{s}: no state repeated within {max_steps} steps", quots)
+            start = QuadraticSurd(trail[0], d, trail[1])
+            raise StepLimitExceeded(f"{start}: no state repeated within {max_steps} steps", quots)
+        a = (p + r) // q if q > 0 else (p + r + 1) // q
+        p = a * q - p
+        q, rem = divmod(d - p * p, q)
+        if rem:
+            start = QuadraticSurd(trail[0], d, trail[1])
+            raise AssertionError(f"lost divisibility at step {len(quots) + 1} of {start}")
+        quots.append(a)
+        trail.append(p)
+        trail.append(q)
+
+    return Expansion(
+        preperiod=tuple(quots[:j]),
+        period=tuple(quots[j:]),
+        terminated=False,
+        radicand=d,
+        trail=tuple(trail),
+    )
+
+
+def _expand_rational(num: int, den: int) -> Expansion:
+    # ordinary continued fraction of num/den, finite; floored divmod gives
+    # the same quotients for any nonzero scaling of the pair
+    quots = []
+    while True:
+        a, rem = divmod(num, den)
+        quots.append(a)
+        if rem == 0:
+            break
+        num, den = den, rem
+    return Expansion(preperiod=tuple(quots), period=(), terminated=True)
 
 
 def increment_factors(e: Expansion, N: int) -> tuple[IncrementFactor, ...]:

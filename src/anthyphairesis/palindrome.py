@@ -189,10 +189,11 @@ def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     )
     case: Optional[str] = None
     center: Optional[int] = None
-    if len(e.mus) >= 2:
+    mus, lams = e.mus, e.lams
+    if len(mus) >= 2:
         # the keys find_reflection would read off phi_n and omega_n
-        phi_keys = list(zip(e.mus, e.lams))
-        omega_keys = list(zip(e.mus, e.lams[1:]))
+        phi_keys = list(zip(mus, lams))
+        omega_keys = list(zip(mus, lams[1:]))
         case, center = _first_coincidence(phi_keys, omega_keys)
         structural = _reflection_implied_period(case, center, m, period)
         if structural != holds:
@@ -212,13 +213,9 @@ def period_stats(e: Expansion) -> PeriodStats:
     """Length of the period, distinct states inside it, and their count + 1."""
     if not e.period:
         raise ValueError("expansion has an empty period")
-    l = len(e.period)
-    if e.mus:
-        start = len(e.preperiod) - 1  # phi_1 pairs with the first quotient
-        distinct = len(set(zip(e.mus[start : start + l], e.lams[start : start + l])))
-    elif e.surds:
-        start = len(e.preperiod)  # complete quotients pair one-on-one
-        distinct = len(set(e.surds[start : start + l]))
-    else:
+    if not e.trail:
         raise ValueError("expansion carries no states")
+    l = len(e.period)
+    lo, hi = 2 * len(e.preperiod), 2 * (len(e.preperiod) + l)  # x_j .. x_{j+l-1}, j = len(preperiod)
+    distinct = len(set(zip(e.trail[lo:hi:2], e.trail[lo + 1 : hi : 2])))
     return PeriodStats(period_length=l, distinct_logoi=distinct, platonic_number=distinct + 1)

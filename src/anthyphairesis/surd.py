@@ -6,6 +6,7 @@ floors, signs and comparisons are exact for arbitrarily large operands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,27 +22,12 @@ __all__ = [
 
 
 def isqrt(n: int) -> int:
-    """Integer square root: the unique r with r*r <= n < (r+1)*(r+1).
+    """math.isqrt: the unique r with r*r <= n < (r+1)*(r+1); ValueError if n < 0.
 
-    Newton iteration on plain ints starting from a power-of-two
-    overestimate, plus a final correction step so the answer is exact
-    even if the iteration parks one off.
+    A Python function rather than an alias, so that the span tracing in
+    bench/tracing.py, which wraps functions only, still sees it.
     """
-    if n < 0:
-        raise ValueError("isqrt of negative integer")
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 1) // 2)  # x >= sqrt(n)
-    while True:
-        y = (x + n // x) // 2
-        if y >= x:
-            break
-        x = y
-    while x * x > n:
-        x -= 1
-    while (x + 1) * (x + 1) <= n:
-        x += 1
-    return x
+    return math.isqrt(n)
 
 
 def is_perfect_square(n: int) -> bool:

@@ -87,7 +87,7 @@ def test_criterion_03_theorem_sweep_100k():
             bound = pigeonhole_bound(n)
             steps_used = len(period)  # states consumed before the repeat
             assert steps_used <= bound, n
-            assert n <= 3 or steps_used < bound, n
+            assert steps_used < bound, n
             interior = period[:-1]
             assert interior == interior[::-1], n
             assert period[-1] == 2 * m, n

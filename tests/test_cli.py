@@ -195,6 +195,37 @@ def test_out_file(tmp_path, capsys):
     assert record["period"] == ["1", "1", "1", "1", "6"]
 
 
+def test_out_file_in_a_missing_directory_is_bad_input(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "expand", "19", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_missing_golden_file_is_bad_input(tmp_path, capsys):
+    golden = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "trace", "54", "--golden", str(golden))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {golden}: No such file or directory\n"
+
+
+def test_long_preperiod_expands_within_the_default_budget(capsys):
+    code, out, _ = run(capsys, "expand", "(-7920+sqrt(2))/-4894")
+    assert code == 0
+    assert out == "(-7920+sqrt(2))/-4894 = [1,1,1,1,1,1,1,1,1,1,1; (2)] palindromic=n/a\n"
+    code, out, err = run(capsys, "expand", "(-7920+sqrt(2))/-4894", "--steps", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: step limit exhausted")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_smallest_radicands(capsys, n):
+    code, out, _ = run(capsys, "verify", str(n))
+    assert code == 0
+    assert out.count(": ok\n") == 9
+    assert out.endswith(f"verify {n}: all checks passed\n")
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "anthyphairesis.cli", "expand", "46"],

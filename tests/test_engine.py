@@ -1,5 +1,6 @@
 """engine: state recurrence, period detection, increment factors, remainders."""
 
+import math
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from anthyphairesis.engine import (
     pigeonhole_bound,
     remainders,
 )
-from anthyphairesis.surd import QuadraticSurd, floor_surd, is_perfect_square, isqrt
+from anthyphairesis.surd import QuadraticSurd, floor_surd, is_perfect_square, isqrt, normalize
 
 PAPER_EXPANSIONS = {
     19: ((4,), (2, 1, 3, 1, 2, 8)),
@@ -156,6 +157,74 @@ def test_expand_surd_state_repeat_is_full_triple():
     assert e.states[0] == e.states[1] == QuadraticSurd(1, 5, 2)
 
 
+def ones_then_two(k: int) -> QuadraticSurd:
+    """The surd [1, 1, ..., 1 (k ones); (2)]: x <- 1 + 1/x applied k times to 1 + sqrt(2)."""
+    a, b, c = 1, 1, 1  # x = (a + b*sqrt(2))/c
+    for _ in range(k):
+        n = a * a - 2 * b * b  # 1 + 1/x = (n + c*a - c*b*sqrt(2))/n
+        a, b, c = n + c * a, -c * b, n
+        g = math.gcd(math.gcd(a, b), c)
+        a, b, c = a // g, b // g, c // g
+    if b < 0:
+        a, b, c = -a, -b, -c
+    return QuadraticSurd(a, 2 * b * b, c)
+
+
+def test_long_preperiod_within_the_default_budget():
+    for k in range(301):
+        s = ones_then_two(k)
+        e = expand_surd(s)
+        assert (e.preperiod, e.period) == ((1,) * k, (2,)), k
+        # the preperiod term of the default budget
+        assert len(e.preperiod) <= abs(normalize(s).q).bit_length() + 2, k
+    with pytest.raises(StepLimitExceeded):
+        expand_surd(ones_then_two(11), StepLimit(max_steps=10))
+
+
+def test_expand_surd_against_sympy():
+    pytest.importorskip("sympy")
+    from sympy.ntheory.continued_fraction import continued_fraction_periodic
+
+    def sympy_split(s):
+        # [a_0, ..., a_{j-1}, [period]] for an irrational, a flat list for a rational
+        got = continued_fraction_periodic(s.p, s.q, s.d)
+        if got and isinstance(got[-1], list):
+            return tuple(got[:-1]), tuple(got[-1])
+        return tuple(got), ()
+
+    # sympy takes milliseconds per quotient, so the inputs stay small
+    rng = random.Random(0x5E1)
+    surds = [ones_then_two(k) for k in (0, 1, 11, 40)]
+    for i in range(24):
+        q = rng.randint(1, 12) * (-1 if i % 2 else 1)
+        surds.append(QuadraticSurd(rng.randint(-100, 100), rng.randint(2, 200), q))
+    for _ in range(12):
+        surds.append(QuadraticSurd.sqrt_of_rational(rng.randint(1, 200), rng.randint(1, 10)))
+    for s in surds:
+        e = expand_surd(s)
+        assert (e.preperiod, e.period) == sympy_split(s), s
+
+
+def _is_reduced(x: QuadraticSurd) -> bool:
+    # x > 1 and -1 < conj(x) < 0, by exact floors; conj(x) = (-p + sqrt(d))/(-q)
+    return floor_surd(x) >= 1 and floor_surd(QuadraticSurd(-x.p, x.d, -x.q)) == -1
+
+
+def test_preperiod_ends_at_the_first_reduced_state():
+    # Galois: a complete quotient is purely periodic exactly when it is reduced
+    rng = random.Random(0x6A1)
+    for _ in range(300):
+        q = rng.randint(1, 200) * rng.choice((1, -1))
+        s = QuadraticSurd(rng.randint(-500, 500), rng.randint(2, 5000), q)
+        e = expand_surd(s)
+        if e.terminated:
+            continue
+        reduced = [_is_reduced(x) for x in e.states]
+        assert reduced.index(True) == len(e.preperiod), s
+        assert all(reduced[len(e.preperiod) :]), s
+        assert e.states[len(e.preperiod)] == e.states[-1], s
+
+
 def test_increment_factors_paper_table():
     e = expand_sqrt(54)
     fs = increment_factors(e, 54)
@@ -226,9 +295,9 @@ def test_remainders_rejects_squares():
 
 
 def test_pigeonhole_bound():
-    assert pigeonhole_bound(2) == 1
-    assert pigeonhole_bound(54) == 7 * 53
-    assert pigeonhole_bound(19) == 4 * 18
+    assert pigeonhole_bound(2) == 3
+    assert pigeonhole_bound(54) == 57
+    assert pigeonhole_bound(19) == 21
     assert len(expand_sqrt(19).period) == 6  # actual period found in 6 steps
     with pytest.raises(ValueError):
         pigeonhole_bound(1)
