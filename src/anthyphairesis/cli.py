@@ -1,23 +1,24 @@
 """Command line front end: expand, trace, sweep, pell, approx, verify.
 
-Exit codes: 0 success, 2 unparseable input, 3 step-limit exhaustion,
-4 golden-file mismatch, 5 palindrome failure during a sweep. The
-environment variable ANTH_MAX_STEPS overrides the default step limit
-wherever --steps is not given explicitly.
+Exit codes: 0 success, 2 bad input, 3 step-limit exhaustion, 4
+golden-file mismatch, 5 palindrome failure during a sweep. The
+environment variable ANTH_MAX_STEPS, at least 1, sets the step budget
+of the expansion in every command (expand, trace, sweep, pell, approx,
+verify) wherever --steps is not given explicitly. The --steps of approx
+counts convergents, so only ANTH_MAX_STEPS budgets its expansion.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import functools
-import io
 import json
 import multiprocessing
 import os
 import re
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from .bookx import euler_trace, render_trace
 from .convergents import convergents, pell_solutions
@@ -88,28 +89,39 @@ def _canonical_input(s: QuadraticSurd, original: str) -> str:
     return compact
 
 
-def _step_limit(args) -> StepLimit:
-    if getattr(args, "steps", None) is not None:
-        return StepLimit(max_steps=args.steps)
-    env = os.environ.get("ANTH_MAX_STEPS")
-    if env is not None:
+def _step_limit(steps: Optional[int] = None) -> StepLimit:
+    """The budget from --steps if given, else from ANTH_MAX_STEPS if set, else the default."""
+    if steps is None:
+        env = os.environ.get("ANTH_MAX_STEPS")
+        if env is None:
+            return StepLimit()
         try:
-            return StepLimit(max_steps=int(env))
+            steps = int(env)
         except ValueError as exc:
-            raise SurdSpecError(f"ANTH_MAX_STEPS is not an integer: {env!r}") from exc
-    return StepLimit()
+            raise InputError(f"ANTH_MAX_STEPS is not an integer: {env!r}") from exc
+        if steps < 1:
+            raise InputError(f"ANTH_MAX_STEPS must be at least 1, got {steps}")
+    return StepLimit(max_steps=steps)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        try:
-            fh = open(out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc.strerror}") from exc
-        with fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _non_square(n: int, command: str) -> int:
+    """n, when it is a non-square N >= 2; otherwise bad input for command."""
+    if n < 2 or isqrt(n) ** 2 == n:
+        raise InputError(f"{command} needs a non-square N >= 2, got {_dec(n)}")
+    return n
+
+
+def _emit(lines: Iterable[str], out: Optional[str]) -> None:
+    """Write each line as it comes, to FILE or to sys.stdout as it is at the call."""
+    if not out:
+        sys.stdout.writelines(line + "\n" for line in lines)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror}") from exc
+    with fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 _STR_SAFE_BITS = 2000  # under 640 digits, the lowest int-to-str limit Python accepts
@@ -131,8 +143,67 @@ def _dec(n: int) -> str:
     return _dec(high) + _dec(low).zfill(k)
 
 
+# A record maps field names to plain values: ints, bools, None, strings,
+# quotient lists (lists), Pell pairs (tuples (x, y)) and, for approx, a
+# list of records. Each output format has one renderer below, applied
+# only to the format asked for.
+
+
+def _json_value(v):
+    if v is None or isinstance(v, (bool, str)):
+        return v
+    if isinstance(v, int):
+        return _dec(v)
+    if isinstance(v, tuple):
+        return {"x": _dec(v[0]), "y": _dec(v[1])}
+    if v and isinstance(v[0], dict):
+        return [_json_fields(r) for r in v]
+    return list(map(_dec, v))
+
+
+def _json_fields(record: dict) -> dict:
+    fields = {}
+    for key, v in record.items():
+        if key == "pell":  # the fundamental solution is two flat fields
+            fields["pell_x"], fields["pell_y"] = _dec(v[0]), _dec(v[1])
+        else:
+            fields[key] = _json_value(v)
+    return fields
+
+
 def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    """A record as canonical JSON: every int a decimal string, a pair {x, y}."""
+    return json.dumps(_json_fields(record), sort_keys=True, separators=(",", ":"))
+
+
+def _plain_value(v) -> str:
+    if v is None:
+        return "none"
+    if isinstance(v, bool):
+        return "yes" if v else "no"
+    if isinstance(v, tuple):
+        return f"({_dec(v[0])},{_dec(v[1])})"
+    return _dec(v) if isinstance(v, int) else v
+
+
+def _plain(record: dict) -> str:
+    """key=value fields: yes/no for a verdict, (x,y) for a pair, none for a missing one."""
+    return " ".join(f"{key}={_plain_value(v)}" for key, v in record.items())
+
+
+_CSV_HEADER = "N,m,period_len,palindrome,case,distinct_logoi,pell_x,pell_y"
+
+
+def _csv_row(N, m, period_len, palindrome, case, distinct_logoi, pell=None, negative_pell=None) -> str:
+    """One row of the fixed CSV schema of expand and sweep; negative_pell has no column.
+
+    No field can hold a comma, a quote or a line break (input labels match
+    the spec grammar), so no field needs quoting.
+    """
+    verdict = "" if palindrome is None else ("yes" if palindrome else "no")
+    x, y = ("", "") if pell is None else map(_dec, pell)
+    logoi = "" if distinct_logoi is None else distinct_logoi
+    return f"{N},{_dec(m)},{period_len},{verdict},{case or ''},{logoi},{x},{y}"
 
 
 def _fmt_quotients(preperiod, period) -> str:
@@ -143,26 +214,11 @@ def _fmt_quotients(preperiod, period) -> str:
     return f"[({body})]"
 
 
-_CSV_HEADER = ["N", "m", "period_len", "palindrome", "case", "distinct_logoi", "pell_x", "pell_y"]
-
-
-def _csv_text(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _is_pure_sqrt(s: QuadraticSurd) -> bool:
-    return s.p == 0 and s.q >= 1
-
-
 def _is_sqrt_int(s: QuadraticSurd) -> bool:
     return s.p == 0 and s.q == 1
 
 
-def _expand(target: QuadraticSurd, limit: StepLimit = StepLimit()) -> Expansion:
+def _expand(target: QuadraticSurd, limit: StepLimit) -> Expansion:
     if not _is_sqrt_int(target):
         return expand_surd(target, limit)
     if target.d == 0:
@@ -170,99 +226,68 @@ def _expand(target: QuadraticSurd, limit: StepLimit = StepLimit()) -> Expansion:
     return expand_sqrt(target.d, limit)
 
 
-def _pell_text(pair: Optional[tuple[int, int]]) -> str:
-    return "none" if pair is None else f"({_dec(pair[0])},{_dec(pair[1])})"
-
-
-def _pell_json(pair: Optional[tuple[int, int]]) -> Optional[dict]:
-    return None if pair is None else {"x": _dec(pair[0]), "y": _dec(pair[1])}
+def _pell_fields(n: int, e: Expansion, want_pell: bool, want_negative: bool) -> dict:
+    """The Pell pairs asked for, under the record keys pell and negative_pell."""
+    if not (want_pell or want_negative):
+        return {}
+    pell, negative = pell_solutions(n, e)
+    fields = {"pell": pell} if want_pell else {}
+    if want_negative:
+        fields["negative_pell"] = negative
+    return fields
 
 
 def cmd_expand(args) -> int:
     target = parse_surd_spec(args.input)
     label = _canonical_input(target, args.input)
-    limit = _step_limit(args)
-    if (args.pell or args.negative_pell) and not _is_sqrt_int(target):
-        print("error: Pell solutions require a plain integer radicand", file=sys.stderr)
-        return 2
-
+    limit = _step_limit(args.steps)
+    want_pell = args.pell or args.negative_pell
+    if want_pell and not _is_sqrt_int(target):
+        raise InputError("Pell solutions require a plain integer radicand")
     e = _expand(target, limit)
-    if e.terminated and (args.pell or args.negative_pell):
-        print(f"error: Pell needs a non-square N >= 2, got {_dec(target.d)}", file=sys.stderr)
-        return 2
+    if want_pell:
+        _non_square(target.d, "Pell")
 
     if e.terminated:
         quots = list(e.preperiod)
         if args.format == "json":
-            record = {
-                "input": label,
-                "terminated": True,
-                "quotients": [_dec(q) for q in quots],
-            }
-            _emit(_json_line(record) + "\n", args.out)
+            lines = [_json_line({"input": label, "terminated": True, "quotients": quots})]
         elif args.format == "csv":
-            row = [label, _dec(quots[0]), "0", "", "", "", "", ""]
-            _emit(_csv_text([row]), args.out)
+            lines = [_CSV_HEADER, _csv_row(label, quots[0], 0, None, None, None)]
         else:
-            _emit(f"rational: [{', '.join(map(_dec, quots))}]\n", args.out)
+            lines = [f"rational: [{', '.join(map(_dec, quots))}]"]
+        _emit(lines, args.out)
         return 0
 
-    palindrome = None
     stats = period_stats(e)
     m = floor_surd(target)
-    if _is_pure_sqrt(target) and m >= 1:
-        palindrome = verify_palindrome(e, m)
-
-    pell = negative = None
-    if args.pell or args.negative_pell:
-        pell, negative = pell_solutions(target.d, e)
-
+    report = verify_palindrome(e, m) if target.p == 0 < target.q and m >= 1 else None
+    palindromic, case = (None, None) if report is None else (report.holds, report.case)
+    pell = _pell_fields(target.d, e, args.pell, args.negative_pell)
     if args.format == "json":
         record = {
             "input": label,
             "terminated": False,
-            "preperiod": [_dec(q) for q in e.preperiod],
-            "period": [_dec(q) for q in e.period],
-            "period_length": str(len(e.period)),
-            "palindromic": None if palindrome is None else palindrome.holds,
-            "case": None if palindrome is None else palindrome.case,
-            "distinct_logoi": str(stats.distinct_logoi),
+            "preperiod": list(e.preperiod),
+            "period": list(e.period),
+            "period_length": len(e.period),
+            "palindromic": palindromic,
+            "case": case,
+            "distinct_logoi": stats.distinct_logoi,
         }
-        if args.pell:
-            record["pell_x"], record["pell_y"] = _dec(pell[0]), _dec(pell[1])
-        if args.negative_pell:
-            record["negative_pell"] = _pell_json(negative)
-        _emit(_json_line(record) + "\n", args.out)
+        lines = [_json_line(record | pell)]
     elif args.format == "csv":
-        row = [
-            label,
-            _dec(m),
-            str(len(e.period)),
-            "" if palindrome is None else ("yes" if palindrome.holds else "no"),
-            "" if palindrome is None or palindrome.case is None else palindrome.case,
-            str(stats.distinct_logoi),
-            "" if not args.pell else _dec(pell[0]),
-            "" if not args.pell else _dec(pell[1]),
-        ]
-        _emit(_csv_text([row]), args.out)
+        lines = [_CSV_HEADER, _csv_row(label, m, len(e.period), palindromic, case, stats.distinct_logoi, **pell)]
     else:
-        verdict = "n/a" if palindrome is None else ("yes" if palindrome.holds else "no")
-        line = f"{label} = {_fmt_quotients(e.preperiod, e.period)} palindromic={verdict}"
-        if args.pell:
-            line += f" pell={_pell_text(pell)}"
-        if args.negative_pell:
-            line += f" negative_pell={_pell_text(negative)}"
-        _emit(line + "\n", args.out)
+        verdict = "n/a" if palindromic is None else palindromic
+        lines = [f"{label} = {_fmt_quotients(e.preperiod, e.period)} {_plain({'palindromic': verdict, **pell})}"]
+    _emit(lines, args.out)
     return 0
 
 
 def cmd_trace(args) -> int:
-    n = args.N
-    if n < 2 or isqrt(n) ** 2 == n:
-        print(f"error: trace needs a non-square N >= 2, got {n}", file=sys.stderr)
-        return 2
-    limit = _step_limit(args)
-    steps = euler_trace(n, max_steps=limit.max_steps)
+    n = _non_square(args.N, "trace")
+    steps = euler_trace(n, max_steps=_step_limit(args.steps).max_steps)
     text = render_trace(steps, n)
     if args.golden:
         try:
@@ -274,16 +299,16 @@ def cmd_trace(args) -> int:
         if text != expected:
             print(f"golden mismatch against {args.golden}", file=sys.stderr)
             return 4
-    _emit(text, args.out)
+    _emit(text.splitlines(), args.out)
     return 0
 
 
-def _sweep_record(task: tuple[int, bool, bool]) -> Optional[dict]:
-    n, want_pell, want_negative = task
+def _sweep_record(task: tuple[int, bool, bool, StepLimit]) -> Optional[dict]:
+    n, want_pell, want_negative, limit = task
     m = isqrt(n)
     if m * m == n:
         return None
-    e = expand_sqrt(n)
+    e = expand_sqrt(n, limit)
     report = verify_palindrome(e, m)
     stats = period_stats(e)
     rec = {
@@ -294,103 +319,54 @@ def _sweep_record(task: tuple[int, bool, bool]) -> Optional[dict]:
         "case": report.case,
         "distinct_logoi": stats.distinct_logoi,
     }
-    if want_pell or want_negative:
-        rec["pell"], rec["negative"] = pell_solutions(n, e)
-    return rec
+    return rec | _pell_fields(n, e, want_pell, want_negative)
 
 
 def cmd_sweep(args) -> int:
     if args.n_max < 2:
-        print("error: sweep needs N_max >= 2", file=sys.stderr)
-        return 2
-    tasks = [(n, args.pell, args.negative_pell) for n in range(2, args.n_max + 1)]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_sweep_record, tasks, chunksize=250)
-    else:
-        results = [_sweep_record(t) for t in tasks]
-    records = [r for r in results if r is not None]
-    failures = sum(1 for r in records if not r["palindrome"])
+        raise InputError("sweep needs N_max >= 2")
+    limit = _step_limit()
+    tasks = ((n, args.pell, args.negative_pell, limit) for n in range(2, args.n_max + 1))
+    render = {"plain": _plain, "json": _json_line, "csv": lambda r: _csv_row(**r)}[args.format]
+    records = failures = 0
 
-    if args.format == "csv":
-        rows = []
-        for r in records:
-            rows.append(
-                [
-                    str(r["N"]),
-                    str(r["m"]),
-                    str(r["period_len"]),
-                    "yes" if r["palindrome"] else "no",
-                    r["case"] or "",
-                    str(r["distinct_logoi"]),
-                    _dec(r["pell"][0]) if args.pell else "",
-                    _dec(r["pell"][1]) if args.pell else "",
-                ]
-            )
-        _emit(_csv_text(rows), args.out)
-        print(
-            f"{len(records)} non-squares <= {args.n_max}, {failures} palindrome failures",
-            file=sys.stderr,
-        )
-    elif args.format == "json":
-        lines = []
-        for r in records:
-            rec = {
-                "N": str(r["N"]),
-                "m": str(r["m"]),
-                "period_len": str(r["period_len"]),
-                "palindrome": r["palindrome"],
-                "case": r["case"],
-                "distinct_logoi": str(r["distinct_logoi"]),
-            }
-            if args.pell:
-                rec["pell_x"], rec["pell_y"] = _dec(r["pell"][0]), _dec(r["pell"][1])
-            if args.negative_pell:
-                rec["negative_pell"] = _pell_json(r["negative"])
-            lines.append(_json_line(rec))
-        summary = {
-            "n_max": str(args.n_max),
-            "records": str(len(records)),
-            "palindrome_failures": str(failures),
-        }
-        lines.append(_json_line(summary))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = []
-        for r in records:
-            line = (
-                f"N={r['N']} m={r['m']} period_len={r['period_len']}"
-                f" palindrome={'yes' if r['palindrome'] else 'no'}"
-                f" case={r['case']} distinct_logoi={r['distinct_logoi']}"
-            )
-            if args.pell:
-                line += f" pell={_pell_text(r['pell'])}"
-            if args.negative_pell:
-                line += f" negative_pell={_pell_text(r['negative'])}"
-            lines.append(line)
-        lines.append(
-            f"# {len(records)} non-squares <= {args.n_max}, {failures} palindrome failures"
-        )
-        _emit("\n".join(lines) + "\n", args.out)
+    def lines():
+        nonlocal records, failures
+        if args.format == "csv":
+            yield _CSV_HEADER
+        with multiprocessing.Pool(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
+            results = pool.imap(_sweep_record, tasks, chunksize=250) if pool else map(_sweep_record, tasks)
+            for r in results:
+                if r is not None:
+                    records += 1
+                    failures += not r["palindrome"]
+                    yield render(r)
+        summary = f"{records} non-squares <= {args.n_max}, {failures} palindrome failures"
+        if args.format == "json":
+            yield _json_line({"n_max": args.n_max, "records": records, "palindrome_failures": failures})
+        elif args.format == "plain":
+            yield f"# {summary}"
+        else:  # CSV output holds only rows
+            print(summary, file=sys.stderr)
+
+    _emit(lines(), args.out)
     return 5 if failures else 0
 
 
 def cmd_pell(args) -> int:
-    n = args.N
-    if n < 2 or isqrt(n) ** 2 == n:
-        print(f"error: Pell needs a non-square N >= 2, got {n}", file=sys.stderr)
-        return 2
-    (x, y), negative = pell_solutions(n, expand_sqrt(n))
+    n = _non_square(args.N, "Pell")
+    (x, y), negative = pell_solutions(n, expand_sqrt(n, _step_limit()))
     if args.format == "json":
-        record = {"N": _dec(n), "x": _dec(x), "y": _dec(y)}
+        record = {"N": n, "x": x, "y": y}
         if args.negative_pell:
-            record["negative_pell"] = _pell_json(negative)
-        _emit(_json_line(record) + "\n", args.out)
+            record["negative_pell"] = negative
+        line = _json_line(record)
     else:
-        line = f"pell({_dec(n)}): x={_dec(x)} y={_dec(y)}"
+        fields = {"x": x, "y": y}
         if args.negative_pell:
-            line += f" negative={_pell_text(negative)}"
-        _emit(line + "\n", args.out)
+            fields["negative"] = negative
+        line = f"pell({_dec(n)}): {_plain(fields)}"
+    _emit([line], args.out)
     return 0
 
 
@@ -398,24 +374,17 @@ def cmd_approx(args) -> int:
     target = parse_surd_spec(args.input)
     label = _canonical_input(target, args.input)
     count = args.steps if args.steps is not None else 8
-    cs = convergents(_expand(target), count)
+    cs = convergents(_expand(target, _step_limit()), count)
     if args.format == "json":
-        record = {
-            "input": label,
-            "convergents": [{"index": str(c.index), "p": _dec(c.p), "q": _dec(c.q)} for c in cs],
-        }
-        _emit(_json_line(record) + "\n", args.out)
+        record = {"input": label, "convergents": [{"index": c.index, "p": c.p, "q": c.q} for c in cs]}
+        _emit([_json_line(record)], args.out)
     else:
-        lines = [f"k={c.index} {_dec(c.p)}/{_dec(c.q)}" for c in cs]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit((f"k={c.index} {_dec(c.p)}/{_dec(c.q)}" for c in cs), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    n = args.N
-    if n < 2 or isqrt(n) ** 2 == n:
-        print(f"error: verify needs a non-square N >= 2, got {n}", file=sys.stderr)
-        return 2
+    n = _non_square(args.N, "verify")
     lines = []
     ok = True
 
@@ -429,7 +398,7 @@ def cmd_verify(args) -> int:
             lines.append(f"check {name}: FAIL ({exc})")
 
     m = isqrt(n)
-    e = expand_sqrt(n)
+    e = expand_sqrt(n, _step_limit())
     states = e.states
 
     def recurrences():
@@ -504,7 +473,7 @@ def cmd_verify(args) -> int:
     check("purely periodic tail", pure_tail)
 
     lines.append(f"verify {n}: {'all checks passed' if ok else 'FAILED'}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(lines, args.out)
     return 0 if ok else 1
 
 

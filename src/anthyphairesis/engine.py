@@ -101,6 +101,9 @@ class StepLimitExceeded(RuntimeError):
         super().__init__(message)
         self.quotients_so_far = tuple(quotients_so_far)
 
+    def __reduce__(self):  # rebuilt from both arguments, so it crosses a process boundary
+        return type(self), (self.args[0], self.quotients_so_far)
+
 
 @dataclass(frozen=True)
 class Expansion:

@@ -159,6 +159,36 @@ def test_sweep_failure_exit_code(capsys, monkeypatch):
     assert "1 palindrome failures" in out
 
 
+def test_sweep_streams_rows_as_they_are_computed(capsys, monkeypatch):
+    real = cli._sweep_record
+    seen = {}
+
+    def watching(task):
+        if task[0] == 50:
+            seen["out"] = capsys.readouterr().out
+        return real(task)
+
+    monkeypatch.setattr(cli, "_sweep_record", watching)
+    assert main(["sweep", "50", "--jobs", "1"]) == 0
+    assert seen["out"].startswith("N=2 m=1 period_len=1 ")
+
+
+def test_sweep_opens_its_out_file_before_expanding(tmp_path, capsys, monkeypatch):
+    from anthyphairesis import engine
+
+    calls = []
+
+    def counting(n, *rest):
+        calls.append(n)
+        return engine.expand_sqrt(n, *rest)
+
+    monkeypatch.setattr(cli, "expand_sqrt", counting)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "sweep", "1000", "--out", str(target))
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_pell_command(capsys):
     code, out, _ = run(capsys, "pell", "61")
     assert code == 0
@@ -310,6 +340,25 @@ def test_pell_commands_expand_each_n_once(capsys, monkeypatch, argv, expansions)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == expansions == len(set(calls))
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_anth_max_steps_below_one_is_bad_input(capsys, monkeypatch, value):
+    monkeypatch.setenv("ANTH_MAX_STEPS", value)
+    code, out, err = run(capsys, "expand", "19")
+    assert (code, out) == (2, "")
+    assert err == f"error: ANTH_MAX_STEPS must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pell", "54"], ["approx", "54"], ["verify", "54"], ["sweep", "60"], ["sweep", "60", "--jobs", "2"]],
+)
+def test_anth_max_steps_reaches_every_expanding_command(capsys, monkeypatch, argv):
+    monkeypatch.setenv("ANTH_MAX_STEPS", "2")
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("error: step limit exhausted")
 
 
 def test_trace_step_budget_exit_code(capsys):

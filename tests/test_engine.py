@@ -1,6 +1,7 @@
 """engine: state recurrence, period detection, increment factors, remainders."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -113,6 +114,15 @@ def test_step_limit_exhaustion_is_loud():
     with pytest.raises(StepLimitExceeded) as exc:
         expand_sqrt(54, StepLimit(max_steps=2))
     assert exc.value.quotients_so_far[0] == 7
+
+
+def test_step_limit_exceeded_survives_pickling():
+    with pytest.raises(StepLimitExceeded) as exc:
+        expand_sqrt(54, StepLimit(max_steps=2))
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert type(copy) is StepLimitExceeded
+    assert str(copy) == str(exc.value) == "sqrt(54): no state repeated within 2 steps"
+    assert copy.quotients_so_far == exc.value.quotients_so_far
 
 
 def test_expand_surd_purely_periodic_input():
