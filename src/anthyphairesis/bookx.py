@@ -7,16 +7,24 @@ with alpha^2 always eliminated through the defining ratio. Apotomes
 conjugate; their product is a rational multiple of beta^2 (the content
 of Elements X.112-114), which is what makes exact inversion of a line
 possible and drives the symbolic expansion trace.
+
+All of it is integer arithmetic. The ratio r = P/Q is checked once per
+radicand and kept as the basis (P, Q). A line is the triple (a, b, den)
+for (a*alpha + b*beta)/den, an area (ab, bb, den) for
+(ab*alpha*beta + bb*beta^2)/den, each reduced (den > 0, gcd 1) and so
+canonical. The hot loops (the trace, the omega and increment-factor
+checks) call the private helpers on triples; SurdLine and SurdArea wrap them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt
 from typing import Optional
 
-from .surd import QuadraticSurd, floor_surd, is_square_fraction, sign_of
+from .surd import _int_sign, is_square_fraction
 
 __all__ = [
     "SurdLine",
@@ -31,74 +39,174 @@ __all__ = [
     "render_trace",
 ]
 
+Basis = tuple[int, int]  # (P, Q): alpha^2 = (P/Q)*beta^2, P/Q in lowest terms
+Triple = tuple[int, int, int]
 
-@dataclass(frozen=True)
+BETA_SQUARED: Triple = (0, 1, 1)  # the area beta^2
+
+
+@lru_cache(maxsize=256)
+def _basis(ratio: Fraction | int) -> Basis:
+    """The basis of alpha^2 = ratio*beta^2, once ratio is checked positive and not a rational square."""
+    r = Fraction(ratio)
+    if r <= 0:
+        raise ValueError("radicand ratio must be positive")
+    if is_square_fraction(r):
+        raise ValueError("radicand ratio is a rational square; the line is rational")
+    return r.numerator, r.denominator
+
+
+def _reduced(a: int, b: int, den: int) -> Triple:
+    """(a, b, den) over gcd(a, b, den), with the sign that makes den positive."""
+    g = gcd(a, b, den)
+    if den < 0:
+        g = -g
+    return a // g, b // g, den // g
+
+
+def _rational_triple(x: Fraction | int, y: Fraction | int) -> Triple:
+    """The reduced triple of the pair of rationals (x, y)."""
+    if type(x) is int and type(y) is int:
+        return x, y, 1
+    x, y = Fraction(x), Fraction(y)
+    return _reduced(x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
+
+
+def _mul(basis: Basis, u: Triple, v: Triple) -> Triple:
+    """Area triple of the product of two lines, alpha^2 = (P/Q)*beta^2 eliminated."""
+    p, q = basis
+    a1, b1, d1 = u
+    a2, b2, d2 = v
+    return _reduced(q * (a1 * b2 + b1 * a2), p * a1 * a2 + q * b1 * b2, q * d1 * d2)
+
+
+def _add(u: Triple, v: Triple) -> Triple:
+    a1, b1, d1 = u
+    a2, b2, d2 = v
+    return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+
+
+def _conj(u: Triple) -> Triple:
+    a, b, den = u
+    return a, -b, den
+
+
+def _inverse(basis: Basis, u: Triple) -> Triple:
+    """The line v with u*v = beta^2: conj(u) over u*conj(u) = (P*a^2 - Q*b^2)/(Q*den^2)*beta^2."""
+    p, q = basis
+    a, b, den = u
+    norm = p * a * a - q * b * b  # zero only for the zero line, since P/Q is no rational square
+    if norm == 0:
+        raise ZeroDivisionError("zero line has no inverse")
+    return _reduced(q * den * a, -q * den * b, norm)
+
+
+def _floor_over_beta(basis: Basis, u: Triple) -> int:
+    """Exact floor of u/beta = (b*Q + sqrt(a^2*P*Q))/(den*Q) for a line with a >= 0."""
+    p, q = basis
+    a, b, den = u
+    if a < 0:
+        raise ValueError("floor helper needs a non-negative alpha coefficient")
+    # sqrt(a^2*P*Q) is irrational unless a = 0, so no multiple of den*Q lies
+    # strictly between b*Q + isqrt and b*Q + sqrt: both have the same floor
+    return (b * q + isqrt(a * a * p * q)) // (den * q)
+
+
+@dataclass(frozen=True, init=False)
 class SurdLine:
-    """c_alpha*alpha + c_beta*beta, where alpha^2 = radicand_ratio * beta^2."""
+    """c_alpha*alpha + c_beta*beta, where alpha^2 = radicand_ratio * beta^2.
 
-    c_alpha: Fraction
-    c_beta: Fraction
-    radicand_ratio: Fraction
+    Built from ints or Fractions, held as the reduced triple (a, b, den)
+    over the checked basis (P, Q); c_alpha and c_beta read as Fractions.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c_alpha", Fraction(self.c_alpha))
-        object.__setattr__(self, "c_beta", Fraction(self.c_beta))
-        object.__setattr__(self, "radicand_ratio", Fraction(self.radicand_ratio))
-        if self.radicand_ratio <= 0:
-            raise ValueError("radicand ratio must be positive")
-        if is_square_fraction(self.radicand_ratio):
-            raise ValueError("radicand ratio is a rational square; the line is rational")
+    triple: Triple
+    basis: Basis
+
+    def __init__(self, c_alpha: Fraction | int, c_beta: Fraction | int, radicand_ratio: Fraction | int):
+        object.__setattr__(self, "triple", _rational_triple(c_alpha, c_beta))
+        object.__setattr__(self, "basis", _basis(radicand_ratio))
+
+    @property
+    def c_alpha(self) -> Fraction:
+        return Fraction(self.triple[0], self.triple[2])
+
+    @property
+    def c_beta(self) -> Fraction:
+        return Fraction(self.triple[1], self.triple[2])
+
+    @property
+    def radicand_ratio(self) -> Fraction:
+        return Fraction(*self.basis)
 
     def __add__(self, other: "SurdLine") -> "SurdLine":
         _require_same_ratio(self, other)
-        return SurdLine(self.c_alpha + other.c_alpha, self.c_beta + other.c_beta, self.radicand_ratio)
+        return _line(self.basis, _add(self.triple, other.triple))
 
     def __sub__(self, other: "SurdLine") -> "SurdLine":
-        _require_same_ratio(self, other)
-        return SurdLine(self.c_alpha - other.c_alpha, self.c_beta - other.c_beta, self.radicand_ratio)
+        return self + (-other)
 
     def __neg__(self) -> "SurdLine":
-        return SurdLine(-self.c_alpha, -self.c_beta, self.radicand_ratio)
+        a, b, den = self.triple
+        return _line(self.basis, (-a, -b, den))
 
     def scaled(self, factor: Fraction | int) -> "SurdLine":
         f = Fraction(factor)
-        return SurdLine(self.c_alpha * f, self.c_beta * f, self.radicand_ratio)
+        a, b, den = self.triple
+        return _line(self.basis, _reduced(a * f.numerator, b * f.numerator, den * f.denominator))
 
     def sign(self) -> int:
-        return sign_of(self.c_alpha, self.c_beta, self.radicand_ratio)
+        return _int_sign(self.triple[0], self.triple[1], *self.basis)
 
     def is_zero(self) -> bool:
-        return self.c_alpha == 0 and self.c_beta == 0
+        return self.triple[:2] == (0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurdArea:
-    """c_ab*(alpha*beta) + c_bb*beta^2, canonical: alpha^2 never appears."""
+    """c_ab*(alpha*beta) + c_bb*beta^2, canonical: alpha^2 never appears.
 
-    c_ab: Fraction
-    c_bb: Fraction
+    Held as the reduced triple (ab, bb, den); c_ab and c_bb read as Fractions.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c_ab", Fraction(self.c_ab))
-        object.__setattr__(self, "c_bb", Fraction(self.c_bb))
+    triple: Triple
+
+    def __init__(self, c_ab: Fraction | int, c_bb: Fraction | int):
+        object.__setattr__(self, "triple", _rational_triple(c_ab, c_bb))
+
+    @property
+    def c_ab(self) -> Fraction:
+        return Fraction(self.triple[0], self.triple[2])
+
+    @property
+    def c_bb(self) -> Fraction:
+        return Fraction(self.triple[1], self.triple[2])
+
+
+def _line(basis: Basis, t: Triple) -> SurdLine:
+    """A SurdLine from a reduced triple over a checked basis, checking neither again."""
+    u = object.__new__(SurdLine)
+    object.__setattr__(u, "triple", t)
+    object.__setattr__(u, "basis", basis)
+    return u
 
 
 def _require_same_ratio(u: SurdLine, v: SurdLine) -> None:
-    if u.radicand_ratio != v.radicand_ratio:
+    if u.basis != v.basis:
         raise ValueError("lines live over different radicand ratios")
 
 
 def line_mul(u: SurdLine, v: SurdLine) -> SurdArea:
     """Exact product of two lines, alpha^2 reduced via the ratio."""
     _require_same_ratio(u, v)
-    c_ab = u.c_alpha * v.c_beta + u.c_beta * v.c_alpha
-    c_bb = u.c_alpha * v.c_alpha * u.radicand_ratio + u.c_beta * v.c_beta
-    return SurdArea(c_ab, c_bb)
+    area = object.__new__(SurdArea)
+    object.__setattr__(area, "triple", _mul(u.basis, u.triple, v.triple))
+    return area
 
 
 def conjugate(u: SurdLine) -> SurdLine:
     """Negate the beta coefficient: apotome <-> binomial. Involutive."""
-    return SurdLine(u.c_alpha, -u.c_beta, u.radicand_ratio)
+    return _line(u.basis, _conj(u.triple))
 
 
 def inverse_wrt_beta_squared(u: SurdLine) -> SurdLine:
@@ -108,13 +216,7 @@ def inverse_wrt_beta_squared(u: SurdLine) -> SurdLine:
     area (c_alpha^2*ratio - c_beta^2)*beta^2, so v is the conjugate
     divided by that constant (Elements X.112/X.113 in coefficient form).
     """
-    if u.is_zero():
-        raise ZeroDivisionError("zero line has no inverse")
-    if u.c_alpha == 0:
-        # rational multiple of beta: plain rational inversion
-        return SurdLine(0, 1 / u.c_beta, u.radicand_ratio)
-    norm = u.c_alpha * u.c_alpha * u.radicand_ratio - u.c_beta * u.c_beta
-    return conjugate(u).scaled(1 / norm)
+    return _line(u.basis, _inverse(u.basis, u.triple))
 
 
 def classify(u: SurdLine) -> str:
@@ -126,9 +228,10 @@ def classify(u: SurdLine) -> str:
     else (negative or zero values) is 'other': the algebra is closed
     under negation so the classification must be total.
     """
-    if u.c_alpha == 0 or u.c_beta == 0:
+    a, b, _ = u.triple
+    if a == 0 or b == 0:
         return "rational_multiple"
-    if u.c_alpha > 0 and u.c_beta > 0:
+    if a > 0 and b > 0:
         return "binomial"
     if u.sign() > 0:
         return "apotome"
@@ -163,30 +266,17 @@ class TraceStep:
     repeats_index: Optional[int]
 
 
-def _floor_over_beta(line: SurdLine) -> int:
-    """Exact floor of line/beta for a line with c_alpha >= 0."""
-    ca, cb = line.c_alpha, line.c_beta
-    if ca < 0:
-        raise ValueError("floor helper needs a non-negative alpha coefficient")
-    ratio = line.radicand_ratio
-    # (A*alpha/L + B*beta/L)/beta with integer A, B over a common denominator L
-    scale = ca.denominator * cb.denominator // gcd(ca.denominator, cb.denominator)
-    a_int = ca.numerator * (scale // ca.denominator)
-    b_int = cb.numerator * (scale // cb.denominator)
-    # value = (B + sqrt(A^2 * ratio)) / L; fold the rational ratio into d
-    d_num = a_int * a_int * ratio.numerator
-    return floor_surd(QuadraticSurd(b_int * ratio.denominator, d_num * ratio.denominator, scale * ratio.denominator))
+# Peak bytes one trace step costs: its TraceStep, lines and rendered text come to
+# about 2.3 KB (sqrt(10^8+3), tracemalloc).
+_TRACE_STEP_BYTES = 4096
 
 
-def _as_lambda_mu(phi: SurdLine) -> tuple[int, int]:
+def _as_lambda_mu(phi: Triple) -> tuple[int, int]:
     # phi = (alpha - mu*beta)/lam for natural lam, mu
-    lam = phi.c_alpha.denominator
-    if phi.c_alpha != Fraction(1, lam):
+    a, b, lam = phi
+    if a != 1 or b > 0:
         raise ValueError("increment factor is not of the form (alpha - mu*beta)/lam")
-    mu_frac = -phi.c_beta * lam
-    if mu_frac.denominator != 1 or mu_frac < 0:
-        raise ValueError("increment factor is not of the form (alpha - mu*beta)/lam")
-    return lam, int(mu_frac)
+    return lam, -b
 
 
 def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
@@ -196,58 +286,65 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
     (no integer state recurrence is used, so this is an independent
     derivation of the quotients), reads off the quotient as the integer
     part of psi/beta, and subtracts to get the next factor. Stops when a
-    phi repeats an earlier one, and raises StepLimitExceeded when more
-    than max_steps factors pass without a repeat.
+    phi repeats an earlier one. Raises StepLimitExceeded when more than
+    max_steps factors pass without a repeat, and ResourceLimitExceeded
+    when, before that, the steps would outgrow this process's memory.
     """
-    from .engine import StepLimitExceeded, pigeonhole_bound  # step safety net only
+    # the step safety net only; no stepping code is shared with the engine
+    from .engine import ResourceLimitExceeded, StepLimitExceeded, _memory_steps, pigeonhole_bound
 
-    if N < 2 or is_square_fraction(Fraction(N)):
+    if N < 2 or isqrt(N) ** 2 == N:
         raise ValueError("N must be a non-square integer >= 2")
     if max_steps is None:
         max_steps = pigeonhole_bound(N) + 1
+    limit = min(max_steps, _memory_steps(_TRACE_STEP_BYTES))
 
-    m = _floor_over_beta(SurdLine(1, 0, N))
-    phi = SurdLine(1, -m, N)  # alpha - m*beta
-    seen: dict[tuple[Fraction, Fraction], int] = {}
+    basis = _basis(N)
+    m = _floor_over_beta(basis, (1, 0, 1))
+    phi = (1, -m, 1)  # alpha - m*beta
+    phi_line = _line(basis, phi)
+    seen: dict[Triple, int] = {}
     steps: list[TraceStep] = []
     k = 1
     while True:
-        key = (phi.c_alpha, phi.c_beta)
         lam, mu = _as_lambda_mu(phi)
-        if key in seen:
-            steps.append(TraceStep(k, lam, mu, phi, None, None, None, None, None, seen[key]))
+        if phi in seen:
+            steps.append(TraceStep(k, lam, mu, phi_line, None, None, None, None, None, seen[phi]))
             return steps
-        seen[key] = k
-        if k > max_steps:
-            raise StepLimitExceeded(
-                f"trace of sqrt({N}) exceeded {max_steps} steps without repeating",
-                [m] + [s.quotient for s in steps],
-            )
-        conj = conjugate(phi)
-        prod = line_mul(phi, conj)
-        constant = prod.c_bb * lam  # lam*phi*conj = constant*beta^2
-        if prod.c_ab != 0 or constant.denominator != 1 or constant <= 0:
+        seen[phi] = k
+        if k > limit:
+            quotients = [m] + [s.quotient for s in steps]
+            if limit == max_steps:
+                raise StepLimitExceeded(f"trace of sqrt({N}) exceeded {max_steps} steps without repeating", quotients)
+            raise ResourceLimitExceeded(f"trace of sqrt({N}) exceeded {limit} steps, all that fit in memory")
+        conj = _conj(phi)
+        ab, bb, den = _mul(basis, phi, conj)
+        # lam*phi*conj = constant*beta^2 for a positive integer constant
+        if ab != 0 or bb <= 0 or bb * lam % den:
             raise RuntimeError("conjugacy product is not a positive rational multiple of beta^2")
-        psi = inverse_wrt_beta_squared(phi)
-        quotient = _floor_over_beta(psi)
-        next_phi = psi - SurdLine(0, quotient, N)
-        steps.append(TraceStep(k, lam, mu, phi, conj, int(constant), psi, quotient, next_phi, None))
-        phi = next_phi
+        psi = _inverse(basis, phi)
+        quotient = _floor_over_beta(basis, psi)
+        next_phi = _add(psi, (0, -quotient, 1))
+        next_line = _line(basis, next_phi)
+        steps.append(
+            TraceStep(
+                k, lam, mu, phi_line, _line(basis, conj), bb * lam // den, _line(basis, psi), quotient, next_line, None
+            )
+        )
+        phi, phi_line = next_phi, next_line
         k += 1
 
 
-def _term(coeff: Fraction, symbol: str) -> str:
+def _term(coeff: int, symbol: str) -> str:
     if coeff == 1:
         return symbol
     return f"{coeff}*{symbol}"
 
 
 def render_line(u: SurdLine, name: str) -> str:
-    """Integer-scaled rendering 'L*name = A*alpha +/- B*beta'."""
-    scale = u.c_alpha.denominator * u.c_beta.denominator // gcd(u.c_alpha.denominator, u.c_beta.denominator)
-    a = u.c_alpha * scale
-    b = u.c_beta * scale
-    lhs = _term(Fraction(scale), name)
+    """Integer-scaled rendering 'den*name = a*alpha +/- b*beta'."""
+    a, b, den = u.triple
+    lhs = _term(den, name)
     if a == 0:
         rhs = _term(abs(b), "beta") if b >= 0 else f"-{_term(abs(b), 'beta')}"
     elif b == 0:

@@ -1,7 +1,8 @@
 """Command line front end: expand, trace, sweep, pell, approx, verify.
 
-Exit codes: 0 success, 2 bad input, 3 step-limit exhaustion, 4
-golden-file mismatch, 5 palindrome failure during a sweep. The
+Exit codes: 0 success, 2 bad input, 3 step-limit exhaustion or an
+expansion too long for memory, 4 golden-file mismatch, 5 palindrome
+failure during a sweep. The
 environment variable ANTH_MAX_STEPS, at least 1, sets the step budget
 of the expansion in every command (expand, trace, sweep, pell, approx,
 verify) wherever --steps is not given explicitly. The --steps of approx
@@ -14,7 +15,6 @@ import argparse
 import contextlib
 import functools
 import json
-import multiprocessing
 import os
 import re
 import sys
@@ -24,6 +24,7 @@ from .bookx import euler_trace, render_trace
 from .convergents import convergents, pell_solutions
 from .engine import (
     Expansion,
+    ResourceLimitExceeded,
     StepLimit,
     StepLimitExceeded,
     expand_sqrt,
@@ -143,6 +144,13 @@ def _dec(n: int) -> str:
     return _dec(high) + _dec(low).zfill(k)
 
 
+def _decs(ns) -> list[str]:
+    """_dec of every int in a list, with one bit-length check for the whole list."""
+    if not ns or max(max(ns), -min(ns)).bit_length() <= _STR_SAFE_BITS:
+        return list(map(str, ns))
+    return list(map(_dec, ns))
+
+
 # A record maps field names to plain values: ints, bools, None, strings,
 # quotient lists (lists), Pell pairs (tuples (x, y)) and, for approx, a
 # list of records. Each output format has one renderer below, applied
@@ -158,7 +166,7 @@ def _json_value(v):
         return {"x": _dec(v[0]), "y": _dec(v[1])}
     if v and isinstance(v[0], dict):
         return [_json_fields(r) for r in v]
-    return list(map(_dec, v))
+    return _decs(v)
 
 
 def _json_fields(record: dict) -> dict:
@@ -207,9 +215,9 @@ def _csv_row(N, m, period_len, palindrome, case, distinct_logoi, pell=None, nega
 
 
 def _fmt_quotients(preperiod, period) -> str:
-    body = ",".join(map(_dec, period))
+    body = ",".join(_decs(period))
     if preperiod:
-        head = ",".join(map(_dec, preperiod))
+        head = ",".join(_decs(preperiod))
         return f"[{head}; ({body})]"
     return f"[({body})]"
 
@@ -255,7 +263,7 @@ def cmd_expand(args) -> int:
         elif args.format == "csv":
             lines = [_CSV_HEADER, _csv_row(label, quots[0], 0, None, None, None)]
         else:
-            lines = [f"rational: [{', '.join(map(_dec, quots))}]"]
+            lines = [f"rational: [{', '.join(_decs(quots))}]"]
         _emit(lines, args.out)
         return 0
 
@@ -322,6 +330,19 @@ def _sweep_record(task: tuple[int, bool, bool, StepLimit]) -> Optional[dict]:
     return rec | _pell_fields(n, e, want_pell, want_negative)
 
 
+def _pool(jobs: int):
+    """A pool of `jobs` worker processes, or a null context for one job.
+
+    multiprocessing is imported here, not with this module: its import
+    costs every other command about 1 MB of memory and 10 ms of start-up.
+    """
+    if jobs == 1:
+        return contextlib.nullcontext()
+    import multiprocessing
+
+    return multiprocessing.Pool(jobs)
+
+
 def cmd_sweep(args) -> int:
     if args.n_max < 2:
         raise InputError("sweep needs N_max >= 2")
@@ -334,7 +355,7 @@ def cmd_sweep(args) -> int:
         nonlocal records, failures
         if args.format == "csv":
             yield _CSV_HEADER
-        with multiprocessing.Pool(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
+        with _pool(args.jobs) as pool:
             results = pool.imap(_sweep_record, tasks, chunksize=250) if pool else map(_sweep_record, tasks)
             for r in results:
                 if r is not None:
@@ -393,26 +414,27 @@ def cmd_verify(args) -> int:
         try:
             fn()
             lines.append(f"check {name}: ok")
+        except ResourceLimitExceeded:  # the input outgrew memory: exit 3, not a failed check
+            raise
         except Exception as exc:  # report and keep going
             ok = False
             lines.append(f"check {name}: FAIL ({exc})")
 
     m = isqrt(n)
     e = expand_sqrt(n, _step_limit())
-    states = e.states
+    mus, lams = e.mus, e.lams  # the states (mu_k, lam_k) of phi_1 .. phi_{l+1}
 
     def recurrences():
-        for k in range(1, len(states)):
-            prev, cur = states[k - 1], states[k]
-            if cur.lam * prev.lam != n - prev.mu * prev.mu:
+        for k in range(1, len(mus)):
+            if lams[k] * lams[k - 1] != n - mus[k - 1] * mus[k - 1]:
                 raise AssertionError(f"product identity fails at step {k + 1}")
-            if cur.mu + prev.mu != e.quotients[k] * cur.lam:
+            if mus[k] + mus[k - 1] != e.quotients[k] * lams[k]:
                 raise AssertionError(f"sum identity fails at step {k + 1}")
 
     def bounds():
-        for st in states[1:]:
-            if not (1 <= st.lam < n and st.mu * st.mu < n):
-                raise AssertionError(f"state bounds fail at step {st.step_index}")
+        for k in range(1, len(mus)):
+            if not (1 <= lams[k] < n and mus[k] * mus[k] < n):
+                raise AssertionError(f"state bounds fail at step {k + 1}")
         if len(e.quotients) - 1 >= pigeonhole_bound(n):
             raise AssertionError("period not found before the pigeonhole bound")
 
@@ -440,7 +462,6 @@ def cmd_verify(args) -> int:
     def convergent_quality():
         count = 2 * len(e.period)
         cs = convergents(e, count)
-        lams = [st.lam for st in states]
         period = len(e.period)
         for c in cs:
             k = c.index
@@ -457,7 +478,7 @@ def cmd_verify(args) -> int:
             raise AssertionError("fundamental solution does not satisfy Pell")
 
     def pure_tail():
-        tail = QuadraticSurd(states[0].mu, n, states[1].lam)
+        tail = QuadraticSurd(mus[0], n, lams[1])
         te = expand_surd(tail)
         if te.preperiod != () or te.period != e.period:
             raise AssertionError("re-expanded tail is not purely periodic with the same period")
@@ -548,6 +569,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except StepLimitExceeded as exc:
         print(f"error: step limit exhausted: {exc}", file=sys.stderr)
+        return 3
+    except ResourceLimitExceeded as exc:
+        print(f"error: memory limit reached: {exc}", file=sys.stderr)
         return 3
     except InputError as exc:  # bad input; other errors are faults and propagate
         print(f"error: {exc}", file=sys.stderr)

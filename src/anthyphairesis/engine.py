@@ -22,20 +22,24 @@ shorter than pigeonhole_bound(d) = r(r+1) + 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
+import resource
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
 
-from .bookx import SurdLine, line_mul
-from .surd import QuadraticSurd, normalize, sign_of
+from .bookx import BETA_SQUARED, SurdLine, _add, _basis, _mul
+from .surd import QuadraticSurd, normalize
 
 __all__ = [
     "AnthState",
     "Expansion",
     "IncrementFactor",
+    "ResourceLimitExceeded",
     "StepLimit",
     "StepLimitExceeded",
     "expand_sqrt",
@@ -85,6 +89,8 @@ class StepLimit:
     x_{k+1} = 1/(x_k - a_k) is reduced.
     Q_{k-2}*Q_{k-1} >= 2^(k-2) (Fibonacci growth), so k = |q|.bit_length()
     + 1 suffices. Period: fewer steps than pigeonhole_bound(d).
+    Whatever the budget, the steps must also fit in memory (see
+    ResourceLimitExceeded).
     """
 
     max_steps: Optional[int] = None
@@ -103,6 +109,33 @@ class StepLimitExceeded(RuntimeError):
 
     def __reduce__(self):  # rebuilt from both arguments, so it crosses a process boundary
         return type(self), (self.args[0], self.quotients_so_far)
+
+
+class ResourceLimitExceeded(RuntimeError):
+    """Raised when an expansion would outgrow this process's memory.
+
+    Every step budget is capped so that the steps fit in the address-space
+    limit (RLIMIT_AS) or, when none is set, in physical memory. Hitting
+    that cap is a property of the input and the machine, not a bug, and
+    it comes before a MemoryError would.
+    """
+
+
+# Peak bytes one step costs a command: the trail's ints, their list and tuple
+# slots and the rendered quotient come to about 460 (sqrt(10^10+3), tracemalloc).
+_TRAIL_STEP_BYTES = 1024
+
+
+@functools.cache
+def _memory_steps(bytes_per_step: int) -> int:
+    """How many steps of bytes_per_step fit in this process's memory, worked out on first use.
+
+    The memory is the address-space limit (RLIMIT_AS), else physical memory.
+    """
+    memory, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if memory == resource.RLIM_INFINITY:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return memory // bytes_per_step
 
 
 @dataclass(frozen=True)
@@ -200,6 +233,9 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: Optional[int]) -> Expansi
         return _expand_rational(p + r, q)
     if max_steps is None:
         max_steps = abs(q).bit_length() + 2 + pigeonhole_bound(d)
+    limit = _memory_steps(_TRAIL_STEP_BYTES)
+    if max_steps < limit:  # not min(): a sweep makes thousands of short calls
+        limit = max_steps
 
     quots: list[int] = []
     trail = [p, q]
@@ -210,9 +246,11 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: Optional[int]) -> Expansi
                 j, pj, qj = len(quots), p, q
         elif p == pj and q == qj:
             break
-        if len(quots) > max_steps:
+        if len(quots) > limit:
             start = QuadraticSurd(trail[0], d, trail[1])
-            raise StepLimitExceeded(f"{start}: no state repeated within {max_steps} steps", quots)
+            if limit == max_steps:
+                raise StepLimitExceeded(f"{start}: no state repeated within {max_steps} steps", quots)
+            raise ResourceLimitExceeded(f"{start}: no state repeated within {limit} steps, all that fit in memory")
         a = (p + r) // q if q > 0 else (p + r + 1) // q
         p = a * q - p
         q, rem = divmod(d - p * p, q)
@@ -252,33 +290,29 @@ def increment_factors(e: Expansion, N: int) -> tuple[IncrementFactor, ...]:
     N < (mu + lam)^2 (phi < beta), and for every consecutive pair the
     area identity phi_k*(I_k*beta + phi_{k+1}) = beta^2.
     """
-    _require_sqrt_expansion(e)
-    if not e.states or e.states[0].mu != isqrt(N) or e.states[0].lam != 1:
+    _check_increment_factors(e, N)
+    return tuple(map(IncrementFactor, e.states))
+
+
+def _check_increment_factors(e: Expansion, N: int) -> None:
+    """The checks of increment_factors, on the int states (mu_k, lam_k) of phi_k = (alpha - mu_k*beta)/lam_k."""
+    if e.terminated:
+        raise ValueError("terminated expansion has no increment factors")
+    mus, lams, quotients = e.mus, e.lams, e.quotients
+    if not mus:
+        raise ValueError("expansion does not carry integer increment-factor states")
+    if mus[0] != isqrt(N) or lams[0] != 1:
         raise ValueError(f"expansion does not belong to sqrt({N})")
-    factors = tuple(IncrementFactor(st) for st in e.states)
-    beta_sq = line_mul(SurdLine(0, 1, N), SurdLine(0, 1, N))
-    for i, f in enumerate(factors):
-        mu, lam = f.state.mu, f.state.lam
+    basis = _basis(N)
+    for i, (mu, lam) in enumerate(zip(mus, lams)):
         if (N - mu * mu) % lam:
             raise ValueError(f"expansion does not belong to sqrt({N})")
         if N >= (mu + lam) ** 2:
             raise ValueError(f"increment factor {i + 1} is not smaller than beta")
-        if i + 1 < len(factors):
-            quotient = e.quotients[i + 1]
-            lhs = line_mul(
-                f.as_line(N),
-                factors[i + 1].as_line(N) + SurdLine(0, quotient, N),
-            )
-            if lhs != beta_sq:
+        if i + 1 < len(mus):
+            rhs = _add((1, -mus[i + 1], lams[i + 1]), (0, quotients[i + 1], 1))  # I_k*beta + phi_{k+1}
+            if _mul(basis, (1, -mu, lam), rhs) != BETA_SQUARED:
                 raise ValueError(f"inversion identity fails between factors {i + 1} and {i + 2}")
-    return factors
-
-
-def _require_sqrt_expansion(e: Expansion) -> None:
-    if e.terminated:
-        raise ValueError("terminated expansion has no increment factors")
-    if not e.mus:
-        raise ValueError("expansion does not carry integer increment-factor states")
 
 
 def remainders(N: int, count: int) -> tuple[SurdLine, ...]:
@@ -300,9 +334,9 @@ def remainders(N: int, count: int) -> tuple[SurdLine, ...]:
     lines: list[SurdLine] = []
     for quotient in stream:
         nxt = prev - cur.scaled(quotient)
-        if sign_of(nxt.c_alpha, nxt.c_beta, N) <= 0:
+        if nxt.sign() <= 0:
             raise AssertionError(f"remainder {len(lines) + 1} of sqrt({N}) is not positive")
-        if sign_of(cur.c_alpha - nxt.c_alpha, cur.c_beta - nxt.c_beta, N) <= 0:
+        if (cur - nxt).sign() <= 0:
             raise AssertionError(f"remainder {len(lines) + 1} of sqrt({N}) does not decrease")
         lines.append(nxt)
         prev, cur = cur, nxt

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bookx import SurdLine, line_mul
-from .engine import Expansion, IncrementFactor, increment_factors
+from .bookx import BETA_SQUARED, SurdLine, _add, _basis, _conj, _mul
+from .engine import Expansion, IncrementFactor, _check_increment_factors
 
 __all__ = [
     "OmegaState",
@@ -115,34 +115,26 @@ def omega_sequence(e: Expansion, N: int) -> tuple[OmegaState, ...]:
     Per state: (phi_n)* * omega_n = beta^2 (the defining inversion),
     0 < omega_n < beta in integer form, omega_1*(phi_1 + 2*mu_1*beta) =
     beta^2, and omega_{n+1}*(I_n*beta + omega_n) = beta^2. All checks
-    are exact area-algebra identities with zero residual.
+    are exact area-algebra identities with zero residual. The increment
+    factors are verified after them (ValueError), so a corrupted state
+    that an omega reads fails as an omega identity (AssertionError).
     """
-    phis = increment_factors(e, N)  # validates the expansion/radicand pairing
-    states = e.states
-    beta = SurdLine(0, 1, N)
-    beta_sq = line_mul(beta, beta)
-    omegas = []
-    for n in range(1, len(states)):
-        w = OmegaState(mu=states[n - 1].mu, lambda_next=states[n].lam)
-        w_line = w.as_line(N)
-        phi_line = phis[n - 1].as_line(N)
-        phi_conj = SurdLine(phi_line.c_alpha, -phi_line.c_beta, phi_line.radicand_ratio)
-        if line_mul(phi_conj, w_line) != beta_sq:
+    basis = _basis(N)
+    mus, lams, quotients = e.mus, e.lams, e.quotients
+    omegas = [(1, -mus[n - 1], lams[n]) for n in range(1, len(mus))]  # (alpha - mu_n*beta)/lam_{n+1}
+    for n, w in enumerate(omegas, 1):
+        mu, lam_next = mus[n - 1], lams[n]
+        phi = (1, -mu, lams[n - 1])
+        if _mul(basis, _conj(phi), w) != BETA_SQUARED:
             raise AssertionError(f"omega_{n} is not the inverse of (phi_{n})* for sqrt({N})")
-        if w.mu * w.mu >= N or N >= (w.mu + w.lambda_next) ** 2:
+        if mu * mu >= N or N >= (mu + lam_next) ** 2:
             raise AssertionError(f"omega_{n} is not strictly between 0 and beta for sqrt({N})")
-        omegas.append(w)
-
-    mu1 = states[0].mu
-    first = omegas[0].as_line(N)
-    if line_mul(first, phis[0].as_line(N) + beta.scaled(2 * mu1)) != beta_sq:
-        raise AssertionError(f"omega_1*(phi_1 + 2*mu_1*beta) != beta^2 for sqrt({N})")
-    quotients = e.quotients
-    for n in range(1, len(omegas)):
-        lhs = line_mul(omegas[n].as_line(N), beta.scaled(quotients[n]) + omegas[n - 1].as_line(N))
-        if lhs != beta_sq:
-            raise AssertionError(f"omega_{n + 1}*(I_{n}*beta + omega_{n}) != beta^2 for sqrt({N})")
-    return tuple(omegas)
+        if n == 1 and _mul(basis, w, _add(phi, (0, 2 * mu, 1))) != BETA_SQUARED:
+            raise AssertionError(f"omega_1*(phi_1 + 2*mu_1*beta) != beta^2 for sqrt({N})")
+        if n > 1 and _mul(basis, w, _add((0, quotients[n - 1], 1), omegas[n - 2])) != BETA_SQUARED:
+            raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for sqrt({N})")
+    _check_increment_factors(e, N)
+    return tuple(OmegaState(mus[n - 1], lams[n]) for n in range(1, len(mus)))
 
 
 def _reflection_implied_period(case: str, k: int, m: int, period: Sequence[int]) -> bool:

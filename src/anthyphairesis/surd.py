@@ -137,15 +137,20 @@ def sign_of(c_a: Fraction | int, c_b: Fraction | int, ratio: Fraction | int) -> 
         raise ValueError("ratio must be positive")
     if is_square_fraction(ratio):
         raise ValueError("ratio is a rational square; use the rational path")
-    if c_a == 0 and c_b == 0:
-        return 0
-    if c_a >= 0 and c_b >= 0:
-        return 1
-    if c_a <= 0 and c_b <= 0:
+    # scaled by the positive c_a.denominator*c_b.denominator, the sign stays
+    a = c_a.numerator * c_b.denominator
+    b = c_b.numerator * c_a.denominator
+    return _int_sign(a, b, ratio.numerator, ratio.denominator)
+
+
+def _int_sign(a: int, b: int, p: int, q: int) -> int:
+    """sign_of for integer coefficients over the ratio p/q (q > 0), taken as checked."""
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
         return -1
-    # Mixed signs: compare |c_a*alpha| with |c_b*beta| by squaring.
-    # Equality is impossible since ratio is not a rational square.
-    alpha_part_wins = c_a * c_a * ratio > c_b * c_b
-    if alpha_part_wins:
-        return 1 if c_a > 0 else -1
-    return 1 if c_b > 0 else -1
+    # Mixed signs: compare |a*alpha| with |b*beta| by squaring.
+    # Equality is impossible since p/q is not a rational square.
+    if a * a * p > b * b * q:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1

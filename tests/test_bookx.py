@@ -1,5 +1,7 @@
 """bookx: line/area algebra, conjugacy, classification, symbolic trace."""
 
+import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,9 @@ from anthyphairesis.bookx import (
     render_trace,
 )
 from anthyphairesis.engine import StepLimitExceeded, expand_sqrt, increment_factors, remainders
-from anthyphairesis.surd import is_perfect_square, isqrt
+from anthyphairesis.surd import is_perfect_square, isqrt, sign_of
+
+GOLDEN_54 = os.path.join(os.path.dirname(__file__), "..", "goldens", "trace54.txt")
 
 
 def test_line_mul_paper_products():
@@ -189,3 +193,102 @@ def test_render_trace_is_stable():
     assert "5*psi_1 = alpha + 7*beta" in text
     assert text.endswith("anthyphairesis: [7, period(2, 1, 6, 1, 2, 14)]\n")
     assert render_trace(euler_trace(54), 54) == text
+
+
+# The integer layer against a Fraction reference written here, without bookx:
+# a line is the coefficient pair (c_alpha, c_beta), alpha^2 = r*beta^2.
+
+
+def _ref_mul(u, v, r):
+    return (u[0] * v[1] + u[1] * v[0], u[0] * v[0] * r + u[1] * v[1])
+
+
+def _ref_sign(c_a, c_b, r):
+    """Sign of c_a*sqrt(r) + c_b by bisecting sqrt(r) until both bounds give one sign."""
+    if c_a == 0:
+        return (c_b > 0) - (c_b < 0)
+    lo, hi = Fraction(0), Fraction(r) + 1
+    while True:
+        s_lo, s_hi = c_a * lo + c_b, c_a * hi + c_b
+        if (s_lo > 0) == (s_hi > 0) and s_lo != 0 and s_hi != 0:
+            return 1 if s_lo > 0 else -1
+        mid = (lo + hi) / 2
+        if mid * mid < r:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _ref_classify(c_a, c_b, r):
+    if c_a == 0 or c_b == 0:
+        return "rational_multiple"
+    if c_a > 0 and c_b > 0:
+        return "binomial"
+    return "apotome" if _ref_sign(c_a, c_b, r) > 0 else "other"
+
+
+def _assert_reduced(u):
+    a, b, den = u.triple
+    assert den > 0 and math.gcd(a, b, den) == 1
+    assert (u.c_alpha, u.c_beta) == (Fraction(a, den), Fraction(b, den))
+
+
+rational_ratio = st.builds(Fraction, st.integers(1, 400), st.integers(1, 60)).filter(
+    lambda r: not (is_perfect_square(r.numerator) and is_perfect_square(r.denominator))
+)
+
+
+@given(coeff, coeff, coeff, coeff, st.one_of(nonsquare_ratio, rational_ratio))
+def test_integer_layer_matches_fraction_reference(c1, c2, c3, c4, ratio):
+    r = Fraction(ratio)
+    u, v = SurdLine(c1, c2, ratio), SurdLine(c3, c4, ratio)
+    _assert_reduced(u)
+    assert SurdLine(u.c_alpha, u.c_beta, r) == u
+
+    ab, bb = _ref_mul((c1, c2), (c3, c4), r)
+    area = line_mul(u, v)
+    assert (area.c_ab, area.c_bb) == (ab, bb)
+    assert area == SurdArea(ab, bb)
+
+    w = conjugate(u)
+    _assert_reduced(w)
+    assert (w.c_alpha, w.c_beta) == (c1, -c2)
+
+    assert u.sign() == sign_of(c1, c2, r) == _ref_sign(c1, c2, r)
+    assert classify(u) == _ref_classify(c1, c2, r)
+
+    if c1 == c2 == 0:
+        with pytest.raises(ZeroDivisionError):
+            inverse_wrt_beta_squared(u)
+        return
+    norm = c1 * c1 * r - c2 * c2
+    inv = inverse_wrt_beta_squared(u)
+    _assert_reduced(inv)
+    assert (inv.c_alpha, inv.c_beta) == (c1 / norm, -c2 / norm)
+    assert _ref_mul((c1, c2), (inv.c_alpha, inv.c_beta), r) == (0, 1)
+
+
+def test_euler_trace_agrees_with_engine_to_3000():
+    # N <= 1000 is covered by test_euler_trace_agrees_with_engine
+    for n in range(1001, 3001):
+        if is_perfect_square(n):
+            continue
+        steps = euler_trace(n)
+        quots = [steps[0].mu] + [s.quotient for s in steps if s.quotient is not None]
+        assert tuple(quots) == expand_sqrt(n).quotients, n
+
+
+def test_trace_and_oracle_run_without_the_engine_recurrence(monkeypatch):
+    from anthyphairesis import engine
+    from anthyphairesis.oracle import oracle_expand
+    from anthyphairesis.surd import QuadraticSurd
+
+    def unavailable(*args):
+        raise AssertionError("the engine recurrence was called")
+
+    monkeypatch.setattr(engine, "_anthyphairesis", unavailable)
+    with pytest.raises(AssertionError):
+        expand_sqrt(54)
+    with open(GOLDEN_54, encoding="utf-8") as fh:
+        assert render_trace(euler_trace(54), 54) == fh.read()
+    assert oracle_expand(QuadraticSurd.sqrt_of(54), 20) == [7] + ([2, 1, 6, 1, 2, 14] * 4)[:19]

@@ -1,9 +1,11 @@
 """cli: output formats, exit codes, golden compare, sweep determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,6 +14,7 @@ from anthyphairesis.cli import main, parse_surd_spec, SurdSpecError
 from anthyphairesis.surd import QuadraticSurd
 
 GOLDEN_54 = os.path.join(os.path.dirname(__file__), "..", "goldens", "trace54.txt")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def run(capsys, *argv):
@@ -412,3 +415,83 @@ def test_input_over_the_digit_limit_is_bad_input(capsys):
     code, out, err = run(capsys, "expand", "1" * 5000)
     assert (code, out) == (2, "")
     assert "Exceeds the limit" in err
+
+
+def test_decs_renders_a_list_like_dec(low_int_str_limit):
+    small = [0, 7, -7, 2**1999 - 1, -(2**1999)]
+    assert cli._decs(small) == [str(v) for v in small]
+    mixed = [3, -(10**700), 5, 10**5000]
+    assert cli._decs(mixed) == [cli._dec(v) for v in mixed]
+    assert cli._decs([]) == []
+
+
+def _anth_in_child(*argv, address_space=None):
+    """anth run in a child process; address_space, if given, is RLIMIT_AS in bytes for that child alone."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "anthyphairesis.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=limit if address_space else None,
+    )
+
+
+def test_memory_budget_fires_before_memory_runs_out():
+    # the period of sqrt(10^22+3) is far longer than a 600 MB address space can hold
+    start = time.perf_counter()
+    proc = _anth_in_child("expand", str(10**22 + 3), address_space=600_000 * 1024)
+    assert time.perf_counter() - start < 30
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: memory limit reached: ")
+
+
+@pytest.mark.parametrize("argv", [["expand", str(10**13 + 3)], ["pell", str(10**13 + 3)]])
+def test_long_periods_fit_the_memory_budget(capsys, argv):
+    # period 171,126
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1
+
+
+@pytest.fixture
+def room_for_ten_trail_steps(monkeypatch):
+    from anthyphairesis import engine
+
+    monkeypatch.setattr(engine, "_memory_steps", lambda bytes_per_step: 10 * engine._TRAIL_STEP_BYTES // bytes_per_step)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "46"],
+        ["expand", "46", "--steps", "1000"],
+        ["pell", "46"],
+        ["verify", "46"],
+        ["verify", "19"],  # its 7 trail steps fit; its trace needs 7 steps of 4 KB
+        ["trace", "46"],
+        ["sweep", "60"],
+        pytest.param(
+            ["sweep", "60", "--jobs", "2"],
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork", reason="workers must inherit the patched budget"
+            ),
+        ),
+    ],
+)
+def test_memory_cap_exits_3_with_one_line(capsys, room_for_ten_trail_steps, argv):
+    # sqrt(46) has 13 quotients; the patched memory holds 10 trail steps (1 KB each)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("error: memory limit reached: ")
+
+
+def test_a_smaller_step_budget_still_fires_first(capsys, room_for_ten_trail_steps):
+    code, _, err = run(capsys, "expand", "46", "--steps", "5")
+    assert code == 3
+    assert err.startswith("error: step limit exhausted: ")

@@ -339,3 +339,11 @@ def test_engine_oracle_agreement_random_surds():
         e = expand_surd(s)
         steps = len(e.preperiod) + 2 * len(e.period)
         assert oracle_expand(s, steps) == e.quotient_stream(steps)
+
+
+def test_resource_limit_exceeded_survives_pickling():
+    from anthyphairesis.engine import ResourceLimitExceeded
+
+    exc = pickle.loads(pickle.dumps(ResourceLimitExceeded("sqrt(46): 10 steps fill this process's memory")))
+    assert type(exc) is ResourceLimitExceeded
+    assert str(exc) == "sqrt(46): 10 steps fill this process's memory"

@@ -147,3 +147,26 @@ def test_period_stats_surd_path():
     e = expand_surd(QuadraticSurd(7, 54, 5))
     s = period_stats(e)
     assert (s.period_length, s.distinct_logoi, s.platonic_number) == (6, 6, 7)
+
+
+@pytest.mark.parametrize("n", [13, 19, 46, 54, 61, 94])
+def test_tampered_state_fails_both_symbolic_checks(n):
+    # every mu_k and lam_k after the first, nudged up or down, is rejected by
+    # the increment factors (ValueError) and by omega_sequence; there the
+    # omega identities run first (AssertionError), and only the closing
+    # mu_{l+1}, which no omega reads, falls to the increment factors
+    from dataclasses import replace
+
+    e = expand_sqrt(n)
+    closing_mu = len(e.trail) - 2
+    for i in range(3, closing_mu + 1):  # trail[1], trail[2] are lam_1, mu_1; the last q is not viewed
+        for delta in (-1, 1):
+            trail = list(e.trail)
+            trail[i] += delta
+            if trail[i] <= 0:
+                continue
+            tampered = replace(e, trail=tuple(trail))
+            with pytest.raises(ValueError):
+                increment_factors(tampered, n)
+            with pytest.raises(ValueError if i == closing_mu else AssertionError):
+                omega_sequence(tampered, n)
