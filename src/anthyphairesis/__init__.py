@@ -20,10 +20,7 @@ from .bookx import (
 )
 from .convergents import Convergent, convergents, pell_fundamental, pell_negative, pell_solutions
 from .engine import (
-    AnthState,
     Expansion,
-    IncrementFactor,
-    StepLimit,
     StepLimitExceeded,
     expand_sqrt,
     expand_surd,
@@ -33,7 +30,6 @@ from .engine import (
 )
 from .oracle import oracle_expand, oracle_is_palindrome
 from .palindrome import (
-    OmegaState,
     PalindromeReport,
     PeriodStats,
     ReflectionNotFound,
@@ -53,16 +49,12 @@ from .surd import (
 )
 
 __all__ = [
-    "AnthState",
     "Convergent",
     "Expansion",
-    "IncrementFactor",
-    "OmegaState",
     "PalindromeReport",
     "PeriodStats",
     "QuadraticSurd",
     "ReflectionNotFound",
-    "StepLimit",
     "StepLimitExceeded",
     "SurdArea",
     "SurdLine",

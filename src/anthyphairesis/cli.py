@@ -1,8 +1,8 @@
 """Command line front end: expand, trace, sweep, pell, approx, verify.
 
-Exit codes: 0 success, 2 bad input, 3 step-limit exhaustion or an
-expansion too long for memory, 4 golden-file mismatch, 5 palindrome
-failure during a sweep. The
+Exit codes: 0 success, 2 bad input, 3 step-limit exhaustion, an
+expansion too long for memory or a MemoryError, 4 golden-file mismatch,
+5 palindrome failure during a sweep. The
 environment variable ANTH_MAX_STEPS, at least 1, sets the step budget
 of the expansion in every command (expand, trace, sweep, pell, approx,
 verify) wherever --steps is not given explicitly. The --steps of approx
@@ -21,11 +21,10 @@ import sys
 from typing import Iterable, Optional
 
 from .bookx import euler_trace, render_trace
-from .convergents import convergents, pell_solutions
+from .convergents import _convergents, convergents, pell_solutions
 from .engine import (
     Expansion,
     ResourceLimitExceeded,
-    StepLimit,
     StepLimitExceeded,
     expand_sqrt,
     expand_surd,
@@ -90,19 +89,19 @@ def _canonical_input(s: QuadraticSurd, original: str) -> str:
     return compact
 
 
-def _step_limit(steps: Optional[int] = None) -> StepLimit:
-    """The budget from --steps if given, else from ANTH_MAX_STEPS if set, else the default."""
+def _step_limit(steps: Optional[int] = None) -> Optional[int]:
+    """The budget from --steps if given, else from ANTH_MAX_STEPS if set, else None (the default)."""
     if steps is None:
         env = os.environ.get("ANTH_MAX_STEPS")
         if env is None:
-            return StepLimit()
+            return None
         try:
             steps = int(env)
         except ValueError as exc:
             raise InputError(f"ANTH_MAX_STEPS is not an integer: {env!r}") from exc
         if steps < 1:
             raise InputError(f"ANTH_MAX_STEPS must be at least 1, got {steps}")
-    return StepLimit(max_steps=steps)
+    return steps
 
 
 def _non_square(n: int, command: str) -> int:
@@ -226,7 +225,7 @@ def _is_sqrt_int(s: QuadraticSurd) -> bool:
     return s.p == 0 and s.q == 1
 
 
-def _expand(target: QuadraticSurd, limit: StepLimit) -> Expansion:
+def _expand(target: QuadraticSurd, limit: Optional[int]) -> Expansion:
     if not _is_sqrt_int(target):
         return expand_surd(target, limit)
     if target.d == 0:
@@ -295,7 +294,7 @@ def cmd_expand(args) -> int:
 
 def cmd_trace(args) -> int:
     n = _non_square(args.N, "trace")
-    steps = euler_trace(n, max_steps=_step_limit(args.steps).max_steps)
+    steps = euler_trace(n, _step_limit(args.steps))
     text = render_trace(steps, n)
     if args.golden:
         try:
@@ -311,7 +310,7 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _sweep_record(task: tuple[int, bool, bool, StepLimit]) -> Optional[dict]:
+def _sweep_record(task: tuple[int, bool, bool, Optional[int]]) -> Optional[dict]:
     n, want_pell, want_negative, limit = task
     m = isqrt(n)
     if m * m == n:
@@ -414,7 +413,7 @@ def cmd_verify(args) -> int:
         try:
             fn()
             lines.append(f"check {name}: ok")
-        except ResourceLimitExceeded:  # the input outgrew memory: exit 3, not a failed check
+        except (ResourceLimitExceeded, MemoryError):  # the input outgrew memory: exit 3, not a failed check
             raise
         except Exception as exc:  # report and keep going
             ok = False
@@ -460,10 +459,8 @@ def cmd_verify(args) -> int:
             raise AssertionError("symbolic trace quotients diverge from the engine")
 
     def convergent_quality():
-        count = 2 * len(e.period)
-        cs = convergents(e, count)
         period = len(e.period)
-        for c in cs:
+        for c in _convergents(e, 2 * period):
             k = c.index
             idx = k + 1  # lam_{k+2}, cycled; lams is lam_1..lam_{period+1}
             while idx >= len(lams):
@@ -570,8 +567,8 @@ def main(argv=None) -> int:
     except StepLimitExceeded as exc:
         print(f"error: step limit exhausted: {exc}", file=sys.stderr)
         return 3
-    except ResourceLimitExceeded as exc:
-        print(f"error: memory limit reached: {exc}", file=sys.stderr)
+    except (ResourceLimitExceeded, MemoryError) as exc:
+        print(f"error: memory limit reached: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except InputError as exc:  # bad input; other errors are faults and propagate
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ product tree whose big multiplications pair operands of equal size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .engine import Expansion, expand_sqrt
 from .surd import isqrt
@@ -41,15 +41,17 @@ def convergents(e: Expansion, count: int) -> tuple[Convergent, ...]:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    stream = e.quotient_stream(count)
+    return tuple(_convergents(e, count))
+
+
+def _convergents(e: Expansion, count: int) -> Iterator[Convergent]:
+    """The convergents of convergents(), one at a time, so a caller that reads each once keeps only one."""
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
-    out = []
-    for k, a in enumerate(stream):
+    for k, a in enumerate(e.quotient_stream(count)):
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        out.append(Convergent(p=p_cur, q=q_cur, index=k))
-    return tuple(out)
+        yield Convergent(p=p_cur, q=q_cur, index=k)
 
 
 _Matrix = tuple[int, int, int, int]  # [[a, b], [c, d]] row by row

@@ -26,9 +26,7 @@ import functools
 import itertools
 import os
 import resource
-from dataclasses import dataclass, field
-from functools import cached_property
-from fractions import Fraction
+from dataclasses import dataclass
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -36,11 +34,8 @@ from .bookx import BETA_SQUARED, SurdLine, _add, _basis, _mul
 from .surd import QuadraticSurd, normalize
 
 __all__ = [
-    "AnthState",
     "Expansion",
-    "IncrementFactor",
     "ResourceLimitExceeded",
-    "StepLimit",
     "StepLimitExceeded",
     "expand_sqrt",
     "expand_surd",
@@ -48,52 +43,6 @@ __all__ = [
     "remainders",
     "pigeonhole_bound",
 ]
-
-
-@dataclass(frozen=True)
-class AnthState:
-    """State (mu, lam) of one increment factor; equality is the Logos trigger.
-
-    step_index is 1-based bookkeeping and excluded from equality, so two
-    states compare equal exactly when they denote the same line
-    (alpha - mu*beta)/lam.
-    """
-
-    mu: int
-    lam: int
-    step_index: int = field(compare=False)
-
-
-@dataclass(frozen=True)
-class IncrementFactor:
-    """The line phi_k = (alpha - mu_k*beta)/lam_k, wrapped with its state."""
-
-    state: AnthState
-
-    def as_line(self, radicand: int) -> SurdLine:
-        lam = self.state.lam
-        return SurdLine(Fraction(1, lam), Fraction(-self.state.mu, lam), Fraction(radicand))
-
-
-@dataclass(frozen=True)
-class StepLimit:
-    """Step budget for an expansion; None means the derived default.
-
-    For the normalized (p + sqrt(d))/q the default is a preperiod term
-    plus a period term, |q|.bit_length() + 2 + pigeonhole_bound(d), which
-    provably suffices. Preperiod: with convergents P_k/Q_k of x,
-    conj(x_k) = -(Q_{k-2}*conj(x) - P_{k-2})/(Q_{k-1}*conj(x) - P_{k-1}).
-    For k >= 2, x lies between these convergents, 1/(Q_{k-2}*Q_{k-1})
-    apart, and x - conj(x) = 2*sqrt(d)/q; once Q_{k-2}*Q_{k-1} >
-    |q|/(2*sqrt(d)), conj(x) lies outside them, so conj(x_k) < 0 and
-    x_{k+1} = 1/(x_k - a_k) is reduced.
-    Q_{k-2}*Q_{k-1} >= 2^(k-2) (Fibonacci growth), so k = |q|.bit_length()
-    + 1 suffices. Period: fewer steps than pigeonhole_bound(d).
-    Whatever the budget, the steps must also fit in memory (see
-    ResourceLimitExceeded).
-    """
-
-    max_steps: Optional[int] = None
 
 
 class StepLimitExceeded(RuntimeError):
@@ -171,15 +120,6 @@ class Expansion:
     def lams(self) -> tuple[int, ...]:
         return self.trail[1:-1:2] if self.trail[:2] == (0, 1) else ()
 
-    @cached_property
-    def states(self) -> tuple:
-        """Views of the trail built on first use: AnthStates for sqrt(N), else QuadraticSurds."""
-        mus = self.mus
-        if mus:
-            return tuple(AnthState(mu, lam, k) for k, (mu, lam) in enumerate(zip(mus, self.lams), 1))
-        t = self.trail
-        return tuple(QuadraticSurd(t[i], self.radicand, t[i + 1]) for i in range(0, len(t), 2))
-
     def quotient_stream(self, count: int) -> list[int]:
         """First `count` quotients, recycling the period as needed."""
         if self.terminated or not self.period:
@@ -204,30 +144,46 @@ def pigeonhole_bound(N: int) -> int:
     return m * (m + 1) + 1
 
 
-def expand_sqrt(N: int, limits: StepLimit = StepLimit()) -> Expansion:
+def expand_sqrt(N: int, max_steps: Optional[int] = None) -> Expansion:
     """Expansion of sqrt(N) for a positive integer N.
 
     Perfect squares terminate with the single quotient isqrt(N).
     Otherwise the result is preperiod [m] plus the minimal period.
+    max_steps is the step budget; None means the derived default.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    return _anthyphairesis(0, N, 1, limits.max_steps)
+    return _anthyphairesis(0, N, 1, max_steps)
 
 
-def expand_surd(s: QuadraticSurd, limits: StepLimit = StepLimit()) -> Expansion:
+def expand_surd(s: QuadraticSurd, max_steps: Optional[int] = None) -> Expansion:
     """Eventually periodic expansion of an arbitrary quadratic surd.
 
     Rational inputs give a finite terminated expansion. Otherwise the
     preperiod ends at the first reduced complete quotient and the period
-    at its recurrence (see the module docstring).
+    at its recurrence (see the module docstring). max_steps is as for
+    expand_sqrt.
     """
     s = normalize(s)
-    return _anthyphairesis(s.p, s.d, s.q, limits.max_steps)
+    return _anthyphairesis(s.p, s.d, s.q, max_steps)
 
 
 def _anthyphairesis(p: int, d: int, q: int, max_steps: Optional[int]) -> Expansion:
-    """The one recurrence, on the normalized (p + sqrt(d))/q."""
+    """The one recurrence, on the normalized (p + sqrt(d))/q.
+
+    The default budget (max_steps None) is a preperiod term plus a period
+    term, |q|.bit_length() + 2 + pigeonhole_bound(d), which provably
+    suffices. Preperiod: with convergents P_k/Q_k of x,
+    conj(x_k) = -(Q_{k-2}*conj(x) - P_{k-2})/(Q_{k-1}*conj(x) - P_{k-1}).
+    For k >= 2, x lies between these convergents, 1/(Q_{k-2}*Q_{k-1})
+    apart, and x - conj(x) = 2*sqrt(d)/q; once Q_{k-2}*Q_{k-1} >
+    |q|/(2*sqrt(d)), conj(x) lies outside them, so conj(x_k) < 0 and
+    x_{k+1} = 1/(x_k - a_k) is reduced.
+    Q_{k-2}*Q_{k-1} >= 2^(k-2) (Fibonacci growth), so k = |q|.bit_length()
+    + 1 suffices. Period: fewer steps than pigeonhole_bound(d).
+    Whatever the budget, the steps must also fit in memory (see
+    ResourceLimitExceeded).
+    """
     r = isqrt(d)
     if r * r == d:  # rational: Euclid on (p + r)/q
         return _expand_rational(p + r, q)
@@ -283,19 +239,14 @@ def _expand_rational(num: int, den: int) -> Expansion:
     return Expansion(preperiod=tuple(quots), period=(), terminated=True)
 
 
-def increment_factors(e: Expansion, N: int) -> tuple[IncrementFactor, ...]:
+def increment_factors(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     """The increment factors of an expand_sqrt(N) expansion, verified.
 
-    Checks, per state, the divisibility lam | (N - mu^2) and the bound
-    N < (mu + lam)^2 (phi < beta), and for every consecutive pair the
-    area identity phi_k*(I_k*beta + phi_{k+1}) = beta^2.
+    Each phi_k = (alpha - mu_k*beta)/lam_k is returned as its int pair
+    (mu_k, lam_k). Checks, per state, the divisibility lam | (N - mu^2)
+    and the bound N < (mu + lam)^2 (phi < beta), and for every
+    consecutive pair the area identity phi_k*(I_k*beta + phi_{k+1}) = beta^2.
     """
-    _check_increment_factors(e, N)
-    return tuple(map(IncrementFactor, e.states))
-
-
-def _check_increment_factors(e: Expansion, N: int) -> None:
-    """The checks of increment_factors, on the int states (mu_k, lam_k) of phi_k = (alpha - mu_k*beta)/lam_k."""
     if e.terminated:
         raise ValueError("terminated expansion has no increment factors")
     mus, lams, quotients = e.mus, e.lams, e.quotients
@@ -313,6 +264,7 @@ def _check_increment_factors(e: Expansion, N: int) -> None:
             rhs = _add((1, -mus[i + 1], lams[i + 1]), (0, quotients[i + 1], 1))  # I_k*beta + phi_{k+1}
             if _mul(basis, (1, -mu, lam), rhs) != BETA_SQUARED:
                 raise ValueError(f"inversion identity fails between factors {i + 1} and {i + 2}")
+    return tuple(list(zip(mus, lams)))  # tuple(zip()) grows by reallocs that fragment a long run's heap
 
 
 def remainders(N: int, count: int) -> tuple[SurdLine, ...]:

@@ -12,14 +12,12 @@ routes must agree; the redundancy is deliberate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bookx import BETA_SQUARED, SurdLine, _add, _basis, _conj, _mul
-from .engine import Expansion, IncrementFactor, _check_increment_factors
+from .bookx import BETA_SQUARED, _add, _basis, _conj, _mul
+from .engine import Expansion, increment_factors
 
 __all__ = [
-    "OmegaState",
     "PalindromeReport",
     "PeriodStats",
     "ReflectionNotFound",
@@ -28,18 +26,6 @@ __all__ = [
     "find_reflection",
     "period_stats",
 ]
-
-
-@dataclass(frozen=True)
-class OmegaState:
-    """The line omega_n = (alpha - mu_n*beta)/lam_{n+1}."""
-
-    mu: int
-    lambda_next: int
-
-    def as_line(self, radicand: int) -> SurdLine:
-        lam = self.lambda_next
-        return SurdLine(Fraction(1, lam), Fraction(-self.mu, lam), Fraction(radicand))
 
 
 @dataclass(frozen=True)
@@ -68,24 +54,17 @@ class ReflectionNotFound(RuntimeError):
 
 
 def find_reflection(
-    phis: Sequence[IncrementFactor], omegas: Sequence[OmegaState]
+    phi_keys: Sequence[tuple[int, int]], omega_keys: Sequence[tuple[int, int]]
 ) -> tuple[str, int]:
     """First coincidence in the interleaving phi_1, omega_1, phi_2, omega_2, ...
 
-    Returns ("I", k) when phi_k is the first repeated element (it must
-    equal omega_{k-1}) or ("II", k) when omega_k is (it must equal
-    phi_k). Any other shape of coincidence, or no coincidence at all,
-    raises ReflectionNotFound.
+    phi_keys are the pairs (mu_n, lam_n) of increment_factors and
+    omega_keys the pairs (mu_n, lam_{n+1}) of omega_sequence. Returns
+    ("I", k) when phi_k is the first repeated element (it must equal
+    omega_{k-1}) or ("II", k) when omega_k is (it must equal phi_k). Any
+    other shape of coincidence, or no coincidence at all, raises
+    ReflectionNotFound.
     """
-    return _first_coincidence(
-        [(f.state.mu, f.state.lam) for f in phis], [(w.mu, w.lambda_next) for w in omegas]
-    )
-
-
-def _first_coincidence(
-    phi_keys: Sequence[tuple[int, int]], omega_keys: Sequence[tuple[int, int]]
-) -> tuple[str, int]:
-    """find_reflection on the (mu, lam) keys of phi_n and (mu, lam_next) keys of omega_n."""
     seen: dict[tuple[int, int], tuple[str, int]] = {}
     for n in range(1, len(phi_keys) + 1):
         key = phi_keys[n - 1]
@@ -109,12 +88,14 @@ def _first_coincidence(
     raise ReflectionNotFound("no coincidence found within the supplied sequences")
 
 
-def omega_sequence(e: Expansion, N: int) -> tuple[OmegaState, ...]:
+def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     """The omega states of an expand_sqrt(N) expansion, verified symbolically.
 
-    Per state: (phi_n)* * omega_n = beta^2 (the defining inversion),
-    0 < omega_n < beta in integer form, omega_1*(phi_1 + 2*mu_1*beta) =
-    beta^2, and omega_{n+1}*(I_n*beta + omega_n) = beta^2. All checks
+    Each omega_n = (alpha - mu_n*beta)/lam_{n+1} is returned as its int
+    pair (mu_n, lam_{n+1}). Per state: (phi_n)* * omega_n = beta^2 (the
+    defining inversion), 0 < omega_n < beta in integer form,
+    omega_1*(phi_1 + 2*mu_1*beta) = beta^2, and
+    omega_{n+1}*(I_n*beta + omega_n) = beta^2. All checks
     are exact area-algebra identities with zero residual. The increment
     factors are verified after them (ValueError), so a corrupted state
     that an omega reads fails as an omega identity (AssertionError).
@@ -133,8 +114,8 @@ def omega_sequence(e: Expansion, N: int) -> tuple[OmegaState, ...]:
             raise AssertionError(f"omega_1*(phi_1 + 2*mu_1*beta) != beta^2 for sqrt({N})")
         if n > 1 and _mul(basis, w, _add((0, quotients[n - 1], 1), omegas[n - 2])) != BETA_SQUARED:
             raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for sqrt({N})")
-    _check_increment_factors(e, N)
-    return tuple(OmegaState(mus[n - 1], lams[n]) for n in range(1, len(mus)))
+    increment_factors(e, N)
+    return tuple(list(zip(mus, lams[1:])))  # via a list, as in increment_factors
 
 
 def _reflection_implied_period(case: str, k: int, m: int, period: Sequence[int]) -> bool:
@@ -183,10 +164,7 @@ def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     center: Optional[int] = None
     mus, lams = e.mus, e.lams
     if len(mus) >= 2:
-        # the keys find_reflection would read off phi_n and omega_n
-        phi_keys = list(zip(mus, lams))
-        omega_keys = list(zip(mus, lams[1:]))
-        case, center = _first_coincidence(phi_keys, omega_keys)
+        case, center = find_reflection(list(zip(mus, lams)), list(zip(mus, lams[1:])))
         structural = _reflection_implied_period(case, center, m, period)
         if structural != holds:
             raise AssertionError(

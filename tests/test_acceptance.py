@@ -144,13 +144,12 @@ def test_criterion_06_recurrence_identities_10k():
     with verdict("6 (state recurrences with exact divisibility, N <= 1e4)"):
         for n in non_squares(10**4):
             e = expand_sqrt(n)
-            states = e.states
+            mus, lams = e.mus, e.lams
             quots = e.quotients
-            for k in range(1, len(states)):
-                prev, cur = states[k - 1], states[k]
-                assert (n - prev.mu * prev.mu) % prev.lam == 0, n
-                assert cur.lam * prev.lam == n - prev.mu * prev.mu, n
-                assert cur.mu + prev.mu == quots[k] * cur.lam, n
+            for k in range(1, len(mus)):
+                assert (n - mus[k - 1] * mus[k - 1]) % lams[k - 1] == 0, n
+                assert lams[k] * lams[k - 1] == n - mus[k - 1] * mus[k - 1], n
+                assert mus[k] + mus[k - 1] == quots[k] * lams[k], n
 
 
 def test_criterion_07_logos_cross_product():

@@ -118,8 +118,8 @@ def test_apotome_binomial_round_trip_from_increment_factors():
     for n in range(2, 1001):
         if is_perfect_square(n):
             continue
-        for f in increment_factors(expand_sqrt(n), n):
-            phi = f.as_line(n)
+        for mu, lam in increment_factors(expand_sqrt(n), n):
+            phi = SurdLine(Fraction(1, lam), Fraction(-mu, lam), n)
             assert classify(phi) == "apotome"
             psi = inverse_wrt_beta_squared(phi)
             assert classify(psi) == "binomial"

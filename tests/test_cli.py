@@ -495,3 +495,28 @@ def test_a_smaller_step_budget_still_fires_first(capsys, room_for_ten_trail_step
     code, _, err = run(capsys, "expand", "46", "--steps", "5")
     assert code == 3
     assert err.startswith("error: step limit exhausted: ")
+
+
+def test_verify_convergent_check_memory_is_linear_in_the_period(capsys):
+    # period 5,314: all convergents of two periods at once peak near 29 MB, one at a time near 6 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", str(10**8 + 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert peak < 12_000_000
+
+
+def test_memory_error_in_a_verify_check_exits_3_not_failed(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "oracle_expand", exhausted)
+    code, out, err = run(capsys, "verify", "54")
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("error: memory limit reached: ")
+    assert "FAILED" not in out + err

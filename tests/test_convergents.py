@@ -50,7 +50,7 @@ def test_quality_identity_and_alternation():
             continue
         e = expand_sqrt(n)
         period = len(e.period)
-        lams = [st.lam for st in e.states]
+        lams = e.lams
         cs = convergents(e, 2 * period)
         for c in cs:
             idx = c.index + 1

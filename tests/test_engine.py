@@ -7,8 +7,6 @@ import random
 import pytest
 
 from anthyphairesis.engine import (
-    AnthState,
-    StepLimit,
     StepLimitExceeded,
     expand_sqrt,
     expand_surd,
@@ -47,19 +45,22 @@ def test_expand_sqrt_rejects_nonpositive():
         expand_sqrt(0)
 
 
+def _states(e):
+    """The complete quotients (p_k + sqrt(d))/q_k of an expansion's trail."""
+    t = e.trail
+    return [QuadraticSurd(t[i], e.radicand, t[i + 1]) for i in range(0, len(t), 2)]
+
+
 def test_state_trail_shape():
     e = expand_sqrt(19)
-    assert len(e.states) == len(e.quotients)
-    assert e.states[0] == e.states[len(e.period)]  # the closing repeat
-    assert [st.step_index for st in e.states] == list(range(1, len(e.states) + 1))
+    assert len(e.mus) == len(e.lams) == len(e.quotients)
+    assert (e.mus[0], e.lams[0]) == (e.mus[len(e.period)], e.lams[len(e.period)])  # the closing repeat
 
 
-def test_state_trail_is_plain_ints_with_cached_views():
+def test_state_trail_is_plain_ints():
     e = expand_sqrt(54)
     assert e.mus == (7, 3, 6, 6, 3, 7, 7)
     assert e.lams == (1, 5, 9, 2, 9, 5, 1)
-    assert e.states is e.states  # built once, on first use
-    assert [(st.mu, st.lam) for st in e.states] == list(zip(e.mus, e.lams))
     assert expand_surd(QuadraticSurd(1, 5, 2)).mus == ()
 
 
@@ -68,16 +69,15 @@ def test_recurrence_identities_and_bounds():
         if is_perfect_square(n):
             continue
         e = expand_sqrt(n)
-        states = e.states
+        mus, lams = e.mus, e.lams
         quots = e.quotients
-        for k in range(1, len(states)):
-            prev, cur = states[k - 1], states[k]
-            assert cur.lam * prev.lam == n - prev.mu * prev.mu
-            assert cur.mu + prev.mu == quots[k] * cur.lam
-            assert 1 <= cur.lam < n
-            assert cur.mu * cur.mu < n
+        for k in range(1, len(mus)):
+            assert lams[k] * lams[k - 1] == n - mus[k - 1] * mus[k - 1]
+            assert mus[k] + mus[k - 1] == quots[k] * lams[k]
+            assert 1 <= lams[k] < n
+            assert mus[k] * mus[k] < n
         # minimality: nothing recurs strictly inside the period
-        keys = [(st.mu, st.lam) for st in states[:-1]]
+        keys = list(zip(mus, lams))[:-1]
         assert len(set(keys)) == len(keys)
         assert all(q >= 1 for q in quots[1:])
 
@@ -87,8 +87,8 @@ def test_quotient_equals_floor_of_complete_quotient():
     # of the complete quotient surd (mu_k + sqrt(N))/lam_{k+1}
     for n in (13, 19, 46, 54, 61, 94):
         e = expand_sqrt(n)
-        for k in range(1, len(e.states)):
-            surd = QuadraticSurd(e.states[k - 1].mu, n, e.states[k].lam)
+        for k in range(1, len(e.mus)):
+            surd = QuadraticSurd(e.mus[k - 1], n, e.lams[k])
             assert e.quotients[k] == floor_surd(surd)
 
 
@@ -97,7 +97,7 @@ def test_purely_periodic_tail():
         if is_perfect_square(n):
             continue
         e = expand_sqrt(n)
-        tail = QuadraticSurd(e.states[0].mu, n, e.states[1].lam)
+        tail = QuadraticSurd(e.mus[0], n, e.lams[1])
         te = expand_surd(tail)
         assert te.preperiod == ()
         assert te.period == e.period
@@ -112,13 +112,13 @@ def test_expansion_determinism():
 
 def test_step_limit_exhaustion_is_loud():
     with pytest.raises(StepLimitExceeded) as exc:
-        expand_sqrt(54, StepLimit(max_steps=2))
+        expand_sqrt(54, max_steps=2)
     assert exc.value.quotients_so_far[0] == 7
 
 
 def test_step_limit_exceeded_survives_pickling():
     with pytest.raises(StepLimitExceeded) as exc:
-        expand_sqrt(54, StepLimit(max_steps=2))
+        expand_sqrt(54, max_steps=2)
     copy = pickle.loads(pickle.dumps(exc.value))
     assert type(copy) is StepLimitExceeded
     assert str(copy) == str(exc.value) == "sqrt(54): no state repeated within 2 steps"
@@ -164,7 +164,7 @@ def test_expand_surd_state_repeat_is_full_triple():
     e = expand_surd(QuadraticSurd(1, 5, 2))  # (1+sqrt(5))/2, golden ratio
     assert e.preperiod == ()
     assert e.period == (1,)
-    assert e.states[0] == e.states[1] == QuadraticSurd(1, 5, 2)
+    assert _states(e)[0] == _states(e)[1] == QuadraticSurd(1, 5, 2)
 
 
 def ones_then_two(k: int) -> QuadraticSurd:
@@ -188,7 +188,7 @@ def test_long_preperiod_within_the_default_budget():
         # the preperiod term of the default budget
         assert len(e.preperiod) <= abs(normalize(s).q).bit_length() + 2, k
     with pytest.raises(StepLimitExceeded):
-        expand_surd(ones_then_two(11), StepLimit(max_steps=10))
+        expand_surd(ones_then_two(11), max_steps=10)
 
 
 def test_expand_surd_against_sympy():
@@ -229,25 +229,26 @@ def test_preperiod_ends_at_the_first_reduced_state():
         e = expand_surd(s)
         if e.terminated:
             continue
-        reduced = [_is_reduced(x) for x in e.states]
+        states = _states(e)
+        reduced = [_is_reduced(x) for x in states]
         assert reduced.index(True) == len(e.preperiod), s
         assert all(reduced[len(e.preperiod) :]), s
-        assert e.states[len(e.preperiod)] == e.states[-1], s
+        assert states[len(e.preperiod)] == states[-1], s
 
 
 def test_increment_factors_paper_table():
     e = expand_sqrt(54)
     fs = increment_factors(e, 54)
-    assert [(f.state.lam, f.state.mu) for f in fs] == [
+    assert [(lam, mu) for mu, lam in fs] == [
         (1, 7), (5, 3), (9, 6), (2, 6), (9, 3), (5, 7), (1, 7),
     ]
 
 
 def test_increment_factors_first_factor_and_trivial():
     fs = increment_factors(expand_sqrt(19), 19)
-    assert (fs[0].state.lam, fs[0].state.mu) == (1, 4)
+    assert fs[0] == (4, 1)
     fs = increment_factors(expand_sqrt(2), 2)
-    assert [(f.state.lam, f.state.mu) for f in fs] == [(1, 1), (1, 1)]
+    assert fs == ((1, 1), (1, 1))
 
 
 def test_increment_factors_rejects_mismatched_radicand():

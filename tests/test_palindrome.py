@@ -4,7 +4,6 @@ import pytest
 
 from anthyphairesis.engine import Expansion, expand_sqrt, increment_factors
 from anthyphairesis.palindrome import (
-    OmegaState,
     ReflectionNotFound,
     find_reflection,
     omega_sequence,
@@ -50,18 +49,18 @@ def test_verify_palindrome_fails_when_last_not_doubled():
 def test_omega_sequence_54():
     e = expand_sqrt(54)
     omegas = omega_sequence(e, 54)
-    assert [(w.mu, w.lambda_next) for w in omegas] == [
+    assert omegas == (
         (7, 5), (3, 9), (6, 2), (6, 9), (3, 5), (7, 1),
-    ]
+    )
     # derived: omega_3 and phi_4 denote the same line (alpha - 6*beta)/2
     phis = increment_factors(e, 54)
-    assert (omegas[2].mu, omegas[2].lambda_next) == (phis[3].state.mu, phis[3].state.lam)
+    assert omegas[2] == phis[3] == (6, 2)
 
 
 def test_omega_sequence_trivial():
     e = expand_sqrt(2)
     omegas = omega_sequence(e, 2)
-    assert (omegas[0].mu, omegas[0].lambda_next) == (1, 1)  # omega_1 = phi_1
+    assert omegas[0] == (1, 1)  # omega_1 = phi_1
 
 
 def test_find_reflection_cases():
@@ -71,7 +70,7 @@ def test_find_reflection_cases():
 
     e = expand_sqrt(13)
     # lambda plateau lam_3 = lam_4 = 3 forces phi_3 = omega_3
-    assert [st.lam for st in e.states[2:4]] == [3, 3]
+    assert e.lams[2:4] == (3, 3)
     case, k = find_reflection(increment_factors(e, 13), omega_sequence(e, 13))
     assert (case, k) == ("II", 3)
 
@@ -85,9 +84,7 @@ def test_find_reflection_diagnostic_on_garbage():
     phis = increment_factors(e, 19)
     # omegas from a different radicand cannot close the reflection
     other = expand_sqrt(31)
-    bad_omegas = tuple(
-        OmegaState(mu=st.mu, lambda_next=st.lam) for st in other.states[: len(phis) - 1]
-    )
+    bad_omegas = tuple(zip(other.mus, other.lams))[: len(phis) - 1]
     with pytest.raises(ReflectionNotFound):
         find_reflection(phis[:2], bad_omegas[:1])
 
@@ -103,23 +100,21 @@ def test_reflection_pairing_and_quotient_equalities():
         phis = increment_factors(e, n)
         omegas = omega_sequence(e, n)
         case, k = find_reflection(phis, omegas)
+        report = verify_palindrome(e, isqrt(n))
+        assert (report.case, report.center_index) == (case, k), n
         l = len(e.period)
         period = e.period
         m = e.preperiod[0]
         if case == "I":
             assert l == 2 * k - 2
             for t in range(k - 1):
-                p = phis[k + t - 1].state
-                w = omegas[k - 2 - t]
-                assert (p.mu, p.lam) == (w.mu, w.lambda_next)
+                assert phis[k + t - 1] == omegas[k - 2 - t]
             for j in range(k - 2):
                 assert period[k + j - 1] == period[k - 3 - j]
         else:
             assert l == 2 * k - 1
             for t in range(k):
-                p = phis[k + t - 1].state
-                w = omegas[k - 1 - t]
-                assert (p.mu, p.lam) == (w.mu, w.lambda_next)
+                assert phis[k + t - 1] == omegas[k - 1 - t]
             for j in range(k - 1):
                 assert period[k + j - 1] == period[k - 2 - j]
         assert period[-1] == 2 * m
