@@ -7,9 +7,8 @@ that makes each inversion step exact.
 """
 
 from .bookx import (
-    SurdArea,
-    SurdLine,
     TraceStep,
+    basis,
     classify,
     conjugate,
     euler_trace,
@@ -56,9 +55,8 @@ __all__ = [
     "QuadraticSurd",
     "ReflectionNotFound",
     "StepLimitExceeded",
-    "SurdArea",
-    "SurdLine",
     "TraceStep",
+    "basis",
     "classify",
     "conjugate",
     "convergents",

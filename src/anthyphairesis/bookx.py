@@ -1,19 +1,18 @@
 """Symbolic lines and areas over a basis (alpha, beta) with alpha^2 = r*beta^2.
 
-A SurdLine is an exact rational combination c_alpha*alpha + c_beta*beta;
-a product of two lines is a SurdArea c_ab*(alpha*beta) + c_bb*beta^2,
-with alpha^2 always eliminated through the defining ratio. Apotomes
-(difference shapes, Elements X.73) and binomials (sum shapes, X.36) are
-conjugate; their product is a rational multiple of beta^2 (the content
-of Elements X.112-114), which is what makes exact inversion of a line
-possible and drives the symbolic expansion trace.
+A line is the int triple (a, b, den) for (a*alpha + b*beta)/den; the
+product of two lines is an area, the triple (ab, bb, den) for
+(ab*alpha*beta + bb*beta^2)/den, with alpha^2 always eliminated through
+the defining ratio. Every triple is reduced (den > 0, gcd 1) and so
+canonical: equal values are equal triples. Apotomes (difference shapes,
+Elements X.73) and binomials (sum shapes, X.36) are conjugate; their
+product is a rational multiple of beta^2 (the content of Elements
+X.112-114), which is what makes exact inversion of a line possible and
+drives the symbolic expansion trace.
 
-All of it is integer arithmetic. The ratio r = P/Q is checked once per
-radicand and kept as the basis (P, Q). A line is the triple (a, b, den)
-for (a*alpha + b*beta)/den, an area (ab, bb, den) for
-(ab*alpha*beta + bb*beta^2)/den, each reduced (den > 0, gcd 1) and so
-canonical. The hot loops (the trace, the omega and increment-factor
-checks) call the private helpers on triples; SurdLine and SurdArea wrap them.
+All of it is integer arithmetic. basis(r) checks the ratio r = P/Q once
+per radicand and gives (P, Q), which every operation that needs the
+ratio takes as its first argument.
 """
 
 from __future__ import annotations
@@ -27,9 +26,8 @@ from typing import Optional
 from .surd import _int_sign, is_square_fraction
 
 __all__ = [
-    "SurdLine",
-    "SurdArea",
     "TraceStep",
+    "basis",
     "line_mul",
     "conjugate",
     "inverse_wrt_beta_squared",
@@ -46,7 +44,7 @@ BETA_SQUARED: Triple = (0, 1, 1)  # the area beta^2
 
 
 @lru_cache(maxsize=256)
-def _basis(ratio: Fraction | int) -> Basis:
+def basis(ratio: Fraction | int) -> Basis:
     """The basis of alpha^2 = ratio*beta^2, once ratio is checked positive and not a rational square."""
     r = Fraction(ratio)
     if r <= 0:
@@ -64,16 +62,8 @@ def _reduced(a: int, b: int, den: int) -> Triple:
     return a // g, b // g, den // g
 
 
-def _rational_triple(x: Fraction | int, y: Fraction | int) -> Triple:
-    """The reduced triple of the pair of rationals (x, y)."""
-    if type(x) is int and type(y) is int:
-        return x, y, 1
-    x, y = Fraction(x), Fraction(y)
-    return _reduced(x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
-
-
-def _mul(basis: Basis, u: Triple, v: Triple) -> Triple:
-    """Area triple of the product of two lines, alpha^2 = (P/Q)*beta^2 eliminated."""
+def line_mul(basis: Basis, u: Triple, v: Triple) -> Triple:
+    """Area of the product of two lines, alpha^2 = (P/Q)*beta^2 eliminated."""
     p, q = basis
     a1, b1, d1 = u
     a2, b2, d2 = v
@@ -86,13 +76,19 @@ def _add(u: Triple, v: Triple) -> Triple:
     return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
 
-def _conj(u: Triple) -> Triple:
+def conjugate(u: Triple) -> Triple:
+    """Negate the beta coefficient: apotome <-> binomial. Involutive."""
     a, b, den = u
     return a, -b, den
 
 
-def _inverse(basis: Basis, u: Triple) -> Triple:
-    """The line v with u*v = beta^2: conj(u) over u*conj(u) = (P*a^2 - Q*b^2)/(Q*den^2)*beta^2."""
+def inverse_wrt_beta_squared(basis: Basis, u: Triple) -> Triple:
+    """The line v with u*v = beta^2 exactly.
+
+    For an irrational line the product u * conjugate(u) is the rational
+    area (P*a^2 - Q*b^2)/(Q*den^2)*beta^2, so v is the conjugate divided
+    by that constant (Elements X.112/X.113 in coefficient form).
+    """
     p, q = basis
     a, b, den = u
     norm = p * a * a - q * b * b  # zero only for the zero line, since P/Q is no rational square
@@ -112,114 +108,7 @@ def _floor_over_beta(basis: Basis, u: Triple) -> int:
     return (b * q + isqrt(a * a * p * q)) // (den * q)
 
 
-@dataclass(frozen=True, init=False)
-class SurdLine:
-    """c_alpha*alpha + c_beta*beta, where alpha^2 = radicand_ratio * beta^2.
-
-    Built from ints or Fractions, held as the reduced triple (a, b, den)
-    over the checked basis (P, Q); c_alpha and c_beta read as Fractions.
-    """
-
-    triple: Triple
-    basis: Basis
-
-    def __init__(self, c_alpha: Fraction | int, c_beta: Fraction | int, radicand_ratio: Fraction | int):
-        object.__setattr__(self, "triple", _rational_triple(c_alpha, c_beta))
-        object.__setattr__(self, "basis", _basis(radicand_ratio))
-
-    @property
-    def c_alpha(self) -> Fraction:
-        return Fraction(self.triple[0], self.triple[2])
-
-    @property
-    def c_beta(self) -> Fraction:
-        return Fraction(self.triple[1], self.triple[2])
-
-    @property
-    def radicand_ratio(self) -> Fraction:
-        return Fraction(*self.basis)
-
-    def __add__(self, other: "SurdLine") -> "SurdLine":
-        _require_same_ratio(self, other)
-        return _line(self.basis, _add(self.triple, other.triple))
-
-    def __sub__(self, other: "SurdLine") -> "SurdLine":
-        return self + (-other)
-
-    def __neg__(self) -> "SurdLine":
-        a, b, den = self.triple
-        return _line(self.basis, (-a, -b, den))
-
-    def scaled(self, factor: Fraction | int) -> "SurdLine":
-        f = Fraction(factor)
-        a, b, den = self.triple
-        return _line(self.basis, _reduced(a * f.numerator, b * f.numerator, den * f.denominator))
-
-    def sign(self) -> int:
-        return _int_sign(self.triple[0], self.triple[1], *self.basis)
-
-    def is_zero(self) -> bool:
-        return self.triple[:2] == (0, 0)
-
-
-@dataclass(frozen=True, init=False)
-class SurdArea:
-    """c_ab*(alpha*beta) + c_bb*beta^2, canonical: alpha^2 never appears.
-
-    Held as the reduced triple (ab, bb, den); c_ab and c_bb read as Fractions.
-    """
-
-    triple: Triple
-
-    def __init__(self, c_ab: Fraction | int, c_bb: Fraction | int):
-        object.__setattr__(self, "triple", _rational_triple(c_ab, c_bb))
-
-    @property
-    def c_ab(self) -> Fraction:
-        return Fraction(self.triple[0], self.triple[2])
-
-    @property
-    def c_bb(self) -> Fraction:
-        return Fraction(self.triple[1], self.triple[2])
-
-
-def _line(basis: Basis, t: Triple) -> SurdLine:
-    """A SurdLine from a reduced triple over a checked basis, checking neither again."""
-    u = object.__new__(SurdLine)
-    object.__setattr__(u, "triple", t)
-    object.__setattr__(u, "basis", basis)
-    return u
-
-
-def _require_same_ratio(u: SurdLine, v: SurdLine) -> None:
-    if u.basis != v.basis:
-        raise ValueError("lines live over different radicand ratios")
-
-
-def line_mul(u: SurdLine, v: SurdLine) -> SurdArea:
-    """Exact product of two lines, alpha^2 reduced via the ratio."""
-    _require_same_ratio(u, v)
-    area = object.__new__(SurdArea)
-    object.__setattr__(area, "triple", _mul(u.basis, u.triple, v.triple))
-    return area
-
-
-def conjugate(u: SurdLine) -> SurdLine:
-    """Negate the beta coefficient: apotome <-> binomial. Involutive."""
-    return _line(u.basis, _conj(u.triple))
-
-
-def inverse_wrt_beta_squared(u: SurdLine) -> SurdLine:
-    """The line v with u*v = beta^2 exactly.
-
-    For an irrational line the product u * conjugate(u) is the rational
-    area (c_alpha^2*ratio - c_beta^2)*beta^2, so v is the conjugate
-    divided by that constant (Elements X.112/X.113 in coefficient form).
-    """
-    return _line(u.basis, _inverse(u.basis, u.triple))
-
-
-def classify(u: SurdLine) -> str:
+def classify(basis: Basis, u: Triple) -> str:
     """One of 'apotome', 'binomial', 'rational_multiple', 'other'.
 
     Apotome: positive value with exactly one negative coefficient.
@@ -228,27 +117,24 @@ def classify(u: SurdLine) -> str:
     else (negative or zero values) is 'other': the algebra is closed
     under negation so the classification must be total.
     """
-    a, b, _ = u.triple
+    a, b, _ = u
     if a == 0 or b == 0:
         return "rational_multiple"
     if a > 0 and b > 0:
         return "binomial"
-    if u.sign() > 0:
+    if _int_sign(a, b, *basis) > 0:
         return "apotome"
     return "other"
 
 
-def logos_cross_check(a1: SurdLine, a2: SurdLine, b1: SurdLine, b2: SurdLine) -> bool:
+def logos_cross_check(basis: Basis, a1: Triple, a2: Triple, b1: Triple, b2: Triple) -> bool:
     """Ratio equality a1/a2 = b1/b2 by exact cross-multiplication of areas."""
-    _require_same_ratio(a1, a2)
-    _require_same_ratio(a1, b1)
-    _require_same_ratio(a1, b2)
-    return line_mul(a1, b2) == line_mul(a2, b1)
+    return line_mul(basis, a1, b2) == line_mul(basis, a2, b1)
 
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One division step of the symbolic expansion of sqrt(N).
+    """One division step of the symbolic expansion of sqrt(N); each line is a reduced triple.
 
     The closing step (where phi repeats an earlier one) carries only the
     factor itself plus repeats_index; the remaining fields are None.
@@ -257,17 +143,17 @@ class TraceStep:
     index: int
     lam: int
     mu: int
-    phi: SurdLine
-    phi_conjugate: Optional[SurdLine]
+    phi: Triple
+    phi_conjugate: Optional[Triple]
     product_constant: Optional[int]  # lam*phi*phi_conjugate = product_constant*beta^2
-    psi: Optional[SurdLine]
+    psi: Optional[Triple]
     quotient: Optional[int]
-    next_phi: Optional[SurdLine]
+    next_phi: Optional[Triple]
     repeats_index: Optional[int]
 
 
-# Peak bytes one trace step costs: its TraceStep, lines and rendered text come to
-# about 2.3 KB (sqrt(10^8+3), tracemalloc).
+# Peak bytes one trace step costs: its TraceStep, line triples and rendered text
+# come to about 2.0 KB (sqrt(10^8+3), tracemalloc).
 _TRACE_STEP_BYTES = 4096
 
 
@@ -299,17 +185,16 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
         max_steps = pigeonhole_bound(N) + 1
     limit = min(max_steps, _memory_steps(_TRACE_STEP_BYTES))
 
-    basis = _basis(N)
-    m = _floor_over_beta(basis, (1, 0, 1))
+    pq = basis(N)
+    m = _floor_over_beta(pq, (1, 0, 1))
     phi = (1, -m, 1)  # alpha - m*beta
-    phi_line = _line(basis, phi)
     seen: dict[Triple, int] = {}
     steps: list[TraceStep] = []
     k = 1
     while True:
         lam, mu = _as_lambda_mu(phi)
         if phi in seen:
-            steps.append(TraceStep(k, lam, mu, phi_line, None, None, None, None, None, seen[phi]))
+            steps.append(TraceStep(k, lam, mu, phi, None, None, None, None, None, seen[phi]))
             return steps
         seen[phi] = k
         if k > limit:
@@ -317,21 +202,16 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
             if limit == max_steps:
                 raise StepLimitExceeded(f"trace of sqrt({N}) exceeded {max_steps} steps without repeating", quotients)
             raise ResourceLimitExceeded(f"trace of sqrt({N}) exceeded {limit} steps, all that fit in memory")
-        conj = _conj(phi)
-        ab, bb, den = _mul(basis, phi, conj)
+        conj = conjugate(phi)
+        ab, bb, den = line_mul(pq, phi, conj)
         # lam*phi*conj = constant*beta^2 for a positive integer constant
         if ab != 0 or bb <= 0 or bb * lam % den:
             raise RuntimeError("conjugacy product is not a positive rational multiple of beta^2")
-        psi = _inverse(basis, phi)
-        quotient = _floor_over_beta(basis, psi)
+        psi = inverse_wrt_beta_squared(pq, phi)
+        quotient = _floor_over_beta(pq, psi)
         next_phi = _add(psi, (0, -quotient, 1))
-        next_line = _line(basis, next_phi)
-        steps.append(
-            TraceStep(
-                k, lam, mu, phi_line, _line(basis, conj), bb * lam // den, _line(basis, psi), quotient, next_line, None
-            )
-        )
-        phi, phi_line = next_phi, next_line
+        steps.append(TraceStep(k, lam, mu, phi, conj, bb * lam // den, psi, quotient, next_phi, None))
+        phi = next_phi
         k += 1
 
 
@@ -341,9 +221,9 @@ def _term(coeff: int, symbol: str) -> str:
     return f"{coeff}*{symbol}"
 
 
-def render_line(u: SurdLine, name: str) -> str:
+def render_line(u: Triple, name: str) -> str:
     """Integer-scaled rendering 'den*name = a*alpha +/- b*beta'."""
-    a, b, den = u.triple
+    a, b, den = u
     lhs = _term(den, name)
     if a == 0:
         rhs = _term(abs(b), "beta") if b >= 0 else f"-{_term(abs(b), 'beta')}"
@@ -358,9 +238,10 @@ def render_line(u: SurdLine, name: str) -> str:
 def render_trace(steps: list[TraceStep], N: int) -> str:
     """Stable plain-text rendering of a trace, golden-file friendly."""
     out = [f"anthyphairesis trace: alpha^2 = {N}*beta^2"]
+    pq = basis(N)
     quotients = []
     for s in steps:
-        kind = classify(s.phi)
+        kind = classify(pq, s.phi)
         out.append(
             f"step {s.index}: {render_line(s.phi, f'phi_{s.index}')}"
             f" ({kind}; lambda_{s.index} = {s.lam}, mu_{s.index} = {s.mu})"

@@ -1,8 +1,9 @@
 """Command line front end: expand, trace, sweep, pell, approx, verify.
 
-Exit codes: 0 success, 2 bad input, 3 step-limit exhaustion, an
-expansion too long for memory or a MemoryError, 4 golden-file mismatch,
-5 palindrome failure during a sweep. The
+Exit codes: 0 success, 2 bad input (or an --out FILE that cannot be
+written), 3 step-limit exhaustion, an expansion too long for memory or a
+MemoryError, 4 golden-file mismatch, 5 palindrome failure during a
+sweep, 141 stdout closed by its reader (a broken pipe). The
 environment variable ANTH_MAX_STEPS, at least 1, sets the step budget
 of the expansion in every command (expand, trace, sweep, pell, approx,
 verify) wherever --steps is not given explicitly. The --steps of approx
@@ -111,17 +112,34 @@ def _non_square(n: int, command: str) -> int:
     return n
 
 
+def _cannot_write(out: str, exc: OSError) -> InputError:
+    return InputError(f"cannot write {out}: {exc.strerror}")
+
+
 def _emit(lines: Iterable[str], out: Optional[str]) -> None:
-    """Write each line as it comes, to FILE or to sys.stdout as it is at the call."""
+    """Write each line as it comes, to FILE or to sys.stdout as it is at the call.
+
+    FILE failing to open, to take a line or to close is an InputError; an
+    error raised while the lines are computed propagates as it is.
+    """
     if not out:
         sys.stdout.writelines(line + "\n" for line in lines)
         return
     try:
         fh = open(out, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc.strerror}") from exc
-    with fh:
-        fh.writelines(line + "\n" for line in lines)
+        raise _cannot_write(out, exc) from exc
+    try:
+        for line in lines:
+            try:
+                fh.write(line + "\n")
+            except OSError as exc:
+                raise _cannot_write(out, exc) from exc
+    finally:
+        try:
+            fh.close()
+        except OSError as exc:
+            raise _cannot_write(out, exc) from exc
 
 
 _STR_SAFE_BITS = 2000  # under 640 digits, the lowest int-to-str limit Python accepts
@@ -394,12 +412,13 @@ def cmd_approx(args) -> int:
     target = parse_surd_spec(args.input)
     label = _canonical_input(target, args.input)
     count = args.steps if args.steps is not None else 8
-    cs = convergents(_expand(target, _step_limit()), count)
+    e = _expand(target, _step_limit())
     if args.format == "json":
+        cs = convergents(e, count)
         record = {"input": label, "convergents": [{"index": c.index, "p": c.p, "q": c.q} for c in cs]}
         _emit([_json_line(record)], args.out)
-    else:
-        _emit((f"k={c.index} {_dec(c.p)}/{_dec(c.q)}" for c in cs), args.out)
+    else:  # one convergent alive at a time: the digits of the k-th grow with k
+        _emit((f"k={c.index} {_dec(c.p)}/{_dec(c.q)}" for c in _convergents(e, count)), args.out)
     return 0
 
 
@@ -563,7 +582,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the reader of stdout left: stop silently, as a pipeline member killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit writes nowhere
+        return 141  # 128 + SIGPIPE
     except StepLimitExceeded as exc:
         print(f"error: step limit exhausted: {exc}", file=sys.stderr)
         return 3

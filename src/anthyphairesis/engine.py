@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional, Sequence
 
-from .bookx import BETA_SQUARED, SurdLine, _add, _basis, _mul
-from .surd import QuadraticSurd, normalize
+from .bookx import BETA_SQUARED, Triple, _add, basis, line_mul
+from .surd import QuadraticSurd, _int_sign, normalize
 
 __all__ = [
     "Expansion",
@@ -254,7 +254,7 @@ def increment_factors(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
         raise ValueError("expansion does not carry integer increment-factor states")
     if mus[0] != isqrt(N) or lams[0] != 1:
         raise ValueError(f"expansion does not belong to sqrt({N})")
-    basis = _basis(N)
+    pq = basis(N)
     for i, (mu, lam) in enumerate(zip(mus, lams)):
         if (N - mu * mu) % lam:
             raise ValueError(f"expansion does not belong to sqrt({N})")
@@ -262,17 +262,19 @@ def increment_factors(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
             raise ValueError(f"increment factor {i + 1} is not smaller than beta")
         if i + 1 < len(mus):
             rhs = _add((1, -mus[i + 1], lams[i + 1]), (0, quotients[i + 1], 1))  # I_k*beta + phi_{k+1}
-            if _mul(basis, (1, -mu, lam), rhs) != BETA_SQUARED:
+            if line_mul(pq, (1, -mu, lam), rhs) != BETA_SQUARED:
                 raise ValueError(f"inversion identity fails between factors {i + 1} and {i + 2}")
     return tuple(list(zip(mus, lams)))  # tuple(zip()) grows by reallocs that fragment a long run's heap
 
 
-def remainders(N: int, count: int) -> tuple[SurdLine, ...]:
+def remainders(N: int, count: int) -> tuple[Triple, ...]:
     """First `count` anthyphairetic remainders of (alpha, beta), alpha^2 = N*beta^2.
 
     e_1 = alpha - I_0*beta and e_{k+1} = e_{k-1} - I_k*e_k, with the
-    quotient stream taken from expand_sqrt(N). Positivity and strict
-    decrease of consecutive remainders are verified by exact sign.
+    quotient stream taken from expand_sqrt(N). Each remainder is a
+    reduced line triple (a, b, den) for (a*alpha + b*beta)/den.
+    Positivity and strict decrease of consecutive remainders are
+    verified by exact sign.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -280,15 +282,15 @@ def remainders(N: int, count: int) -> tuple[SurdLine, ...]:
     if e.terminated:
         raise ValueError("N must be a non-square")
     stream = e.quotient_stream(count)
-    alpha = SurdLine(1, 0, N)
-    beta = SurdLine(0, 1, N)
-    prev, cur = alpha, beta
-    lines: list[SurdLine] = []
+    p, q = basis(N)
+    prev, cur = (1, 0, 1), (0, 1, 1)  # alpha, beta
+    lines: list[Triple] = []
     for quotient in stream:
-        nxt = prev - cur.scaled(quotient)
-        if nxt.sign() <= 0:
+        nxt = _add(prev, (-quotient * cur[0], -quotient * cur[1], cur[2]))
+        if _int_sign(nxt[0], nxt[1], p, q) <= 0:
             raise AssertionError(f"remainder {len(lines) + 1} of sqrt({N}) is not positive")
-        if (cur - nxt).sign() <= 0:
+        drop = _add(cur, (-nxt[0], -nxt[1], nxt[2]))
+        if _int_sign(drop[0], drop[1], p, q) <= 0:
             raise AssertionError(f"remainder {len(lines) + 1} of sqrt({N}) does not decrease")
         lines.append(nxt)
         prev, cur = cur, nxt

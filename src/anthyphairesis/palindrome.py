@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bookx import BETA_SQUARED, _add, _basis, _conj, _mul
+from .bookx import BETA_SQUARED, _add, basis, conjugate, line_mul
 from .engine import Expansion, increment_factors
 
 __all__ = [
@@ -100,19 +100,19 @@ def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     factors are verified after them (ValueError), so a corrupted state
     that an omega reads fails as an omega identity (AssertionError).
     """
-    basis = _basis(N)
+    pq = basis(N)
     mus, lams, quotients = e.mus, e.lams, e.quotients
     omegas = [(1, -mus[n - 1], lams[n]) for n in range(1, len(mus))]  # (alpha - mu_n*beta)/lam_{n+1}
     for n, w in enumerate(omegas, 1):
         mu, lam_next = mus[n - 1], lams[n]
         phi = (1, -mu, lams[n - 1])
-        if _mul(basis, _conj(phi), w) != BETA_SQUARED:
+        if line_mul(pq, conjugate(phi), w) != BETA_SQUARED:
             raise AssertionError(f"omega_{n} is not the inverse of (phi_{n})* for sqrt({N})")
         if mu * mu >= N or N >= (mu + lam_next) ** 2:
             raise AssertionError(f"omega_{n} is not strictly between 0 and beta for sqrt({N})")
-        if n == 1 and _mul(basis, w, _add(phi, (0, 2 * mu, 1))) != BETA_SQUARED:
+        if n == 1 and line_mul(pq, w, _add(phi, (0, 2 * mu, 1))) != BETA_SQUARED:
             raise AssertionError(f"omega_1*(phi_1 + 2*mu_1*beta) != beta^2 for sqrt({N})")
-        if n > 1 and _mul(basis, w, _add((0, quotients[n - 1], 1), omegas[n - 2])) != BETA_SQUARED:
+        if n > 1 and line_mul(pq, w, _add((0, quotients[n - 1], 1), omegas[n - 2])) != BETA_SQUARED:
             raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for sqrt({N})")
     increment_factors(e, N)
     return tuple(list(zip(mus, lams[1:])))  # via a list, as in increment_factors

@@ -10,7 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from anthyphairesis.bookx import SurdArea, euler_trace, line_mul
+from anthyphairesis.bookx import basis, euler_trace, line_mul
 from anthyphairesis.cli import main
 from anthyphairesis.convergents import convergents, pell_fundamental
 from anthyphairesis.engine import (
@@ -154,20 +154,20 @@ def test_criterion_06_recurrence_identities_10k():
 
 def test_criterion_07_logos_cross_product():
     with verdict("7 (Logos cross-product, symbolic)"):
-        from anthyphairesis.bookx import SurdLine, logos_cross_check
+        from anthyphairesis.bookx import logos_cross_check
 
         lines = remainders(19, 7)
-        beta = SurdLine(0, 1, 19)
-        area = SurdArea(326, -1421)
-        assert line_mul(beta, lines[6]) == area
-        assert line_mul(lines[0], lines[5]) == area
+        beta = (0, 1, 1)
+        area = (326, -1421, 1)
+        assert line_mul(basis(19), beta, lines[6]) == area
+        assert line_mul(basis(19), lines[0], lines[5]) == area
 
         for n in non_squares(200):
             period = len(expand_sqrt(n).period)
             rem = remainders(n, 2 * period + 2)
             for k in range(period):
                 assert logos_cross_check(
-                    rem[k], rem[k + 1], rem[k + period], rem[k + period + 1]
+                    basis(n), rem[k], rem[k + 1], rem[k + period], rem[k + period + 1]
                 ), n
 
 
@@ -175,7 +175,7 @@ def test_criterion_08_pell():
     with verdict("8 (Pell solutions verified and minimal, N <= 500)"):
         assert pell_fundamental(19) == (170, 39)
         e6 = remainders(19, 6)[5]
-        assert (abs(e6.c_alpha), abs(e6.c_beta)) == (39, 170)
+        assert (abs(e6[0]), abs(e6[1]), e6[2]) == (39, 170, 1)
 
         for n in non_squares(500):
             x, y = pell_fundamental(n)

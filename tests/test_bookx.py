@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anthyphairesis.bookx import (
-    SurdArea,
-    SurdLine,
+    basis,
     classify,
     conjugate,
     euler_trace,
@@ -20,39 +19,39 @@ from anthyphairesis.bookx import (
     render_trace,
 )
 from anthyphairesis.engine import StepLimitExceeded, expand_sqrt, increment_factors, remainders
-from anthyphairesis.surd import is_perfect_square, isqrt, sign_of
+from anthyphairesis.surd import _int_sign, is_perfect_square, isqrt, sign_of
 
 GOLDEN_54 = os.path.join(os.path.dirname(__file__), "..", "goldens", "trace54.txt")
 
 
+def _triple(c_alpha, c_beta):
+    """The reduced triple (a, b, den) of the line or area with rational coefficients (c_alpha, c_beta)."""
+    x, y = Fraction(c_alpha), Fraction(c_beta)
+    den = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
+    return int(x * den), int(y * den), den
+
+
+def _coeffs(u):
+    a, b, den = u
+    return Fraction(a, den), Fraction(b, den)
+
+
 def test_line_mul_paper_products():
-    u = SurdLine(1, -7, 54)
-    v = SurdLine(1, 7, 54)
-    assert line_mul(u, v) == SurdArea(0, 5)  # 54b^2 - 49b^2
-
-    u = SurdLine(1, -4, 19)
-    v = SurdLine(-39, 170, 19)
-    assert line_mul(u, v) == SurdArea(326, -1421)
-
-    beta = SurdLine(0, 1, 7)
-    assert line_mul(beta, beta) == SurdArea(0, 1)
+    assert line_mul(basis(54), (1, -7, 1), (1, 7, 1)) == (0, 5, 1)  # 54b^2 - 49b^2
+    assert line_mul(basis(19), (1, -4, 1), (-39, 170, 1)) == (326, -1421, 1)
+    assert line_mul(basis(7), (0, 1, 1), (0, 1, 1)) == (0, 1, 1)
 
 
-def test_line_mul_rejects_mismatched_ratio():
+def test_basis_rejects_square_ratio():
     with pytest.raises(ValueError):
-        line_mul(SurdLine(1, 0, 19), SurdLine(1, 0, 54))
-
-
-def test_surd_line_rejects_square_ratio():
+        basis(4)
     with pytest.raises(ValueError):
-        SurdLine(1, 1, 4)
-    with pytest.raises(ValueError):
-        SurdLine(1, 1, Fraction(9, 4))
+        basis(Fraction(9, 4))
 
 
 def test_conjugate():
-    assert conjugate(SurdLine(1, -7, 54)) == SurdLine(1, 7, 54)
-    assert conjugate(SurdLine(0, 3, 54)) == SurdLine(0, -3, 54)
+    assert conjugate((1, -7, 1)) == (1, 7, 1)
+    assert conjugate((0, 3, 1)) == (0, -3, 1)
 
 
 nonsquare_ratio = st.integers(min_value=2, max_value=10**4).filter(
@@ -63,44 +62,43 @@ coeff = st.fractions(min_value=-30, max_value=30)
 
 @given(coeff, coeff, nonsquare_ratio)
 def test_conjugate_involution_and_rational_product(c_a, c_b, ratio):
-    u = SurdLine(c_a, c_b, ratio)
+    u = _triple(c_a, c_b)
     assert conjugate(conjugate(u)) == u
-    assert line_mul(u, conjugate(u)).c_ab == 0
+    assert line_mul(basis(ratio), u, conjugate(u))[0] == 0
 
 
 def test_inverse_paper_values():
-    psi1 = inverse_wrt_beta_squared(SurdLine(1, -7, 54))
-    assert psi1 == SurdLine(Fraction(1, 5), Fraction(7, 5), 54)  # 5*psi_1 = a + 7b
-
-    psi3 = inverse_wrt_beta_squared(SurdLine(Fraction(1, 9), Fraction(-6, 9), 54))
-    assert psi3 == SurdLine(Fraction(1, 2), Fraction(6, 2), 54)  # 2*psi_3 = a + 6b
-
-    assert inverse_wrt_beta_squared(SurdLine(0, 2, 54)) == SurdLine(0, Fraction(1, 2), 54)
+    b54 = basis(54)
+    assert inverse_wrt_beta_squared(b54, (1, -7, 1)) == (1, 7, 5)  # 5*psi_1 = a + 7b
+    assert inverse_wrt_beta_squared(b54, (1, -6, 9)) == (1, 6, 2)  # 2*psi_3 = a + 6b
+    assert inverse_wrt_beta_squared(b54, (0, 2, 1)) == (0, 1, 2)
 
 
 def test_inverse_of_zero_line():
     with pytest.raises(ZeroDivisionError):
-        inverse_wrt_beta_squared(SurdLine(0, 0, 54))
+        inverse_wrt_beta_squared(basis(54), (0, 0, 1))
 
 
 @given(coeff, coeff, nonsquare_ratio)
 def test_inverse_involution_and_unit_product(c_a, c_b, ratio):
-    u = SurdLine(c_a, c_b, ratio)
-    if u.is_zero():
+    u = _triple(c_a, c_b)
+    if u[:2] == (0, 0):
         return
-    v = inverse_wrt_beta_squared(u)
-    assert line_mul(u, v) == SurdArea(0, 1)
-    assert inverse_wrt_beta_squared(v) == u
+    pq = basis(ratio)
+    v = inverse_wrt_beta_squared(pq, u)
+    assert line_mul(pq, u, v) == (0, 1, 1)
+    assert inverse_wrt_beta_squared(pq, v) == u
 
 
 def test_classify_examples():
-    assert classify(SurdLine(1, -7, 54)) == "apotome"
-    assert classify(SurdLine(1, 7, 54)) == "binomial"
-    assert classify(SurdLine(-1, 7, 54)) == "other"  # negation of an apotome
-    assert classify(SurdLine(0, 3, 54)) == "rational_multiple"
-    assert classify(SurdLine(3, 0, 54)) == "rational_multiple"
+    b54 = basis(54)
+    assert classify(b54, (1, -7, 1)) == "apotome"
+    assert classify(b54, (1, 7, 1)) == "binomial"
+    assert classify(b54, (-1, 7, 1)) == "other"  # negation of an apotome
+    assert classify(b54, (0, 3, 1)) == "rational_multiple"
+    assert classify(b54, (3, 0, 1)) == "rational_multiple"
     # negative value with one negative coefficient: 2b - a over ratio 19
-    assert classify(SurdLine(-1, 2, 19)) == "other"
+    assert classify(basis(19), (-1, 2, 1)) == "other"
 
 
 def test_conjugacy_identity_all_small_pairs():
@@ -108,9 +106,10 @@ def test_conjugacy_identity_all_small_pairs():
     for n in range(2, 10**4 + 1):
         if is_perfect_square(n):
             continue
+        pq = basis(n)
         for mu in range(isqrt(n) + 1):
-            area = line_mul(SurdLine(1, -mu, n), SurdLine(1, mu, n))
-            assert area == SurdArea(0, n - mu * mu)
+            area = line_mul(pq, (1, -mu, 1), (1, mu, 1))
+            assert area == (0, n - mu * mu, 1)
 
 
 def test_apotome_binomial_round_trip_from_increment_factors():
@@ -118,28 +117,30 @@ def test_apotome_binomial_round_trip_from_increment_factors():
     for n in range(2, 1001):
         if is_perfect_square(n):
             continue
+        pq = basis(n)
         for mu, lam in increment_factors(expand_sqrt(n), n):
-            phi = SurdLine(Fraction(1, lam), Fraction(-mu, lam), n)
-            assert classify(phi) == "apotome"
-            psi = inverse_wrt_beta_squared(phi)
-            assert classify(psi) == "binomial"
-            assert classify(inverse_wrt_beta_squared(psi)) == "apotome"
+            phi = _triple(Fraction(1, lam), Fraction(-mu, lam))
+            assert classify(pq, phi) == "apotome"
+            psi = inverse_wrt_beta_squared(pq, phi)
+            assert classify(pq, psi) == "binomial"
+            assert classify(pq, inverse_wrt_beta_squared(pq, psi)) == "apotome"
 
 
 def test_logos_cross_check_paper_example():
     n = 19
+    pq = basis(n)
     e = remainders(n, 7)
-    beta = SurdLine(0, 1, n)
-    assert logos_cross_check(beta, e[0], e[5], e[6])  # b/e1 = e6/e7
+    beta = (0, 1, 1)
+    assert logos_cross_check(pq, beta, e[0], e[5], e[6])  # b/e1 = e6/e7
     # derived negative: both areas computed, they differ
-    assert line_mul(beta, e[6]) != line_mul(e[0], e[4])
-    assert not logos_cross_check(beta, e[0], e[4], e[6])
+    assert line_mul(pq, beta, e[6]) != line_mul(pq, e[0], e[4])
+    assert not logos_cross_check(pq, beta, e[0], e[4], e[6])
 
 
 def test_logos_cross_check_identical_ratio():
-    u = SurdLine(2, -3, 19)
-    v = SurdLine(1, 5, 19)
-    assert logos_cross_check(u, v, u, v)
+    u = (2, -3, 1)
+    v = (1, 5, 1)
+    assert logos_cross_check(basis(19), u, v, u, v)
 
 
 def test_logos_cross_check_period_multiples():
@@ -148,7 +149,7 @@ def test_logos_cross_check_period_multiples():
         lines = remainders(n, 2 * period + 2)
         for k in range(period):
             assert logos_cross_check(
-                lines[k], lines[k + 1], lines[k + period], lines[k + period + 1]
+                basis(n), lines[k], lines[k + 1], lines[k + period], lines[k + period + 1]
             )
 
 
@@ -162,7 +163,7 @@ def test_euler_trace_54_matches_table():
     assert steps[-1].repeats_index == 1
     # row 2 spot check: I_1 = 2 and 5*phi_2 = alpha - 3*beta
     assert steps[0].quotient == 2
-    assert steps[1].phi == SurdLine(Fraction(1, 5), Fraction(-3, 5), 54)
+    assert steps[1].phi == (1, -3, 5)
     # conjugacy product constants are the lambda chain
     assert [s.product_constant for s in steps[:-1]] == [5, 9, 2, 9, 5, 1]
 
@@ -228,9 +229,8 @@ def _ref_classify(c_a, c_b, r):
 
 
 def _assert_reduced(u):
-    a, b, den = u.triple
+    a, b, den = u
     assert den > 0 and math.gcd(a, b, den) == 1
-    assert (u.c_alpha, u.c_beta) == (Fraction(a, den), Fraction(b, den))
 
 
 rational_ratio = st.builds(Fraction, st.integers(1, 400), st.integers(1, 60)).filter(
@@ -241,31 +241,33 @@ rational_ratio = st.builds(Fraction, st.integers(1, 400), st.integers(1, 60)).fi
 @given(coeff, coeff, coeff, coeff, st.one_of(nonsquare_ratio, rational_ratio))
 def test_integer_layer_matches_fraction_reference(c1, c2, c3, c4, ratio):
     r = Fraction(ratio)
-    u, v = SurdLine(c1, c2, ratio), SurdLine(c3, c4, ratio)
+    pq = basis(ratio)
+    assert pq == (r.numerator, r.denominator)
+    u, v = _triple(c1, c2), _triple(c3, c4)
     _assert_reduced(u)
-    assert SurdLine(u.c_alpha, u.c_beta, r) == u
+    assert _coeffs(u) == (c1, c2)
 
     ab, bb = _ref_mul((c1, c2), (c3, c4), r)
-    area = line_mul(u, v)
-    assert (area.c_ab, area.c_bb) == (ab, bb)
-    assert area == SurdArea(ab, bb)
+    area = line_mul(pq, u, v)
+    _assert_reduced(area)
+    assert _coeffs(area) == (ab, bb)
 
     w = conjugate(u)
     _assert_reduced(w)
-    assert (w.c_alpha, w.c_beta) == (c1, -c2)
+    assert _coeffs(w) == (c1, -c2)
 
-    assert u.sign() == sign_of(c1, c2, r) == _ref_sign(c1, c2, r)
-    assert classify(u) == _ref_classify(c1, c2, r)
+    assert _int_sign(u[0], u[1], *pq) == sign_of(c1, c2, r) == _ref_sign(c1, c2, r)
+    assert classify(pq, u) == _ref_classify(c1, c2, r)
 
     if c1 == c2 == 0:
         with pytest.raises(ZeroDivisionError):
-            inverse_wrt_beta_squared(u)
+            inverse_wrt_beta_squared(pq, u)
         return
     norm = c1 * c1 * r - c2 * c2
-    inv = inverse_wrt_beta_squared(u)
+    inv = inverse_wrt_beta_squared(pq, u)
     _assert_reduced(inv)
-    assert (inv.c_alpha, inv.c_beta) == (c1 / norm, -c2 / norm)
-    assert _ref_mul((c1, c2), (inv.c_alpha, inv.c_beta), r) == (0, 1)
+    assert _coeffs(inv) == (c1 / norm, -c2 / norm)
+    assert _ref_mul((c1, c2), _coeffs(inv), r) == (0, 1)
 
 
 def test_euler_trace_agrees_with_engine_to_3000():

@@ -235,6 +235,31 @@ def test_out_file_in_a_missing_directory_is_bad_input(tmp_path, capsys):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_out_file_write_error_is_bad_input(capsys):
+    # /dev/full opens, then every write fails with ENOSPC
+    code, out, err = run(capsys, "expand", "19", "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_stdout_closed_by_its_reader_exits_141_silently(jobs):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "anthyphairesis.cli", "sweep", "20000", "--jobs", jobs],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    try:
+        assert proc.stdout.readline() == b"N=2 m=1 period_len=1 palindrome=yes case=II distinct_logoi=1\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_missing_golden_file_is_bad_input(tmp_path, capsys):
     golden = tmp_path / "missing.txt"
     code, out, err = run(capsys, "trace", "54", "--golden", str(golden))
@@ -509,6 +534,20 @@ def test_verify_convergent_check_memory_is_linear_in_the_period(capsys):
         tracemalloc.stop()
     assert code == 0 and out.endswith("all checks passed\n")
     assert peak < 12_000_000
+
+
+def test_approx_keeps_one_convergent_at_a_time():
+    # the digits of the k-th convergent grow with k: all 5,000 at once peak near 6 MB, one at a time near 0.3 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(["approx", "19", "--steps", "5000", "--out", os.devnull])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2_000_000
 
 
 def test_memory_error_in_a_verify_check_exits_3_not_failed(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -258,9 +259,9 @@ def test_increment_factors_rejects_mismatched_radicand():
 
 
 def _line_ratio_floor(u, v, n: int) -> int:
-    # exact floor of (value of u)/(value of v), both lines over ratio n
-    c1, c2 = u.c_alpha, u.c_beta
-    c3, c4 = v.c_alpha, v.c_beta
+    # exact floor of (value of u)/(value of v), both line triples over ratio n
+    c1, c2 = Fraction(u[0], u[2]), Fraction(u[1], u[2])
+    c3, c4 = Fraction(v[0], v[2]), Fraction(v[1], v[2])
     a = c1 * c3 * n - c2 * c4
     b = c2 * c3 - c1 * c4
     c = c3 * c3 * n - c4 * c4
@@ -274,28 +275,25 @@ def _line_ratio_floor(u, v, n: int) -> int:
 def test_remainders_paper_values_19():
     lines = remainders(19, 7)
     expected = [
-        (1, -4), (-2, 9), (3, -13), (-11, 48), (14, -61), (-39, 170), (326, -1421),
+        (1, -4, 1), (-2, 9, 1), (3, -13, 1), (-11, 48, 1), (14, -61, 1), (-39, 170, 1), (326, -1421, 1),
     ]
-    assert [(line.c_alpha, line.c_beta) for line in lines] == expected
+    assert list(lines) == expected
 
 
 def test_remainders_sqrt2():
     # b = 2*e1 + e2 forces e2 = 3*beta - 2*alpha
     lines = remainders(2, 2)
-    assert (lines[0].c_alpha, lines[0].c_beta) == (1, -1)
-    assert (lines[1].c_alpha, lines[1].c_beta) == (-2, 3)
+    assert lines == ((1, -1, 1), (-2, 3, 1))
 
 
 def test_remainders_13_step_floors():
     # derived: the quotient of each division step must equal the exact
     # floor of the remainder ratio e_{k-1}/e_k
-    from anthyphairesis.bookx import SurdLine
-
     n = 13
     lines = remainders(n, 3)
-    assert [(l.c_alpha, l.c_beta) for l in lines] == [(1, -3), (-1, 4), (2, -7)]
+    assert lines == ((1, -3, 1), (-1, 4, 1), (2, -7, 1))
     e = expand_sqrt(n)
-    chain = [SurdLine(1, 0, n), SurdLine(0, 1, n)] + list(lines)
+    chain = [(1, 0, 1), (0, 1, 1)] + list(lines)
     for k in range(len(chain) - 2):
         assert _line_ratio_floor(chain[k], chain[k + 1], n) == e.quotient_stream(k + 1)[k]
 
