@@ -16,10 +16,12 @@ from .bookx import (
     line_mul,
     logos_cross_check,
     render_trace,
+    sign_of,
 )
-from .convergents import Convergent, convergents, pell_fundamental, pell_negative, pell_solutions
+from .convergents import convergents, pell_fundamental, pell_negative, pell_solutions
 from .engine import (
     Expansion,
+    ResourceLimitExceeded,
     StepLimitExceeded,
     expand_sqrt,
     expand_surd,
@@ -44,16 +46,15 @@ from .surd import (
     is_square_fraction,
     isqrt,
     normalize,
-    sign_of,
 )
 
 __all__ = [
-    "Convergent",
     "Expansion",
     "PalindromeReport",
     "PeriodStats",
     "QuadraticSurd",
     "ReflectionNotFound",
+    "ResourceLimitExceeded",
     "StepLimitExceeded",
     "TraceStep",
     "basis",

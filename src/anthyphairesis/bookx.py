@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional
 
-from .surd import _int_sign, is_square_fraction
+from .surd import is_square_fraction
 
 __all__ = [
     "TraceStep",
@@ -31,6 +31,7 @@ __all__ = [
     "line_mul",
     "conjugate",
     "inverse_wrt_beta_squared",
+    "sign_of",
     "classify",
     "logos_cross_check",
     "euler_trace",
@@ -108,6 +109,21 @@ def _floor_over_beta(basis: Basis, u: Triple) -> int:
     return (b * q + isqrt(a * a * p * q)) // (den * q)
 
 
+def sign_of(basis: Basis, u: Triple) -> int:
+    """Exact sign of the line u, as -1, 0 or 1; den > 0, as in every reduced triple."""
+    p, q = basis
+    a, b, _ = u
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    # Mixed signs: compare |a*alpha| with |b*beta| by squaring.
+    # Equality is impossible since P/Q is not a rational square.
+    if a * a * p > b * b * q:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
+
+
 def classify(basis: Basis, u: Triple) -> str:
     """One of 'apotome', 'binomial', 'rational_multiple', 'other'.
 
@@ -122,7 +138,7 @@ def classify(basis: Basis, u: Triple) -> str:
         return "rational_multiple"
     if a > 0 and b > 0:
         return "binomial"
-    if _int_sign(a, b, *basis) > 0:
+    if sign_of(basis, u) > 0:
         return "apotome"
     return "other"
 

@@ -22,7 +22,7 @@ import sys
 from typing import Iterable, Optional
 
 from .bookx import euler_trace, render_trace
-from .convergents import _convergents, convergents, pell_solutions
+from .convergents import convergents, pell_solutions
 from .engine import (
     Expansion,
     ResourceLimitExceeded,
@@ -414,11 +414,10 @@ def cmd_approx(args) -> int:
     count = args.steps if args.steps is not None else 8
     e = _expand(target, _step_limit())
     if args.format == "json":
-        cs = convergents(e, count)
-        record = {"input": label, "convergents": [{"index": c.index, "p": c.p, "q": c.q} for c in cs]}
-        _emit([_json_line(record)], args.out)
+        cs = [{"index": k, "p": p, "q": q} for k, (p, q) in enumerate(convergents(e, count))]
+        _emit([_json_line({"input": label, "convergents": cs})], args.out)
     else:  # one convergent alive at a time: the digits of the k-th grow with k
-        _emit((f"k={c.index} {_dec(c.p)}/{_dec(c.q)}" for c in _convergents(e, count)), args.out)
+        _emit((f"k={k} {_dec(p)}/{_dec(q)}" for k, (p, q) in enumerate(convergents(e, count))), args.out)
     return 0
 
 
@@ -479,13 +478,12 @@ def cmd_verify(args) -> int:
 
     def convergent_quality():
         period = len(e.period)
-        for c in _convergents(e, 2 * period):
-            k = c.index
+        for k, (p, q) in enumerate(convergents(e, 2 * period)):
             idx = k + 1  # lam_{k+2}, cycled; lams is lam_1..lam_{period+1}
             while idx >= len(lams):
                 idx -= period
             expected = -lams[idx] if k % 2 == 0 else lams[idx]
-            if c.p * c.p - n * c.q * c.q != expected:
+            if p * p - n * q * q != expected:
                 raise AssertionError(f"quality identity fails at convergent {k}")
 
     def pell():

@@ -1,4 +1,4 @@
-"""Convergents (best rational approximations) and Pell solutions.
+"""The convergents (best rational approximations) of an expansion, and Pell solutions.
 
 The usual three-term recurrence p_k = a_k*p_{k-1} + p_{k-2} over the
 quotient stream, plus the classical payoff of a detected period: the
@@ -16,42 +16,30 @@ product tree whose big multiplications pair operands of equal size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .engine import Expansion, expand_sqrt
 from .surd import isqrt
 
-__all__ = ["Convergent", "convergents", "pell_fundamental", "pell_negative", "pell_solutions"]
+__all__ = ["convergents", "pell_fundamental", "pell_negative", "pell_solutions"]
 
 
-@dataclass(frozen=True)
-class Convergent:
-    p: int
-    q: int
-    index: int
-
-
-def convergents(e: Expansion, count: int) -> tuple[Convergent, ...]:
-    """First `count` convergents p_k/q_k of an expansion.
+def convergents(e: Expansion, count: int) -> Iterator[tuple[int, int]]:
+    """The first `count` convergents (p_k, q_k) of an expansion, one at a time.
 
     Seeds (1, 0) and (0, 1); period quotients are recycled cyclically.
     A terminated (rational) expansion yields at most as many convergents
-    as it has quotients.
+    as it has quotients. A caller that reads each pair once keeps only
+    one alive. count < 1 raises ValueError when iteration starts.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    return tuple(_convergents(e, count))
-
-
-def _convergents(e: Expansion, count: int) -> Iterator[Convergent]:
-    """The convergents of convergents(), one at a time, so a caller that reads each once keeps only one."""
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
-    for k, a in enumerate(e.quotient_stream(count)):
+    for a in e.quotient_stream(count):
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        yield Convergent(p=p_cur, q=q_cur, index=k)
+        yield p_cur, q_cur
 
 
 _Matrix = tuple[int, int, int, int]  # [[a, b], [c, d]] row by row
@@ -91,7 +79,7 @@ def pell_solutions(
     if e.terminated:
         raise ValueError("N must not be a perfect square")
     m = isqrt(N)
-    if e.preperiod != (m,):
+    if e.radicand != N or e.preperiod != (m,):
         raise ValueError(f"expansion does not belong to sqrt({N})")
     period = e.period
     l = len(period)

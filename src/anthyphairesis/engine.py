@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional, Sequence
 
-from .bookx import BETA_SQUARED, Triple, _add, basis, line_mul
-from .surd import QuadraticSurd, _int_sign, normalize
+from .bookx import BETA_SQUARED, Triple, _add, basis, line_mul, sign_of
+from .surd import QuadraticSurd, normalize
 
 __all__ = [
     "Expansion",
@@ -252,7 +252,7 @@ def increment_factors(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     mus, lams, quotients = e.mus, e.lams, e.quotients
     if not mus:
         raise ValueError("expansion does not carry integer increment-factor states")
-    if mus[0] != isqrt(N) or lams[0] != 1:
+    if e.radicand != N or mus[0] != isqrt(N) or lams[0] != 1:
         raise ValueError(f"expansion does not belong to sqrt({N})")
     pq = basis(N)
     for i, (mu, lam) in enumerate(zip(mus, lams)):
@@ -282,15 +282,15 @@ def remainders(N: int, count: int) -> tuple[Triple, ...]:
     if e.terminated:
         raise ValueError("N must be a non-square")
     stream = e.quotient_stream(count)
-    p, q = basis(N)
+    pq = basis(N)
     prev, cur = (1, 0, 1), (0, 1, 1)  # alpha, beta
     lines: list[Triple] = []
     for quotient in stream:
         nxt = _add(prev, (-quotient * cur[0], -quotient * cur[1], cur[2]))
-        if _int_sign(nxt[0], nxt[1], p, q) <= 0:
+        if sign_of(pq, nxt) <= 0:
             raise AssertionError(f"remainder {len(lines) + 1} of sqrt({N}) is not positive")
         drop = _add(cur, (-nxt[0], -nxt[1], nxt[2]))
-        if _int_sign(drop[0], drop[1], p, q) <= 0:
+        if sign_of(pq, drop) <= 0:
             raise AssertionError(f"remainder {len(lines) + 1} of sqrt({N}) does not decrease")
         lines.append(nxt)
         prev, cur = cur, nxt

@@ -5,8 +5,11 @@ final quotient must be a palindrome and the final quotient must be twice
 the integer part. The structural way interleaves the increment factors
 phi_n with the mirror sequence omega_n (inverses of the conjugates,
 (phi_n)* omega_n = beta^2) and locates the first coincidence, which
-pins the reflection center and forces the quotient symmetry. Both
-routes must agree; the redundancy is deliberate.
+pins the reflection center k. The reflection forces the same mirror
+pairs of quotients that the cheap way compares, so what it adds is the
+centre and the period length it forces: 2k - 2 in Case I, 2k - 1 in
+Case II. A palindromic period of any other length means the two routes
+disagree, which is a bug.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ class PalindromeReport:
     holds: bool
     case: Optional[str]  # "I" or "II" when the reflection machinery ran
     center_index: Optional[int]
-    last_quotient_is_double: bool
-    matched_pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,10 @@ def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     are exact area-algebra identities with zero residual. The increment
     factors are verified after them (ValueError), so a corrupted state
     that an omega reads fails as an omega identity (AssertionError).
+    An expansion of another radicand is a ValueError.
     """
+    if e.radicand != N:
+        raise ValueError(f"expansion does not belong to sqrt({N})")
     pq = basis(N)
     mus, lams, quotients = e.mus, e.lams, e.quotients
     omegas = [(1, -mus[n - 1], lams[n]) for n in range(1, len(mus))]  # (alpha - mu_n*beta)/lam_{n+1}
@@ -118,65 +122,33 @@ def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     return tuple(list(zip(mus, lams[1:])))  # via a list, as in increment_factors
 
 
-def _reflection_implied_period(case: str, k: int, m: int, period: Sequence[int]) -> bool:
-    """Do the reflection-derived quotient equalities hold on this period?
-
-    Case I (omega_{k-1} = phi_k) forces length 2k-2 with I_{k+j} =
-    I_{k-2-j}; Case II (phi_k = omega_k) forces length 2k-1 with
-    I_{k+j} = I_{k-1-j}; both force the final quotient to equal 2*mu_1.
-    """
-    l = len(period)
-    if case == "I":
-        if l != 2 * k - 2:
-            return False
-        pairs = [(k + j, k - 2 - j) for j in range(k - 2)]
-    else:
-        if l != 2 * k - 1:
-            return False
-        pairs = [(k + j, k - 1 - j) for j in range(k - 1)]
-    for i, j in pairs:
-        if period[i - 1] != period[j - 1]:
-            return False
-    return period[l - 1] == 2 * m
-
-
 def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     """Check the palindromic shape of a period against the integer part m.
 
     holds is decided on the quotient list alone: the period minus its
     last element must read the same both ways and the last element must
     be 2*m. When the expansion carries integer increment-factor states,
-    the reflection machinery runs as well and the two verdicts must
-    agree (disagreement raises, since it would mean the structural
-    argument and the definition diverge).
+    the reflection machinery runs as well and finds the centre k. A
+    period that holds must then have the length the reflection forces,
+    2k - 2 (Case I) or 2k - 1 (Case II); any other length raises, since
+    it would mean the structural argument and the definition diverge.
     """
     if not e.period:
         raise ValueError("expansion has an empty period")
     period = e.period
-    l = len(period)
     interior = period[:-1]
     holds = interior == interior[::-1] and period[-1] == 2 * m
 
-    matched = tuple(
-        (i, l - i) for i in range(1, (l - 1) // 2 + 1) if period[i - 1] == period[l - i - 1]
-    )
     case: Optional[str] = None
     center: Optional[int] = None
     mus, lams = e.mus, e.lams
     if len(mus) >= 2:
         case, center = find_reflection(list(zip(mus, lams)), list(zip(mus, lams[1:])))
-        structural = _reflection_implied_period(case, center, m, period)
-        if structural != holds:
+        if holds and len(period) != 2 * center - (2 if case == "I" else 1):
             raise AssertionError(
                 "quotient-level and reflection-level palindrome verdicts disagree"
             )
-    return PalindromeReport(
-        holds=holds,
-        case=case,
-        center_index=center,
-        last_quotient_is_double=period[-1] == 2 * m,
-        matched_pairs=matched,
-    )
+    return PalindromeReport(holds=holds, case=case, center_index=center)
 
 
 def period_stats(e: Expansion) -> PeriodStats:

@@ -1,7 +1,7 @@
 """Exact arithmetic for quadratic surds (p + sqrt(d)) / q.
 
 Everything is integer or Fraction arithmetic: no floats anywhere, so
-floors, signs and comparisons are exact for arbitrarily large operands.
+floors and square tests are exact for arbitrarily large operands.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "is_square_fraction",
     "normalize",
     "floor_surd",
-    "sign_of",
 ]
 
 
@@ -120,37 +119,3 @@ def floor_surd(s: QuadraticSurd) -> int:
     if s.q > 0:
         return (s.p + r) // s.q
     return (s.p + r + 1) // s.q
-
-
-def sign_of(c_a: Fraction | int, c_b: Fraction | int, ratio: Fraction | int) -> int:
-    """Exact sign of c_a*alpha + c_b*beta where alpha^2 = ratio*beta^2.
-
-    alpha and beta are positive; ratio must be a positive non-square
-    rational (otherwise the value can vanish with mixed-sign
-    coefficients and the caller must use plain rational arithmetic).
-    Returns -1, 0 or 1.
-    """
-    c_a = Fraction(c_a)
-    c_b = Fraction(c_b)
-    ratio = Fraction(ratio)
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
-    if is_square_fraction(ratio):
-        raise ValueError("ratio is a rational square; use the rational path")
-    # scaled by the positive c_a.denominator*c_b.denominator, the sign stays
-    a = c_a.numerator * c_b.denominator
-    b = c_b.numerator * c_a.denominator
-    return _int_sign(a, b, ratio.numerator, ratio.denominator)
-
-
-def _int_sign(a: int, b: int, p: int, q: int) -> int:
-    """sign_of for integer coefficients over the ratio p/q (q > 0), taken as checked."""
-    if a >= 0 and b >= 0:
-        return 1 if a or b else 0
-    if a <= 0 and b <= 0:
-        return -1
-    # Mixed signs: compare |a*alpha| with |b*beta| by squaring.
-    # Equality is impossible since p/q is not a rational square.
-    if a * a * p > b * b * q:
-        return 1 if a > 0 else -1
-    return 1 if b > 0 else -1

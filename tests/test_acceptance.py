@@ -181,9 +181,9 @@ def test_criterion_08_pell():
             x, y = pell_fundamental(n)
             assert x * x - n * y * y == 1, n
             e = expand_sqrt(n)
-            for c in convergents(e, 2 * len(e.period)):
-                if c.q < y:
-                    assert c.p * c.p - n * c.q * c.q != 1, n
+            for p, q in convergents(e, 2 * len(e.period)):
+                if q < y:
+                    assert p * p - n * q * q != 1, n
 
 
 def test_criterion_09_rational_radicands():

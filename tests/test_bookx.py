@@ -17,9 +17,10 @@ from anthyphairesis.bookx import (
     line_mul,
     logos_cross_check,
     render_trace,
+    sign_of,
 )
 from anthyphairesis.engine import StepLimitExceeded, expand_sqrt, increment_factors, remainders
-from anthyphairesis.surd import _int_sign, is_perfect_square, isqrt, sign_of
+from anthyphairesis.surd import is_perfect_square, isqrt
 
 GOLDEN_54 = os.path.join(os.path.dirname(__file__), "..", "goldens", "trace54.txt")
 
@@ -88,6 +89,50 @@ def test_inverse_involution_and_unit_product(c_a, c_b, ratio):
     v = inverse_wrt_beta_squared(pq, u)
     assert line_mul(pq, u, v) == (0, 1, 1)
     assert inverse_wrt_beta_squared(pq, v) == u
+
+
+def _sign(c_a, c_b, ratio):
+    """sign_of of c_a*alpha + c_b*beta over alpha^2 = ratio*beta^2, Fraction denominators cleared."""
+    return sign_of(basis(ratio), _triple(c_a, c_b))
+
+
+def test_sign_of_examples():
+    assert _sign(1, -4, 19) == 1  # a remainder, hence positive
+    assert _sign(0, 0, 19) == 0
+    assert _sign(-1, 4, 19) == -1
+
+
+def test_sign_of_rejects_bad_ratio():
+    with pytest.raises(ValueError):
+        _sign(1, 1, Fraction(4, 9))
+    with pytest.raises(ValueError):
+        _sign(1, 1, 0)
+    with pytest.raises(ValueError):
+        _sign(1, 1, -3)
+
+
+@given(
+    st.fractions(min_value=-100, max_value=100),
+    st.fractions(min_value=-100, max_value=100),
+    st.integers(min_value=2, max_value=10**6).filter(lambda r: not is_perfect_square(r)),
+)
+def test_sign_of_antisymmetry(c_a, c_b, ratio):
+    assert _sign(c_a, c_b, ratio) == -_sign(-c_a, -c_b, ratio)
+
+
+@settings(max_examples=300)
+@given(
+    st.fractions(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50),
+    st.integers(min_value=2, max_value=10**4).filter(lambda r: not is_perfect_square(r)),
+)
+def test_sign_of_matches_float_estimate(c_a, c_b, ratio):
+    approx = float(c_a) * math.sqrt(ratio) + float(c_b)
+    got = _sign(c_a, c_b, ratio)
+    if abs(approx) > 1e-6:
+        assert got == (1 if approx > 0 else -1)
+    elif c_a == 0 and c_b == 0:
+        assert got == 0
 
 
 def test_classify_examples():
@@ -256,7 +301,7 @@ def test_integer_layer_matches_fraction_reference(c1, c2, c3, c4, ratio):
     _assert_reduced(w)
     assert _coeffs(w) == (c1, -c2)
 
-    assert _int_sign(u[0], u[1], *pq) == sign_of(c1, c2, r) == _ref_sign(c1, c2, r)
+    assert sign_of(pq, u) == _ref_sign(c1, c2, r)
     assert classify(pq, u) == _ref_classify(c1, c2, r)
 
     if c1 == c2 == 0:

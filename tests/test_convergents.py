@@ -10,37 +10,40 @@ from anthyphairesis.surd import QuadraticSurd, is_perfect_square
 
 
 def test_convergents_19():
-    cs = convergents(expand_sqrt(19), 6)
-    assert [(c.p, c.q) for c in cs] == [(4, 1), (9, 2), (13, 3), (48, 11), (61, 14), (170, 39)]
+    cs = list(convergents(expand_sqrt(19), 6))
+    assert cs == [(4, 1), (9, 2), (13, 3), (48, 11), (61, 14), (170, 39)]
     assert 170 * 170 - 19 * 39 * 39 == 1
 
 
 def test_first_convergent_is_first_quotient():
     for n in (2, 13, 19, 54):
-        c = convergents(expand_sqrt(n), 1)[0]
-        assert (c.p, c.q, c.index) == (expand_sqrt(n).preperiod[0], 1, 0)
+        assert list(convergents(expand_sqrt(n), 1)) == [(expand_sqrt(n).preperiod[0], 1)]
 
 
 def test_convergents_sqrt2_side_and_diameter():
-    cs = convergents(expand_sqrt(2), 4)
-    assert [(c.p, c.q) for c in cs] == [(1, 1), (3, 2), (7, 5), (17, 12)]
-    for c in cs:
-        assert abs(c.p * c.p - 2 * c.q * c.q) == 1
+    cs = list(convergents(expand_sqrt(2), 4))
+    assert cs == [(1, 1), (3, 2), (7, 5), (17, 12)]
+    for p, q in cs:
+        assert abs(p * p - 2 * q * q) == 1
 
 
 def test_convergents_terminated_expansion_caps():
     e = expand_surd(QuadraticSurd(3, 0, 2))  # [1, 2]
-    cs = convergents(e, 10)
-    assert [(c.p, c.q) for c in cs] == [(1, 1), (3, 2)]
+    assert list(convergents(e, 10)) == [(1, 1), (3, 2)]
+
+
+def test_convergents_rejects_count_below_one():
+    with pytest.raises(ValueError):
+        list(convergents(expand_sqrt(19), 0))
 
 
 def test_convergents_coprime_and_cross_rule():
     for n in (19, 31, 61, 94, 139):
-        cs = convergents(expand_sqrt(n), 12)
-        for c in cs:
-            assert math.gcd(c.p, c.q) == 1
-        for a, b in zip(cs, cs[1:]):
-            assert b.p * a.q - a.p * b.q in (1, -1)
+        cs = list(convergents(expand_sqrt(n), 12))
+        for p, q in cs:
+            assert math.gcd(p, q) == 1
+        for (p0, q0), (p1, q1) in zip(cs, cs[1:]):
+            assert p1 * q0 - p0 * q1 in (1, -1)
 
 
 def test_quality_identity_and_alternation():
@@ -51,13 +54,12 @@ def test_quality_identity_and_alternation():
         e = expand_sqrt(n)
         period = len(e.period)
         lams = e.lams
-        cs = convergents(e, 2 * period)
-        for c in cs:
-            idx = c.index + 1
+        for k, (p, q) in enumerate(convergents(e, 2 * period)):
+            idx = k + 1
             while idx >= len(lams):
                 idx -= period
-            expected = lams[idx] if c.index % 2 else -lams[idx]
-            assert c.p * c.p - n * c.q * c.q == expected
+            expected = lams[idx] if k % 2 else -lams[idx]
+            assert p * p - n * q * q == expected
 
 
 def test_pell_examples():
@@ -88,9 +90,9 @@ def test_pell_minimality_small_range():
         x, y = pell_fundamental(n)
         assert x * x - n * y * y == 1
         e = expand_sqrt(n)
-        for c in convergents(e, 2 * len(e.period)):
-            if c.q < y:
-                assert c.p * c.p - n * c.q * c.q != 1
+        for p, q in convergents(e, 2 * len(e.period)):
+            if q < y:
+                assert p * p - n * q * q != 1
 
 
 LONG_PERIOD_N = (1000003, 10000019, 92590649, 150008437)
@@ -104,11 +106,11 @@ def test_pell_solutions_match_convergent_recurrence():
         e = expand_sqrt(n)
         l = len(e.period)
         index = l - 1 if l % 2 == 0 else 2 * l - 1
-        full = convergents(e, index + 1)
+        full = list(convergents(e, index + 1))
         fundamental, negative = pell_solutions(n, e)
-        assert fundamental == (full[index].p, full[index].q), n
+        assert fundamental == full[index], n
         if l % 2:
-            assert negative == (full[l - 1].p, full[l - 1].q), n
+            assert negative == full[l - 1], n
         else:
             assert negative is None, n
 
@@ -119,6 +121,12 @@ def test_pell_solutions_rejects_foreign_or_square_expansion():
     with pytest.raises(ValueError):
         pell_solutions(16, expand_sqrt(16))
     assert pell_solutions(13) == ((649, 180), (18, 5))
+
+
+def test_pell_solutions_rejects_radicand_with_same_integer_part():
+    # sqrt(19) and sqrt(20) share the integer part 4
+    with pytest.raises(ValueError, match=r"does not belong to sqrt\(20\)"):
+        pell_solutions(20, expand_sqrt(19))
 
 
 def test_pell_against_sympy_diop_dn():

@@ -258,6 +258,12 @@ def test_increment_factors_rejects_mismatched_radicand():
         increment_factors(e, 19)
 
 
+def test_increment_factors_rejects_radicand_with_same_integer_part():
+    # sqrt(19) and sqrt(20) share the integer part 4
+    with pytest.raises(ValueError, match=r"does not belong to sqrt\(20\)"):
+        increment_factors(expand_sqrt(19), 20)
+
+
 def _line_ratio_floor(u, v, n: int) -> int:
     # exact floor of (value of u)/(value of v), both line triples over ratio n
     c1, c2 = Fraction(u[0], u[2]), Fraction(u[1], u[2])

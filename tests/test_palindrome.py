@@ -15,8 +15,7 @@ from anthyphairesis.surd import is_perfect_square, isqrt
 
 def test_verify_palindrome_paper_periods():
     r = verify_palindrome(expand_sqrt(19), 4)
-    assert r.holds and r.last_quotient_is_double
-    assert r.matched_pairs == ((1, 5), (2, 4))
+    assert r.holds
 
     r = verify_palindrome(expand_sqrt(46), 6)
     assert r.holds
@@ -55,6 +54,12 @@ def test_omega_sequence_54():
     # derived: omega_3 and phi_4 denote the same line (alpha - 6*beta)/2
     phis = increment_factors(e, 54)
     assert omegas[2] == phis[3] == (6, 2)
+
+
+def test_omega_sequence_rejects_foreign_expansion():
+    # sqrt(19) and sqrt(20) share the integer part 4
+    with pytest.raises(ValueError, match=r"does not belong to sqrt\(20\)"):
+        omega_sequence(expand_sqrt(19), 20)
 
 
 def test_omega_sequence_trivial():

@@ -1,11 +1,11 @@
-"""surd_core: exact isqrt, normalization, floor and sign."""
+"""surd_core: exact isqrt, normalization and floor."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from anthyphairesis.surd import (
@@ -15,7 +15,6 @@ from anthyphairesis.surd import (
     is_square_fraction,
     isqrt,
     normalize,
-    sign_of,
 )
 
 
@@ -119,45 +118,6 @@ def test_floor_surd_against_interval_oracle():
         q = rng.randint(1, 10**9) * rng.choice((1, -1))
         s = QuadraticSurd(p, d, q)
         assert floor_surd(s) == _floor_by_interval(s)
-
-
-def test_sign_of_examples():
-    assert sign_of(1, -4, 19) == 1  # a remainder, hence positive
-    assert sign_of(0, 0, 19) == 0
-    assert sign_of(-1, 4, 19) == -1
-
-
-def test_sign_of_rejects_bad_ratio():
-    with pytest.raises(ValueError):
-        sign_of(1, 1, Fraction(4, 9))
-    with pytest.raises(ValueError):
-        sign_of(1, 1, 0)
-    with pytest.raises(ValueError):
-        sign_of(1, 1, -3)
-
-
-@given(
-    st.fractions(min_value=-100, max_value=100),
-    st.fractions(min_value=-100, max_value=100),
-    st.integers(min_value=2, max_value=10**6).filter(lambda r: not is_perfect_square(r)),
-)
-def test_sign_of_antisymmetry(c_a, c_b, ratio):
-    assert sign_of(c_a, c_b, ratio) == -sign_of(-c_a, -c_b, ratio)
-
-
-@settings(max_examples=300)
-@given(
-    st.fractions(min_value=-50, max_value=50),
-    st.fractions(min_value=-50, max_value=50),
-    st.integers(min_value=2, max_value=10**4).filter(lambda r: not is_perfect_square(r)),
-)
-def test_sign_of_matches_float_estimate(c_a, c_b, ratio):
-    approx = float(c_a) * math.sqrt(ratio) + float(c_b)
-    got = sign_of(c_a, c_b, ratio)
-    if abs(approx) > 1e-6:
-        assert got == (1 if approx > 0 else -1)
-    elif c_a == 0 and c_b == 0:
-        assert got == 0
 
 
 def test_is_square_fraction():
