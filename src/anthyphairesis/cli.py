@@ -7,7 +7,10 @@ sweep, 141 stdout closed by its reader (a broken pipe). The
 environment variable ANTH_MAX_STEPS, at least 1, sets the step budget
 of the expansion in every command (expand, trace, sweep, pell, approx,
 verify) wherever --steps is not given explicitly. The --steps of approx
-counts convergents, so only ANTH_MAX_STEPS budgets its expansion.
+counts convergents, so only ANTH_MAX_STEPS budgets its expansion. pell
+expands sqrt(N) only to the centre of its period, so its budget counts
+steps to the centre: a period of length l needs l // 2 of them, where
+expand N --pell, which runs and checks the whole period, needs l.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import re
@@ -84,9 +88,10 @@ def parse_surd_spec(text: str) -> QuadraticSurd:
 
 
 def _canonical_input(s: QuadraticSurd, original: str) -> str:
+    """The input's label: sqrt(N) with N as parsed for an integer spec, else the spec without whitespace."""
     compact = re.sub(r"\s+", "", original)
     if _INT_RE.match(compact):
-        return f"sqrt({compact})"
+        return f"sqrt({_dec(s.d)})"
     return compact
 
 
@@ -116,14 +121,14 @@ def _cannot_write(out: str, exc: OSError) -> InputError:
     return InputError(f"cannot write {out}: {exc.strerror}")
 
 
-def _emit(lines: Iterable[str], out: Optional[str]) -> None:
-    """Write each line as it comes, to FILE or to sys.stdout as it is at the call.
+def _emit(lines: Iterable[str], out: Optional[str], end: str = "\n") -> None:
+    """Write each line and end as it comes, to FILE or to sys.stdout as it is at the call.
 
     FILE failing to open, to take a line or to close is an InputError; an
     error raised while the lines are computed propagates as it is.
     """
     if not out:
-        sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.writelines(line + end for line in lines)
         return
     try:
         fh = open(out, "w", encoding="utf-8", newline="")
@@ -132,7 +137,7 @@ def _emit(lines: Iterable[str], out: Optional[str]) -> None:
     try:
         for line in lines:
             try:
-                fh.write(line + "\n")
+                fh.write(line + end)
             except OSError as exc:
                 raise _cannot_write(out, exc) from exc
     finally:
@@ -393,7 +398,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_pell(args) -> int:
     n = _non_square(args.N, "Pell")
-    (x, y), negative = pell_solutions(n, expand_sqrt(n, _step_limit()))
+    (x, y), negative = pell_solutions(n, max_steps=_step_limit())
     if args.format == "json":
         record = {"N": n, "x": x, "y": y}
         if args.negative_pell:
@@ -413,12 +418,13 @@ def cmd_approx(args) -> int:
     label = _canonical_input(target, args.input)
     count = args.steps if args.steps is not None else 8
     e = _expand(target, _step_limit())
-    if args.format == "json":
-        cs = [{"index": k, "p": p, "q": q} for k, (p, q) in enumerate(convergents(e, count))]
-        _emit([_json_line({"input": label, "convergents": cs})], args.out)
-    else:  # one convergent alive at a time: the digits of the k-th grow with k
-        _emit((f"k={k} {_dec(p)}/{_dec(q)}" for k, (p, q) in enumerate(convergents(e, count))), args.out)
-    return 0
+    pairs = enumerate(convergents(e, count))
+    if args.format == "json":  # the canonical record, streamed: its keys sort as written
+        pieces = (("," if k else "") + _json_line({"index": k, "p": p, "q": q}) for k, (p, q) in pairs)
+        _emit(itertools.chain(['{"convergents":['], pieces, [f'],"input":{json.dumps(label)}}}\n']), args.out, end="")
+    else:
+        _emit((f"k={k} {_dec(p)}/{_dec(q)}" for k, (p, q) in pairs), args.out)
+    return 0  # either way one convergent is alive at a time: the digits of the k-th grow with k
 
 
 def cmd_verify(args) -> int:

@@ -12,13 +12,17 @@ The interior is a palindrome and every M(a) is symmetric, so P = H*H^T
 (even interior) or H*M(centre)*H^T (odd interior) with H = M(a_1)..M(a_h)
 over the first half only. H is built by binary splitting, a balanced
 product tree whose big multiplications pair operands of equal size.
+So the half period a_1 .. a_{l//2} and the parity of l are all the
+product needs: without an expansion, pell_solutions takes them from a
+trail-free expansion that stops at the centre of the period; with one,
+it checks the palindrome and slices its period.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .engine import Expansion, expand_sqrt
+from .engine import Expansion, _to_centre
 from .surd import isqrt
 
 __all__ = ["convergents", "pell_fundamental", "pell_negative", "pell_solutions"]
@@ -62,41 +66,45 @@ def _matrix_product(quotients: Sequence[int], lo: int, hi: int) -> _Matrix:
 
 
 def pell_solutions(
-    N: int, e: Optional[Expansion] = None
+    N: int, e: Optional[Expansion] = None, max_steps: Optional[int] = None
 ) -> tuple[tuple[int, int], Optional[tuple[int, int]]]:
     """Fundamental solution of x^2 - N*y^2 = 1, and of x^2 - N*y^2 = -1 or None.
 
-    e is expand_sqrt(N) when the caller already has it; otherwise N is
-    expanded here. Only the first half of the period's interior is
-    multiplied out (see the module docstring). For an odd period the
-    half-period convergent (p, q) solves the -1 equation and
+    e is expand_sqrt(N) when the caller already has it, and its period
+    must be palindromic. Otherwise N is expanded here only up to the
+    centre of its period, within max_steps steps to the centre (None
+    means the default budget). Only the first half of the period's
+    interior is multiplied out (see the module docstring). For an odd
+    period the half-period convergent (p, q) solves the -1 equation and
     (p^2 + N*q^2, 2*p*q) is the fundamental solution; for an even one
     (p, q) is the fundamental solution and there is no -1 solution. Both
     equations are verified by direct multiplication before returning.
     """
-    if e is None:
-        e = expand_sqrt(N)
-    if e.terminated:
-        raise ValueError("N must not be a perfect square")
     m = isqrt(N)
-    if e.radicand != N or e.preperiod != (m,):
-        raise ValueError(f"expansion does not belong to sqrt({N})")
-    period = e.period
-    l = len(period)
-    interior = period[:-1]
-    if interior != interior[::-1] or period[-1] != 2 * m:
-        raise AssertionError(f"period of sqrt({N}) is not palindromic")
+    if e is None:
+        half, odd = _to_centre(N, max_steps)
+    else:
+        if e.terminated:
+            raise ValueError("N must not be a perfect square")
+        if e.radicand != N or e.preperiod != (m,):
+            raise ValueError(f"expansion does not belong to sqrt({N})")
+        period = e.period
+        l = len(period)
+        interior = period[:-1]
+        if interior != interior[::-1] or period[-1] != 2 * m:
+            raise AssertionError(f"period of sqrt({N}) is not palindromic")
+        half, odd = period[: l // 2], l % 2 == 1
 
-    h = (l - 1) // 2
-    a, b, c, d = _matrix_product(interior, 0, h)
-    if l % 2:  # even interior: P = H*H^T
+    if odd:  # even interior a_1 .. a_{2h}: P = H*H^T
+        a, b, c, d = _matrix_product(half, 0, len(half))
         p00, p10 = a * a + b * b, a * c + b * d
-    else:  # odd interior: P = H*M(centre)*H^T
-        centre = interior[h]
+    else:  # odd interior: P = H*M(centre)*H^T, the centre closing the half
+        a, b, c, d = _matrix_product(half, 0, len(half) - 1)
+        centre = half[-1]
         p00, p10 = a * (a * centre + 2 * b), (c * centre + d) * a + c * b
     p, q = m * p00 + p10, p00
 
-    if l % 2 == 0:
+    if not odd:
         if p * p - N * q * q != 1:
             raise AssertionError(f"period-end convergent of sqrt({N}) does not solve Pell")
         return (p, q), None

@@ -17,7 +17,9 @@ preperiod and its recurrence closes the period (the Logos criterion), so
 no set of earlier states is kept. For sqrt(N) that state is
 x_1 = (m + sqrt(N))/(N - m^2). Reduced states lie in the box
 1 <= p <= r, r - p < q <= r + p of r(r+1) pairs, so every period is
-shorter than pigeonhole_bound(d) = r(r+1) + 1.
+shorter than pigeonhole_bound(d) = r(r+1) + 1. For Pell alone, which
+needs only the first half of the period, _to_centre runs the same
+recurrence on sqrt(N) without a trail and stops at the period's centre.
 """
 
 from __future__ import annotations
@@ -169,29 +171,11 @@ def expand_surd(s: QuadraticSurd, max_steps: Optional[int] = None) -> Expansion:
 
 
 def _anthyphairesis(p: int, d: int, q: int, max_steps: Optional[int]) -> Expansion:
-    """The one recurrence, on the normalized (p + sqrt(d))/q.
-
-    The default budget (max_steps None) is a preperiod term plus a period
-    term, |q|.bit_length() + 2 + pigeonhole_bound(d), which provably
-    suffices. Preperiod: with convergents P_k/Q_k of x,
-    conj(x_k) = -(Q_{k-2}*conj(x) - P_{k-2})/(Q_{k-1}*conj(x) - P_{k-1}).
-    For k >= 2, x lies between these convergents, 1/(Q_{k-2}*Q_{k-1})
-    apart, and x - conj(x) = 2*sqrt(d)/q; once Q_{k-2}*Q_{k-1} >
-    |q|/(2*sqrt(d)), conj(x) lies outside them, so conj(x_k) < 0 and
-    x_{k+1} = 1/(x_k - a_k) is reduced.
-    Q_{k-2}*Q_{k-1} >= 2^(k-2) (Fibonacci growth), so k = |q|.bit_length()
-    + 1 suffices. Period: fewer steps than pigeonhole_bound(d).
-    Whatever the budget, the steps must also fit in memory (see
-    ResourceLimitExceeded).
-    """
+    """The one recurrence, on the normalized (p + sqrt(d))/q, within _budget(q, d, max_steps)."""
     r = isqrt(d)
     if r * r == d:  # rational: Euclid on (p + r)/q
         return _expand_rational(p + r, q)
-    if max_steps is None:
-        max_steps = abs(q).bit_length() + 2 + pigeonhole_bound(d)
-    limit = _memory_steps(_TRAIL_STEP_BYTES)
-    if max_steps < limit:  # not min(): a sweep makes thousands of short calls
-        limit = max_steps
+    max_steps, limit = _budget(q, d, max_steps, _TRAIL_STEP_BYTES)
 
     quots: list[int] = []
     trail = [p, q]
@@ -203,10 +187,7 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: Optional[int]) -> Expansi
         elif p == pj and q == qj:
             break
         if len(quots) > limit:
-            start = QuadraticSurd(trail[0], d, trail[1])
-            if limit == max_steps:
-                raise StepLimitExceeded(f"{start}: no state repeated within {max_steps} steps", quots)
-            raise ResourceLimitExceeded(f"{start}: no state repeated within {limit} steps, all that fit in memory")
+            raise _exhausted(QuadraticSurd(trail[0], d, trail[1]), "no state repeated", max_steps, limit, quots)
         a = (p + r) // q if q > 0 else (p + r + 1) // q
         p = a * q - p
         q, rem = divmod(d - p * p, q)
@@ -224,6 +205,74 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: Optional[int]) -> Expansi
         radicand=d,
         trail=tuple(trail),
     )
+
+
+def _budget(q: int, d: int, max_steps: Optional[int], bytes_per_step: int) -> tuple[int, int]:
+    """The step budget of an expansion of (p + sqrt(d))/q, and the steps it may take.
+
+    The default budget (max_steps None) is a preperiod term plus a period
+    term, |q|.bit_length() + 2 + pigeonhole_bound(d), which provably
+    suffices. Preperiod: with convergents P_k/Q_k of x,
+    conj(x_k) = -(Q_{k-2}*conj(x) - P_{k-2})/(Q_{k-1}*conj(x) - P_{k-1}).
+    For k >= 2, x lies between these convergents, 1/(Q_{k-2}*Q_{k-1})
+    apart, and x - conj(x) = 2*sqrt(d)/q; once Q_{k-2}*Q_{k-1} >
+    |q|/(2*sqrt(d)), conj(x) lies outside them, so conj(x_k) < 0 and
+    x_{k+1} = 1/(x_k - a_k) is reduced.
+    Q_{k-2}*Q_{k-1} >= 2^(k-2) (Fibonacci growth), so k = |q|.bit_length()
+    + 1 suffices. Period: fewer steps than pigeonhole_bound(d).
+    Whatever the budget, the steps, at bytes_per_step each, must also fit
+    in memory (see ResourceLimitExceeded); the second value is the budget
+    capped that way.
+    """
+    if max_steps is None:
+        max_steps = abs(q).bit_length() + 2 + pigeonhole_bound(d)
+    limit = _memory_steps(bytes_per_step)
+    if max_steps < limit:  # not min(): a sweep makes thousands of short calls
+        limit = max_steps
+    return max_steps, limit
+
+
+def _exhausted(start: QuadraticSurd, goal: str, max_steps: int, limit: int, quots: Sequence[int]) -> RuntimeError:
+    """The error for an expansion of start that ran out of its limit of steps before goal."""
+    if limit == max_steps:
+        return StepLimitExceeded(f"{start}: {goal} within {max_steps} steps", quots)
+    return ResourceLimitExceeded(f"{start}: {goal} within {limit} steps, all that fit in memory")
+
+
+def _to_centre(N: int, max_steps: Optional[int] = None) -> tuple[tuple[int, ...], bool]:
+    """The first half of the period of sqrt(N), and whether the period is odd.
+
+    Returns (period[:l // 2], l % 2 == 1) for the period of length l,
+    without keeping a trail. The recurrence starts at the reduced
+    x_1 = (m + sqrt(N))/(N - m^2), emits a_1, a_2, ... and stops at the
+    reflection centre, where the states x_k and x_{k+1} mirror each
+    other: q_{k+1} == q_k means l = 2k + 1 (l = 1 when q_1 == q_0 == 1),
+    p_{k+1} == p_k means l = 2k. Neither happens earlier in the period.
+    max_steps is expand_sqrt's budget, counted in steps to the centre:
+    expand_sqrt(N) needs l steps, this loop l // 2. Each of them stands
+    for two steps of the period the caller multiplies out, so it is
+    charged the memory of two trail steps, and the memory cap fires at
+    the period length where expand_sqrt's would.
+    """
+    m = isqrt(N)
+    if m * m == N:
+        raise ValueError("N must not be a perfect square")
+    max_steps, limit = _budget(1, N, max_steps, 2 * _TRAIL_STEP_BYTES)
+    p, q, q_prev = m, N - m * m, 1
+    quots: list[int] = []
+    while q != q_prev:
+        if len(quots) >= limit:
+            raise _exhausted(QuadraticSurd(0, N, 1), "centre of the period not reached", max_steps, limit, (m, *quots))
+        a = (p + m) // q
+        quots.append(a)
+        p_next = a * q - p
+        q_next, rem = divmod(N - p_next * p_next, q)
+        if rem:
+            raise AssertionError(f"lost divisibility at step {len(quots) + 1} of sqrt({N})")
+        if p_next == p:
+            return tuple(quots), False
+        p, q, q_prev = p_next, q_next, q
+    return tuple(quots), True
 
 
 def _expand_rational(num: int, den: int) -> Expansion:

@@ -214,6 +214,29 @@ def test_approx_command(capsys):
     ]
 
 
+def test_approx_json_is_the_canonical_record(capsys, tmp_path):
+    for spec in ("19", "sqrt(7/3)", "16"):
+        code, out, _ = run(capsys, "approx", spec, "--steps", "30", "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert out == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        target = tmp_path / "approx.json"
+        assert main(["approx", spec, "--steps", "30", "--format", "json", "--out", str(target)]) == 0
+        assert target.read_text(encoding="utf-8") == out
+    assert [c["index"] for c in record["convergents"]] == ["0"]  # sqrt(16) = 4 has one convergent
+    assert record["input"] == "sqrt(16)"
+
+
+@pytest.mark.parametrize("spec", ["+19", "019", " 19 ", "+0019"])
+def test_integer_spec_is_labelled_by_its_value(capsys, spec):
+    code, out, _ = run(capsys, "expand", spec)
+    assert (code, out) == (0, "sqrt(19) = [4; (2,1,3,1,2,8)] palindromic=yes\n")
+    code, out, _ = run(capsys, "expand", spec, "--format", "csv")
+    assert out.splitlines()[1].startswith("sqrt(19),4,6,")
+    code, out, _ = run(capsys, "approx", spec, "--steps", "2", "--format", "json")
+    assert json.loads(out)["input"] == "sqrt(19)"
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "54")
     assert code == 0
@@ -355,19 +378,28 @@ def test_pell_over_4300_digits_renders(capsys, low_int_str_limit):
     ],
 )
 def test_pell_commands_expand_each_n_once(capsys, monkeypatch, argv, expansions):
+    # expansions counts full expansions and expansions to the centre of the period alike
     from anthyphairesis import engine
 
-    calls = []
+    full, centre = [], []
 
-    def counting(n, *rest):
-        calls.append(n)
-        return engine.expand_sqrt(n, *rest)
+    def counting(calls, expand):
+        def wrapped(n, *rest):
+            calls.append(n)
+            return expand(n, *rest)
 
-    monkeypatch.setattr(cli, "expand_sqrt", counting)
-    monkeypatch.setattr(sys.modules["anthyphairesis.convergents"], "expand_sqrt", counting)
+        return wrapped
+
+    monkeypatch.setattr(cli, "expand_sqrt", counting(full, engine.expand_sqrt))
+    monkeypatch.setattr(sys.modules["anthyphairesis.convergents"], "_to_centre", counting(centre, engine._to_centre))
     code, _, _ = run(capsys, *argv)
     assert code == 0
+    calls = full + centre
     assert len(calls) == expansions == len(set(calls))
+    if argv[0] == "pell":  # pell alone stops at the centre
+        assert (full, centre) == ([], [61])
+    else:
+        assert centre == []
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -387,6 +419,27 @@ def test_anth_max_steps_reaches_every_expanding_command(capsys, monkeypatch, arg
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err.count("\n") == 1 and err.startswith("error: step limit exhausted")
+
+
+@pytest.mark.parametrize("n, period", [(54, 6), (13, 5), (46, 12)])
+def test_pell_step_budget_counts_steps_to_the_centre(capsys, monkeypatch, n, period):
+    # pell expands only to the centre of the period and needs period // 2 steps;
+    # expand --pell runs and checks the whole period and needs all of them
+    for steps in range(period // 2 + 1, period):
+        monkeypatch.setenv("ANTH_MAX_STEPS", str(steps))
+        code, out, err = run(capsys, "pell", str(n))
+        assert (code, err) == (0, "")
+        assert out.startswith(f"pell({n}): x=")
+        code, out, err = run(capsys, "expand", str(n), "--pell")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and err.startswith("error: step limit exhausted: ")
+    monkeypatch.setenv("ANTH_MAX_STEPS", str(period // 2))
+    assert run(capsys, "pell", str(n))[0] == 0
+    monkeypatch.setenv("ANTH_MAX_STEPS", str(period // 2 - 1))
+    code, _, err = run(capsys, "pell", str(n))
+    assert code == 3 and err.startswith("error: step limit exhausted: sqrt")
+    monkeypatch.setenv("ANTH_MAX_STEPS", str(period))
+    assert run(capsys, "expand", str(n), "--pell")[0] == 0
 
 
 def test_trace_step_budget_exit_code(capsys):
@@ -543,6 +596,20 @@ def test_approx_keeps_one_convergent_at_a_time():
     tracemalloc.start()
     try:
         code = main(["approx", "19", "--steps", "5000", "--out", os.devnull])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2_000_000
+
+
+def test_approx_json_keeps_one_convergent_at_a_time():
+    # the JSON record is written piece by piece: all 5,000 convergents at once peak near 42 MB, one at a time near 0.3 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(["approx", "19", "--steps", "5000", "--format", "json", "--out", os.devnull])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,9 +1,11 @@
 """convergents: three-term recurrence, quality identity, Pell solutions."""
 
 import math
+import sys
 
 import pytest
 
+from anthyphairesis import engine
 from anthyphairesis.convergents import convergents, pell_fundamental, pell_negative, pell_solutions
 from anthyphairesis.engine import expand_sqrt, expand_surd
 from anthyphairesis.surd import QuadraticSurd, is_perfect_square
@@ -99,7 +101,8 @@ LONG_PERIOD_N = (1000003, 10000019, 92590649, 150008437)
 
 
 def test_pell_solutions_match_convergent_recurrence():
-    # the half-period product tree against the full three-term recurrence
+    # the half-period product tree, from the centre stop and from the full expansion,
+    # against the full three-term recurrence
     for n in range(2, 3001):
         if is_perfect_square(n):
             continue
@@ -108,6 +111,7 @@ def test_pell_solutions_match_convergent_recurrence():
         index = l - 1 if l % 2 == 0 else 2 * l - 1
         full = list(convergents(e, index + 1))
         fundamental, negative = pell_solutions(n, e)
+        assert pell_solutions(n) == (fundamental, negative), n
         assert fundamental == full[index], n
         if l % 2:
             assert negative == full[l - 1], n
@@ -129,12 +133,37 @@ def test_pell_solutions_rejects_radicand_with_same_integer_part():
         pell_solutions(20, expand_sqrt(19))
 
 
-def test_pell_against_sympy_diop_dn():
+def _spy_on_centre_stop(monkeypatch) -> list[tuple[int, int]]:
+    """The N of every expansion to the centre that pell_solutions makes from now on, with their half lengths."""
+    calls = []
+
+    def spy(n, *rest):
+        half, odd = engine._to_centre(n, *rest)
+        calls.append((n, len(half)))
+        return half, odd
+
+    monkeypatch.setattr(sys.modules["anthyphairesis.convergents"], "_to_centre", spy)
+    return calls
+
+
+def test_pell_against_sympy_diop_dn(monkeypatch):
     pytest.importorskip("sympy")
     from sympy.solvers.diophantine.diophantine import diop_DN
 
-    for n in [n for n in range(2, 501) if not is_perfect_square(n)] + list(LONG_PERIOD_N):
-        fundamental, negative = pell_solutions(n)
+    centre_stops = _spy_on_centre_stop(monkeypatch)
+    ns = [n for n in range(2, 501) if not is_perfect_square(n)] + list(LONG_PERIOD_N)
+    for n in ns:
+        fundamental, negative = pell_solutions(n)  # no expansion given: the centre stop runs
         assert [fundamental] == [tuple(map(int, s)) for s in diop_DN(n, 1)], n
         expected_negative = [tuple(map(int, s)) for s in diop_DN(n, -1)]
         assert ([] if negative is None else [negative]) == expected_negative, n
+    assert [n for n, _ in centre_stops] == ns
+
+
+def test_pell_of_a_long_period_expands_half_of_it(monkeypatch):
+    n = 10**13 + 3
+    e = expand_sqrt(n)
+    assert len(e.period) == 171_126
+    centre_stops = _spy_on_centre_stop(monkeypatch)
+    assert pell_solutions(n) == pell_solutions(n, e)
+    assert centre_stops == [(n, 171_126 // 2)]

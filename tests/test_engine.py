@@ -9,6 +9,7 @@ import pytest
 
 from anthyphairesis.engine import (
     StepLimitExceeded,
+    _to_centre,
     expand_sqrt,
     expand_surd,
     increment_factors,
@@ -352,3 +353,13 @@ def test_resource_limit_exceeded_survives_pickling():
     exc = pickle.loads(pickle.dumps(ResourceLimitExceeded("sqrt(46): 10 steps fill this process's memory")))
     assert type(exc) is ResourceLimitExceeded
     assert str(exc) == "sqrt(46): 10 steps fill this process's memory"
+
+
+def test_centre_stop_gives_the_first_half_of_every_period_below_1e5():
+    # trail-free expansion to the centre against the full period, parity included
+    for n in range(2, 100_000):
+        e = expand_sqrt(n)
+        if e.terminated:
+            continue
+        l = len(e.period)
+        assert _to_centre(n) == (e.period[: l // 2], l % 2 == 1), n
