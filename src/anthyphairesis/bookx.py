@@ -17,13 +17,11 @@ ratio takes as its first argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Optional
 
-from .surd import is_square_fraction
+from .surd import is_perfect_square
 
 __all__ = [
     "TraceStep",
@@ -46,13 +44,22 @@ BETA_SQUARED: Triple = (0, 1, 1)  # the area beta^2
 
 @lru_cache(maxsize=256)
 def basis(ratio: Fraction | int) -> Basis:
-    """The basis of alpha^2 = ratio*beta^2, once ratio is checked positive and not a rational square."""
-    r = Fraction(ratio)
-    if r <= 0:
+    """The basis of alpha^2 = ratio*beta^2, once ratio is checked positive and not a rational square.
+
+    fractions is imported only for a ratio that is not an int: its import
+    (with decimal) would cost every command's start-up.
+    """
+    if isinstance(ratio, int):
+        p, q = ratio, 1
+    else:
+        from fractions import Fraction
+
+        p, q = Fraction(ratio).as_integer_ratio()
+    if p <= 0:
         raise ValueError("radicand ratio must be positive")
-    if is_square_fraction(r):
+    if is_perfect_square(p) and is_perfect_square(q):
         raise ValueError("radicand ratio is a rational square; the line is rational")
-    return r.numerator, r.denominator
+    return p, q
 
 
 def _reduced(a: int, b: int, den: int) -> Triple:
@@ -148,24 +155,19 @@ def logos_cross_check(basis: Basis, a1: Triple, a2: Triple, b1: Triple, b2: Trip
     return line_mul(basis, a1, b2) == line_mul(basis, a2, b1)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(namedtuple("TraceStep", "index lam mu phi phi_conjugate product_constant psi quotient next_phi repeats_index")):
     """One division step of the symbolic expansion of sqrt(N); each line is a reduced triple.
 
-    The closing step (where phi repeats an earlier one) carries only the
-    factor itself plus repeats_index; the remaining fields are None.
+    index, lam, mu and the line phi = (alpha - mu*beta)/lam. Then its
+    conjugate phi*, the int product_constant with
+    lam*phi*phi* = product_constant*beta^2, the inverse psi, the int
+    quotient and the line next_phi. The closing step (where phi repeats
+    an earlier one) carries only the factor itself plus the int
+    repeats_index; the remaining fields are None. An immutable named
+    tuple.
     """
 
-    index: int
-    lam: int
-    mu: int
-    phi: Triple
-    phi_conjugate: Optional[Triple]
-    product_constant: Optional[int]  # lam*phi*phi_conjugate = product_constant*beta^2
-    psi: Optional[Triple]
-    quotient: Optional[int]
-    next_phi: Optional[Triple]
-    repeats_index: Optional[int]
+    __slots__ = ()
 
 
 # Peak bytes one trace step costs: its TraceStep, line triples and rendered text

@@ -23,7 +23,7 @@ import json
 import os
 import re
 import sys
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .bookx import euler_trace, render_trace
 from .convergents import convergents, pell_solutions
@@ -95,7 +95,7 @@ def _canonical_input(s: QuadraticSurd, original: str) -> str:
     return compact
 
 
-def _step_limit(steps: Optional[int] = None) -> Optional[int]:
+def _step_limit(steps: int | None = None) -> int | None:
     """The budget from --steps if given, else from ANTH_MAX_STEPS if set, else None (the default)."""
     if steps is None:
         env = os.environ.get("ANTH_MAX_STEPS")
@@ -121,7 +121,7 @@ def _cannot_write(out: str, exc: OSError) -> InputError:
     return InputError(f"cannot write {out}: {exc.strerror}")
 
 
-def _emit(lines: Iterable[str], out: Optional[str], end: str = "\n") -> None:
+def _emit(lines: Iterable[str], out: str | None, end: str = "\n") -> None:
     """Write each line and end as it comes, to FILE or to sys.stdout as it is at the call.
 
     FILE failing to open, to take a line or to close is an InputError; an
@@ -248,7 +248,7 @@ def _is_sqrt_int(s: QuadraticSurd) -> bool:
     return s.p == 0 and s.q == 1
 
 
-def _expand(target: QuadraticSurd, limit: Optional[int]) -> Expansion:
+def _expand(target: QuadraticSurd, limit: int | None) -> Expansion:
     if not _is_sqrt_int(target):
         return expand_surd(target, limit)
     if target.d == 0:
@@ -333,7 +333,7 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _sweep_record(task: tuple[int, bool, bool, Optional[int]]) -> Optional[dict]:
+def _sweep_record(task: tuple[int, bool, bool, int | None]) -> dict | None:
     n, want_pell, want_negative, limit = task
     m = isqrt(n)
     if m * m == n:

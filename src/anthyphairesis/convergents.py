@@ -20,7 +20,7 @@ it checks the palindrome and slices its period.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from .engine import Expansion, _to_centre
 from .surd import isqrt
@@ -66,8 +66,8 @@ def _matrix_product(quotients: Sequence[int], lo: int, hi: int) -> _Matrix:
 
 
 def pell_solutions(
-    N: int, e: Optional[Expansion] = None, max_steps: Optional[int] = None
-) -> tuple[tuple[int, int], Optional[tuple[int, int]]]:
+    N: int, e: Expansion | None = None, max_steps: int | None = None
+) -> tuple[tuple[int, int], tuple[int, int] | None]:
     """Fundamental solution of x^2 - N*y^2 = 1, and of x^2 - N*y^2 = -1 or None.
 
     e is expand_sqrt(N) when the caller already has it, and its period

@@ -28,9 +28,9 @@ import functools
 import itertools
 import os
 import resource
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from math import isqrt
-from typing import Optional, Sequence
 
 from .bookx import BETA_SQUARED, Triple, _add, basis, line_mul, sign_of
 from .surd import QuadraticSurd, normalize
@@ -76,6 +76,13 @@ class ResourceLimitExceeded(RuntimeError):
 # slots and the rendered quotient come to about 460 (sqrt(10^10+3), tracemalloc).
 _TRAIL_STEP_BYTES = 1024
 
+# Peak bytes one step to the centre of the period costs pell_solutions: its
+# quotient list and their tuple come to 16.5 (sqrt(10^13+3), an even period),
+# and with the half-period product and its checks to 24.2 (sqrt(10^12+61), an
+# odd period, whose x*x is the largest int), tracemalloc. Charged about twice
+# that, the margin _TRAIL_STEP_BYTES keeps.
+_CENTRE_STEP_BYTES = 48
+
 
 @functools.cache
 def _memory_steps(bytes_per_step: int) -> int:
@@ -89,8 +96,7 @@ def _memory_steps(bytes_per_step: int) -> int:
     return memory // bytes_per_step
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(namedtuple("Expansion", "preperiod period terminated radicand trail", defaults=(0, ()))):
     """Quotients of one expansion: preperiod, period, and the state trail.
 
     terminated is True for rational inputs (finite quotient list in
@@ -101,14 +107,11 @@ class Expansion:
     sqrt(N) (p_0 = 0, q_0 = 1), mus and lams view that trail as the
     increment-factor states (mu_k, lam_k) = (p_k, q_{k-1}) of
     phi_1 .. phi_{l+1}, the last one repeating the first; for other
-    surds they are empty.
+    surds they are empty. preperiod, period and trail are tuples of ints;
+    radicand is 0 for a rational input. An immutable named tuple.
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-    terminated: bool
-    radicand: int = 0
-    trail: tuple[int, ...] = ()
+    __slots__ = ()
 
     @property
     def quotients(self) -> tuple[int, ...]:
@@ -146,7 +149,7 @@ def pigeonhole_bound(N: int) -> int:
     return m * (m + 1) + 1
 
 
-def expand_sqrt(N: int, max_steps: Optional[int] = None) -> Expansion:
+def expand_sqrt(N: int, max_steps: int | None = None) -> Expansion:
     """Expansion of sqrt(N) for a positive integer N.
 
     Perfect squares terminate with the single quotient isqrt(N).
@@ -158,7 +161,7 @@ def expand_sqrt(N: int, max_steps: Optional[int] = None) -> Expansion:
     return _anthyphairesis(0, N, 1, max_steps)
 
 
-def expand_surd(s: QuadraticSurd, max_steps: Optional[int] = None) -> Expansion:
+def expand_surd(s: QuadraticSurd, max_steps: int | None = None) -> Expansion:
     """Eventually periodic expansion of an arbitrary quadratic surd.
 
     Rational inputs give a finite terminated expansion. Otherwise the
@@ -170,7 +173,7 @@ def expand_surd(s: QuadraticSurd, max_steps: Optional[int] = None) -> Expansion:
     return _anthyphairesis(s.p, s.d, s.q, max_steps)
 
 
-def _anthyphairesis(p: int, d: int, q: int, max_steps: Optional[int]) -> Expansion:
+def _anthyphairesis(p: int, d: int, q: int, max_steps: int | None) -> Expansion:
     """The one recurrence, on the normalized (p + sqrt(d))/q, within _budget(q, d, max_steps)."""
     r = isqrt(d)
     if r * r == d:  # rational: Euclid on (p + r)/q
@@ -207,7 +210,7 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: Optional[int]) -> Expansi
     )
 
 
-def _budget(q: int, d: int, max_steps: Optional[int], bytes_per_step: int) -> tuple[int, int]:
+def _budget(q: int, d: int, max_steps: int | None, bytes_per_step: int) -> tuple[int, int]:
     """The step budget of an expansion of (p + sqrt(d))/q, and the steps it may take.
 
     The default budget (max_steps None) is a preperiod term plus a period
@@ -239,7 +242,7 @@ def _exhausted(start: QuadraticSurd, goal: str, max_steps: int, limit: int, quot
     return ResourceLimitExceeded(f"{start}: {goal} within {limit} steps, all that fit in memory")
 
 
-def _to_centre(N: int, max_steps: Optional[int] = None) -> tuple[tuple[int, ...], bool]:
+def _to_centre(N: int, max_steps: int | None = None) -> tuple[tuple[int, ...], bool]:
     """The first half of the period of sqrt(N), and whether the period is odd.
 
     Returns (period[:l // 2], l % 2 == 1) for the period of length l,
@@ -249,15 +252,14 @@ def _to_centre(N: int, max_steps: Optional[int] = None) -> tuple[tuple[int, ...]
     other: q_{k+1} == q_k means l = 2k + 1 (l = 1 when q_1 == q_0 == 1),
     p_{k+1} == p_k means l = 2k. Neither happens earlier in the period.
     max_steps is expand_sqrt's budget, counted in steps to the centre:
-    expand_sqrt(N) needs l steps, this loop l // 2. Each of them stands
-    for two steps of the period the caller multiplies out, so it is
-    charged the memory of two trail steps, and the memory cap fires at
-    the period length where expand_sqrt's would.
+    expand_sqrt(N) needs l steps, this loop l // 2. Each of them is
+    charged the memory that it and the caller's half-period product hold,
+    _CENTRE_STEP_BYTES, far less than a trail step.
     """
     m = isqrt(N)
     if m * m == N:
         raise ValueError("N must not be a perfect square")
-    max_steps, limit = _budget(1, N, max_steps, 2 * _TRAIL_STEP_BYTES)
+    max_steps, limit = _budget(1, N, max_steps, _CENTRE_STEP_BYTES)
     p, q, q_prev = m, N - m * m, 1
     quots: list[int] = []
     while q != q_prev:

@@ -8,7 +8,7 @@ nothing here may share stepping code with the engine.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .surd import QuadraticSurd, floor_surd, isqrt, normalize
 

@@ -14,8 +14,8 @@ disagree, which is a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .bookx import BETA_SQUARED, _add, basis, conjugate, line_mul
 from .engine import Expansion, increment_factors
@@ -31,18 +31,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PalindromeReport:
-    holds: bool
-    case: Optional[str]  # "I" or "II" when the reflection machinery ran
-    center_index: Optional[int]
+class PalindromeReport(namedtuple("PalindromeReport", "holds case center_index")):
+    """holds: bool; case: "I" or "II" and center_index: int when the reflection machinery ran, else None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PeriodStats:
-    period_length: int
-    distinct_logoi: int
-    platonic_number: int
+class PeriodStats(namedtuple("PeriodStats", "period_length distinct_logoi platonic_number")):
+    """Three ints: the period's length, its distinct states, and their count + 1."""
+
+    __slots__ = ()
 
 
 class ReflectionNotFound(RuntimeError):
@@ -55,38 +53,40 @@ class ReflectionNotFound(RuntimeError):
 
 
 def find_reflection(
-    phi_keys: Sequence[tuple[int, int]], omega_keys: Sequence[tuple[int, int]]
+    phi_keys: Iterable[tuple[int, int]], omega_keys: Iterable[tuple[int, int]]
 ) -> tuple[str, int]:
     """First coincidence in the interleaving phi_1, omega_1, phi_2, omega_2, ...
 
     phi_keys are the pairs (mu_n, lam_n) of increment_factors and
-    omega_keys the pairs (mu_n, lam_{n+1}) of omega_sequence. Returns
-    ("I", k) when phi_k is the first repeated element (it must equal
-    omega_{k-1}) or ("II", k) when omega_k is (it must equal phi_k). Any
-    other shape of coincidence, or no coincidence at all, raises
-    ReflectionNotFound.
+    omega_keys the pairs (mu_n, lam_{n+1}) of omega_sequence, as any
+    iterables (lists, or one-shot iterators such as zip objects); each is
+    read only up to the first coincidence. Returns ("I", k) when phi_k is
+    the first repeated element (it must equal omega_{k-1}) or ("II", k)
+    when omega_k is (it must equal phi_k). Any other shape of
+    coincidence, or no coincidence at all, raises ReflectionNotFound.
     """
-    seen: dict[tuple[int, int], tuple[str, int]] = {}
-    for n in range(1, len(phi_keys) + 1):
-        key = phi_keys[n - 1]
-        if key in seen:
-            if n >= 2 and key == omega_keys[n - 2]:
+    seen: dict[tuple[int, int], int] = {}  # phi_n at n, omega_n at -n
+    omegas = iter(omega_keys)
+    omega = None  # omega_{n-1}
+    for n, phi in enumerate(phi_keys, 1):
+        if phi in seen:
+            if phi == omega:
                 return ("I", n)
-            raise ReflectionNotFound(
-                "phi_{} repeats {}_{} instead of omega_{}".format(n, *seen[key], n - 1)
-            )
-        seen[key] = ("phi", n)
-        if n - 1 >= len(omega_keys):
+            raise ReflectionNotFound(f"phi_{n} repeats {_name(seen[phi])} instead of omega_{n - 1}")
+        seen[phi] = n
+        omega = next(omegas, None)
+        if omega is None:
             break
-        key = omega_keys[n - 1]
-        if key in seen:
-            if key == phi_keys[n - 1]:
+        if omega in seen:
+            if omega == phi:
                 return ("II", n)
-            raise ReflectionNotFound(
-                "omega_{} repeats {}_{} instead of phi_{}".format(n, *seen[key], n)
-            )
-        seen[key] = ("omega", n)
+            raise ReflectionNotFound(f"omega_{n} repeats {_name(seen[omega])} instead of phi_{n}")
+        seen[omega] = -n
     raise ReflectionNotFound("no coincidence found within the supplied sequences")
+
+
+def _name(position: int) -> str:
+    return f"phi_{position}" if position > 0 else f"omega_{-position}"
 
 
 def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
@@ -139,16 +139,16 @@ def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     interior = period[:-1]
     holds = interior == interior[::-1] and period[-1] == 2 * m
 
-    case: Optional[str] = None
-    center: Optional[int] = None
-    mus, lams = e.mus, e.lams
-    if len(mus) >= 2:
-        case, center = find_reflection(list(zip(mus, lams)), list(zip(mus, lams[1:])))
+    case = center = None
+    trail = e.trail
+    if trail[:2] == (0, 1) and len(trail) >= 6:  # a sqrt(N) trail with two states (mu_k, lam_k) or more
+        mus = trail[2::2]
+        case, center = find_reflection(zip(mus, trail[1:-1:2]), zip(mus, trail[3:-1:2]))
         if holds and len(period) != 2 * center - (2 if case == "I" else 1):
             raise AssertionError(
                 "quotient-level and reflection-level palindrome verdicts disagree"
             )
-    return PalindromeReport(holds=holds, case=case, center_index=center)
+    return PalindromeReport(holds, case, center)
 
 
 def period_stats(e: Expansion) -> PeriodStats:
@@ -160,4 +160,4 @@ def period_stats(e: Expansion) -> PeriodStats:
     l = len(e.period)
     lo, hi = 2 * len(e.preperiod), 2 * (len(e.preperiod) + l)  # x_j .. x_{j+l-1}, j = len(preperiod)
     distinct = len(set(zip(e.trail[lo:hi:2], e.trail[lo + 1 : hi : 2])))
-    return PeriodStats(period_length=l, distinct_logoi=distinct, platonic_number=distinct + 1)
+    return PeriodStats(l, distinct, distinct + 1)

@@ -1,14 +1,14 @@
 """Exact arithmetic for quadratic surds (p + sqrt(d)) / q.
 
-Everything is integer or Fraction arithmetic: no floats anywhere, so
-floors and square tests are exact for arbitrarily large operands.
+Everything is integer arithmetic, with no floats anywhere, so floors
+and square tests are exact for arbitrarily large operands; only
+rational_value, of a surd that turns out rational, builds a Fraction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 __all__ = [
     "QuadraticSurd",
@@ -37,13 +37,20 @@ def is_perfect_square(n: int) -> bool:
 
 
 def is_square_fraction(value: Fraction | int) -> bool:
-    """True iff value is the square of a rational."""
+    """True iff value is the square of a rational.
+
+    fractions is imported only for a value that is not an int, as in
+    bookx.basis: its import (with decimal) would cost every command's start-up.
+    """
+    if isinstance(value, int):
+        return is_perfect_square(value)
+    from fractions import Fraction
+
     f = Fraction(value)
     return f >= 0 and is_perfect_square(f.numerator) and is_perfect_square(f.denominator)
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
+class QuadraticSurd(namedtuple("QuadraticSurd", "p d q")):
     """The real number (p + sqrt(d)) / q with integer p, d >= 0, q != 0.
 
     The sign of q carries the sign of the irrational part: values whose
@@ -51,17 +58,23 @@ class QuadraticSurd:
     this representation. A surd is *normalized* when q divides d - p*p;
     that divisibility is what keeps the reciprocal-step of a continued
     fraction expansion inside the same radicand d.
+
+    An immutable named tuple (p, d, q), so it equals the plain tuple of
+    its fields; _replace and unpickling validate as construction does.
     """
 
-    p: int
-    d: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 0:
+    def __new__(cls, p: int, d: int, q: int) -> QuadraticSurd:
+        if d < 0:
             raise ValueError("radicand must be non-negative")
-        if self.q == 0:
+        if q == 0:
             raise ValueError("denominator must be non-zero")
+        return tuple.__new__(cls, (p, d, q))
+
+    @classmethod
+    def _make(cls, iterable) -> QuadraticSurd:  # used by _replace
+        return cls(*iterable)
 
     @classmethod
     def sqrt_of(cls, n: int) -> "QuadraticSurd":
@@ -85,6 +98,8 @@ class QuadraticSurd:
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("surd is irrational")
+        from fractions import Fraction
+
         return Fraction(self.p + isqrt(self.d), self.q)
 
     def __str__(self) -> str:

@@ -50,6 +50,15 @@ def test_basis_rejects_square_ratio():
         basis(Fraction(9, 4))
 
 
+def test_basis_of_an_int_and_of_a_fraction():
+    assert basis(7) == (7, 1)
+    assert basis(Fraction(7, 3)) == basis(Fraction(14, 6)) == (7, 3)
+    assert basis(Fraction(7, 1)) == (7, 1)
+    for bad in (0, -7, Fraction(-7, 3), 1, Fraction(1, 4)):
+        with pytest.raises(ValueError):
+            basis(bad)
+
+
 def test_conjugate():
     assert conjugate((1, -7, 1)) == (1, 7, 1)
     assert conjugate((0, 3, 1)) == (0, -3, 1)

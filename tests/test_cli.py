@@ -11,6 +11,7 @@ import pytest
 
 from anthyphairesis import cli
 from anthyphairesis.cli import main, parse_surd_spec, SurdSpecError
+from anthyphairesis.engine import expand_sqrt
 from anthyphairesis.surd import QuadraticSurd
 
 GOLDEN_54 = os.path.join(os.path.dirname(__file__), "..", "goldens", "trace54.txt")
@@ -549,7 +550,6 @@ def room_for_ten_trail_steps(monkeypatch):
     [
         ["expand", "46"],
         ["expand", "46", "--steps", "1000"],
-        ["pell", "46"],
         ["verify", "46"],
         ["verify", "19"],  # its 7 trail steps fit; its trace needs 7 steps of 4 KB
         ["trace", "46"],
@@ -573,6 +573,38 @@ def test_a_smaller_step_budget_still_fires_first(capsys, room_for_ten_trail_step
     code, _, err = run(capsys, "expand", "46", "--steps", "5")
     assert code == 3
     assert err.startswith("error: step limit exhausted: ")
+
+
+@pytest.mark.parametrize("n", [46, 54, 13, 61])  # periods 12, 6, 5 and 11
+def test_pell_memory_cap_charges_48_bytes_per_step_to_the_centre(capsys, monkeypatch, n):
+    # memory for s steps of 48 bytes lets pell take s steps to the centre: the
+    # l // 2 of a period of length l fit in 48 * (l // 2) bytes, and one byte less stops it
+    from anthyphairesis import engine
+
+    half = len(expand_sqrt(n).period) // 2
+    for memory in (48 * half, 48 * half - 1):
+        monkeypatch.setattr(engine, "_memory_steps", lambda bytes_per_step: memory // bytes_per_step)
+        code, out, err = run(capsys, "pell", str(n))
+        if memory == 48 * half:
+            assert (code, err) == (0, "") and out.startswith(f"pell({n}): x=")
+        else:
+            assert (code, out) == (3, "")
+            assert err == (
+                f"error: memory limit reached: sqrt({n}): centre of the period not reached"
+                f" within {half - 1} steps, all that fit in memory\n"
+            )
+
+
+def test_pell_memory_budget_fires_before_memory_runs_out():
+    # 128 MB holds 2,796,202 steps to the centre at 48 bytes each; sqrt(10^15+3) needs more than 4,100,000
+    start = time.perf_counter()
+    proc = _anth_in_child("pell", str(10**15 + 3), address_space=128 * 1024 * 1024)
+    assert time.perf_counter() - start < 30
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"error: memory limit reached: sqrt({10**15 + 3}): centre of the period not reached"
+        " within 2796202 steps, all that fit in memory\n"
+    )
 
 
 def test_verify_convergent_check_memory_is_linear_in_the_period(capsys):

@@ -84,14 +84,27 @@ def test_find_reflection_cases():
     assert (case, k) == ("II", 1)
 
 
-def test_find_reflection_diagnostic_on_garbage():
+@pytest.mark.parametrize("keys", [list, iter], ids=["lists", "one-shot iterators"])
+def test_find_reflection_diagnostic_on_garbage(keys):
     e = expand_sqrt(19)
     phis = increment_factors(e, 19)
     # omegas from a different radicand cannot close the reflection
     other = expand_sqrt(31)
     bad_omegas = tuple(zip(other.mus, other.lams))[: len(phis) - 1]
-    with pytest.raises(ReflectionNotFound):
-        find_reflection(phis[:2], bad_omegas[:1])
+    a, b, c, d = (1, 1), (2, 2), (3, 3), (4, 4)
+    cases = [
+        (phis[:2], bad_omegas[:1], "no coincidence found within the supplied sequences"),
+        ([a, b, a], [c, d], "phi_3 repeats phi_1 instead of omega_2"),
+        ([a, b, c], [c, d], "phi_3 repeats omega_1 instead of omega_2"),
+        ([a, b], [c, a], "omega_2 repeats phi_1 instead of phi_2"),
+        ([a, b], [c, c], "omega_2 repeats omega_1 instead of phi_2"),
+        ([a, b, c], [d], "no coincidence found within the supplied sequences"),
+        ([], [], "no coincidence found within the supplied sequences"),
+    ]
+    for phi_keys, omega_keys, message in cases:
+        with pytest.raises(ReflectionNotFound) as exc:
+            find_reflection(keys(phi_keys), keys(omega_keys))
+        assert str(exc.value) == message
 
 
 def test_reflection_pairing_and_quotient_equalities():
@@ -155,8 +168,6 @@ def test_tampered_state_fails_both_symbolic_checks(n):
     # the increment factors (ValueError) and by omega_sequence; there the
     # omega identities run first (AssertionError), and only the closing
     # mu_{l+1}, which no omega reads, falls to the increment factors
-    from dataclasses import replace
-
     e = expand_sqrt(n)
     closing_mu = len(e.trail) - 2
     for i in range(3, closing_mu + 1):  # trail[1], trail[2] are lam_1, mu_1; the last q is not viewed
@@ -165,7 +176,7 @@ def test_tampered_state_fails_both_symbolic_checks(n):
             trail[i] += delta
             if trail[i] <= 0:
                 continue
-            tampered = replace(e, trail=tuple(trail))
+            tampered = e._replace(trail=tuple(trail))
             with pytest.raises(ValueError):
                 increment_factors(tampered, n)
             with pytest.raises(ValueError if i == closing_mu else AssertionError):
