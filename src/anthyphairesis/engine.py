@@ -6,7 +6,7 @@ plain ints (p, q), with r = isqrt(d) computed once, emits every quotient:
 
     a_k     = (p_k + r) // q_k          ((p_k + r + 1) // q_k while q_k < 0)
     p_{k+1} = a_k*q_k - p_k
-    q_{k+1} = (d - p_{k+1}^2) / q_k     (exact division)
+    q_{k+1} = (d - p_{k+1}^2) / q_k     (exact: each step checks q_{k+1}*q_k == d - p_{k+1}^2)
 
 For sqrt(N) (p_0 = 0, q_0 = 1) this is the increment-factor recurrence
 of phi_k = (alpha - mu_k*beta)/lam_k, alpha^2 = N*beta^2, with
@@ -127,13 +127,7 @@ class Expansion(namedtuple("Expansion", "preperiod period terminated radicand tr
 
     def quotient_stream(self, count: int) -> list[int]:
         """First `count` quotients, recycling the period as needed."""
-        if self.terminated or not self.period:
-            return list(self.preperiod[:count])
-        stream = list(self.preperiod)
-        cycle = itertools.cycle(self.period)
-        while len(stream) < count:
-            stream.append(next(cycle))
-        return stream[:count]
+        return list(itertools.islice(itertools.chain(self.preperiod, itertools.cycle(self.period)), count))
 
 
 def pigeonhole_bound(N: int) -> int:
@@ -193,10 +187,12 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: int | None) -> Expansion:
             raise _exhausted(QuadraticSurd(trail[0], d, trail[1]), "no state repeated", max_steps, limit, quots)
         a = (p + r) // q if q > 0 else (p + r + 1) // q
         p = a * q - p
-        q, rem = divmod(d - p * p, q)
-        if rem:
+        t = d - p * p
+        q_next = t // q
+        if q_next * q != t:
             start = QuadraticSurd(trail[0], d, trail[1])
             raise AssertionError(f"lost divisibility at step {len(quots) + 1} of {start}")
+        q = q_next
         quots.append(a)
         trail.append(p)
         trail.append(q)
@@ -268,8 +264,9 @@ def _to_centre(N: int, max_steps: int | None = None) -> tuple[tuple[int, ...], b
         a = (p + m) // q
         quots.append(a)
         p_next = a * q - p
-        q_next, rem = divmod(N - p_next * p_next, q)
-        if rem:
+        t = N - p_next * p_next
+        q_next = t // q
+        if q_next * q != t:
             raise AssertionError(f"lost divisibility at step {len(quots) + 1} of sqrt({N})")
         if p_next == p:
             return tuple(quots), False

@@ -152,12 +152,15 @@ def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
 
 
 def period_stats(e: Expansion) -> PeriodStats:
-    """Length of the period, distinct states inside it, and their count + 1."""
+    """Length l of the period, distinct states inside it, and their count + 1.
+
+    The count is l, with no set built: the period closes at the first
+    recurrence of x_j (j = len(preperiod)) and each state fixes the next,
+    so x_i = x_k, j <= i < k < j + l, would bring x_j back earlier, at j + l - (k - i).
+    """
     if not e.period:
         raise ValueError("expansion has an empty period")
     if not e.trail:
         raise ValueError("expansion carries no states")
     l = len(e.period)
-    lo, hi = 2 * len(e.preperiod), 2 * (len(e.preperiod) + l)  # x_j .. x_{j+l-1}, j = len(preperiod)
-    distinct = len(set(zip(e.trail[lo:hi:2], e.trail[lo + 1 : hi : 2])))
-    return PeriodStats(l, distinct, distinct + 1)
+    return PeriodStats(l, l, l + 1)

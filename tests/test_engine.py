@@ -9,6 +9,7 @@ import pytest
 
 from anthyphairesis.engine import (
     StepLimitExceeded,
+    _anthyphairesis,
     _to_centre,
     expand_sqrt,
     expand_surd,
@@ -125,6 +126,14 @@ def test_step_limit_exceeded_survives_pickling():
     assert type(copy) is StepLimitExceeded
     assert str(copy) == str(exc.value) == "sqrt(54): no state repeated within 2 steps"
     assert copy.quotients_so_far == exc.value.quotients_so_far
+
+
+def test_lost_divisibility_is_loud():
+    # (1 + sqrt(7))/4 is not normalized: 4 does not divide 7 - 1, and the
+    # first step gives p = -1, so q would be (7 - 1)/4
+    with pytest.raises(AssertionError) as exc:
+        _anthyphairesis(1, 7, 4, None)
+    assert str(exc.value) == "lost divisibility at step 1 of (1+sqrt(7))/4"
 
 
 def test_expand_surd_purely_periodic_input():

@@ -1,8 +1,11 @@
 """palindrome: quotient-level checks, omega sequence, reflection search."""
 
+import itertools
+import random
+
 import pytest
 
-from anthyphairesis.engine import Expansion, expand_sqrt, increment_factors
+from anthyphairesis.engine import Expansion, expand_sqrt, expand_surd, increment_factors
 from anthyphairesis.palindrome import (
     ReflectionNotFound,
     find_reflection,
@@ -10,7 +13,7 @@ from anthyphairesis.palindrome import (
     period_stats,
     verify_palindrome,
 )
-from anthyphairesis.surd import is_perfect_square, isqrt
+from anthyphairesis.surd import QuadraticSurd, is_perfect_square, isqrt, normalize
 
 
 def test_verify_palindrome_paper_periods():
@@ -160,6 +163,31 @@ def test_period_stats_surd_path():
     e = expand_surd(QuadraticSurd(7, 54, 5))
     s = period_stats(e)
     assert (s.period_length, s.distinct_logoi, s.platonic_number) == (6, 6, 7)
+
+
+def _period_states(e):
+    # the pairs (p, q) of x_j .. x_{j+l-1}, j = len(preperiod), read off the trail
+    lo, hi = 2 * len(e.preperiod), 2 * (len(e.preperiod) + len(e.period))
+    return list(zip(e.trail[lo:hi:2], e.trail[lo + 1 : hi : 2]))
+
+
+def test_distinct_logoi_is_the_period_length():
+    # period_stats counts no states: the period closes at the first recurrence
+    # of its first state, so the states inside it are distinct
+    rng = random.Random(0xD15)
+    surds = []
+    while len(surds) < 2000:
+        if len(surds) % 4 == 3:  # sqrt(P/Q)
+            s = QuadraticSurd.sqrt_of_rational(rng.randint(1, 5000), rng.randint(1, 60))
+        else:
+            q = rng.randint(1, 300) * rng.choice((1, -1))
+            s = QuadraticSurd(rng.randint(-1000, 1000), rng.randint(2, 20000), q)
+        if not s.is_rational:
+            surds.append(normalize(s))
+    assert sum(s.q < 0 for s in surds) > 500 and sum(s.p == 0 for s in surds) >= 500
+    sqrts = (expand_sqrt(n) for n in range(2, 20001) if not is_perfect_square(n))
+    for e in itertools.chain(sqrts, map(expand_surd, surds)):  # one expansion alive at a time
+        assert len(set(_period_states(e))) == len(e.period) == period_stats(e).distinct_logoi, (e.trail[:2], e.radicand)
 
 
 @pytest.mark.parametrize("n", [13, 19, 46, 54, 61, 94])
