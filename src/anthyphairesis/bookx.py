@@ -216,9 +216,8 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
             return steps
         seen[phi] = k
         if k > limit:
-            quotients = [m] + [s.quotient for s in steps]
             if limit == max_steps:
-                raise StepLimitExceeded(f"trace of sqrt({N}) exceeded {max_steps} steps without repeating", quotients)
+                raise StepLimitExceeded(f"trace of sqrt({N}) exceeded {max_steps} steps without repeating")
             raise ResourceLimitExceeded(f"trace of sqrt({N}) exceeded {limit} steps, all that fit in memory")
         conj = conjugate(phi)
         ab, bb, den = line_mul(pq, phi, conj)

@@ -174,9 +174,8 @@ def _decs(ns) -> list[str]:
 
 
 # A record maps field names to plain values: ints, bools, None, strings,
-# quotient lists (lists), Pell pairs (tuples (x, y)) and, for approx, a
-# list of records. Each output format has one renderer below, applied
-# only to the format asked for.
+# quotient lists (lists) and Pell pairs (tuples (x, y)). Each output
+# format has one renderer below, applied only to the format asked for.
 
 
 def _json_value(v):
@@ -186,8 +185,6 @@ def _json_value(v):
         return _dec(v)
     if isinstance(v, tuple):
         return {"x": _dec(v[0]), "y": _dec(v[1])}
-    if v and isinstance(v[0], dict):
-        return [_json_fields(r) for r in v]
     return _decs(v)
 
 

@@ -29,7 +29,6 @@ import itertools
 import os
 import resource
 from collections import namedtuple
-from collections.abc import Sequence
 from math import isqrt
 
 from .bookx import BETA_SQUARED, Triple, _add, basis, line_mul, sign_of
@@ -53,13 +52,6 @@ class StepLimitExceeded(RuntimeError):
     With the default limits this indicates a bug, never a property of
     the input, so it is surfaced loudly instead of truncating.
     """
-
-    def __init__(self, message: str, quotients_so_far: Sequence[int]):
-        super().__init__(message)
-        self.quotients_so_far = tuple(quotients_so_far)
-
-    def __reduce__(self):  # rebuilt from both arguments, so it crosses a process boundary
-        return type(self), (self.args[0], self.quotients_so_far)
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -184,7 +176,7 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: int | None) -> Expansion:
         elif p == pj and q == qj:
             break
         if len(quots) > limit:
-            raise _exhausted(QuadraticSurd(trail[0], d, trail[1]), "no state repeated", max_steps, limit, quots)
+            raise _exhausted(QuadraticSurd(trail[0], d, trail[1]), "no state repeated", max_steps, limit)
         a = (p + r) // q if q > 0 else (p + r + 1) // q
         p = a * q - p
         t = d - p * p
@@ -231,10 +223,10 @@ def _budget(q: int, d: int, max_steps: int | None, bytes_per_step: int) -> tuple
     return max_steps, limit
 
 
-def _exhausted(start: QuadraticSurd, goal: str, max_steps: int, limit: int, quots: Sequence[int]) -> RuntimeError:
+def _exhausted(start: QuadraticSurd, goal: str, max_steps: int, limit: int) -> RuntimeError:
     """The error for an expansion of start that ran out of its limit of steps before goal."""
     if limit == max_steps:
-        return StepLimitExceeded(f"{start}: {goal} within {max_steps} steps", quots)
+        return StepLimitExceeded(f"{start}: {goal} within {max_steps} steps")
     return ResourceLimitExceeded(f"{start}: {goal} within {limit} steps, all that fit in memory")
 
 
@@ -260,7 +252,7 @@ def _to_centre(N: int, max_steps: int | None = None) -> tuple[tuple[int, ...], b
     quots: list[int] = []
     while q != q_prev:
         if len(quots) >= limit:
-            raise _exhausted(QuadraticSurd(0, N, 1), "centre of the period not reached", max_steps, limit, (m, *quots))
+            raise _exhausted(QuadraticSurd(0, N, 1), "centre of the period not reached", max_steps, limit)
         a = (p + m) // q
         quots.append(a)
         p_next = a * q - p

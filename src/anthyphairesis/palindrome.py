@@ -140,10 +140,9 @@ def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     holds = interior == interior[::-1] and period[-1] == 2 * m
 
     case = center = None
-    trail = e.trail
-    if trail[:2] == (0, 1) and len(trail) >= 6:  # a sqrt(N) trail with two states (mu_k, lam_k) or more
-        mus = trail[2::2]
-        case, center = find_reflection(zip(mus, trail[1:-1:2]), zip(mus, trail[3:-1:2]))
+    mus, lams = e.mus, e.lams
+    if len(mus) >= 2:  # a sqrt(N) expansion with two states (mu_k, lam_k) or more
+        case, center = find_reflection(zip(mus, lams), zip(mus, lams[1:]))
         if holds and len(period) != 2 * center - (2 if case == "I" else 1):
             raise AssertionError(
                 "quotient-level and reflection-level palindrome verdicts disagree"

@@ -129,8 +129,6 @@ def floor_surd(s: QuadraticSurd) -> int:
     floor into a single floored integer division.
     """
     r = isqrt(s.d)
-    if r * r == s.d:
-        return (s.p + r) // s.q
-    if s.q > 0:
+    if s.q > 0 or r * r == s.d:
         return (s.p + r) // s.q
     return (s.p + r + 1) // s.q

@@ -230,7 +230,7 @@ def test_euler_trace_trivial_and_errors():
         euler_trace(16)
     with pytest.raises(StepLimitExceeded) as exc:
         euler_trace(54, max_steps=2)
-    assert exc.value.quotients_so_far == (7, 2, 1)
+    assert str(exc.value) == "trace of sqrt(54) exceeded 2 steps without repeating"
 
 
 def test_euler_trace_agrees_with_engine():

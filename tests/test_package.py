@@ -89,7 +89,7 @@ def test_quadratic_surd_repr_and_validation():
 
 
 def test_values_survive_a_pickle_round_trip():
-    # sweep --jobs 2 sends expansions between processes
+    # value types cross process boundaries intact (sweep --jobs 2 sends record dicts)
     for value in (QuadraticSurd(7, 54, 5), expand_sqrt(46), expand_surd(QuadraticSurd(7, 54, 5)), expand_sqrt(49)):
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and type(copy) is type(value)
