@@ -10,15 +10,14 @@ product is a rational multiple of beta^2 (the content of Elements
 X.112-114), which is what makes exact inversion of a line possible and
 drives the symbolic expansion trace.
 
-All of it is integer arithmetic. basis(r) checks the ratio r = P/Q once
-per radicand and gives (P, Q), which every operation that needs the
-ratio takes as its first argument.
+All of it is integer arithmetic. basis(r) checks the ratio r = P/Q and
+gives (P, Q), which every operation that needs the ratio takes as its
+first argument.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from math import gcd, isqrt
 
 from .surd import is_perfect_square
@@ -42,7 +41,6 @@ Triple = tuple[int, int, int]
 BETA_SQUARED: Triple = (0, 1, 1)  # the area beta^2
 
 
-@lru_cache(maxsize=256)
 def basis(ratio: Fraction | int) -> Basis:
     """The basis of alpha^2 = ratio*beta^2, once ratio is checked positive and not a rational square.
 
@@ -195,13 +193,11 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
     when, before that, the steps would outgrow this process's memory.
     """
     # the step safety net only; no stepping code is shared with the engine
-    from .engine import ResourceLimitExceeded, StepLimitExceeded, _memory_steps, pigeonhole_bound
+    from .engine import ResourceLimitExceeded, StepLimitExceeded, _budget
 
     if N < 2 or isqrt(N) ** 2 == N:
         raise ValueError("N must be a non-square integer >= 2")
-    if max_steps is None:
-        max_steps = pigeonhole_bound(N) + 1
-    limit = min(max_steps, _memory_steps(_TRACE_STEP_BYTES))
+    max_steps, limit = _budget(1, N, max_steps, _TRACE_STEP_BYTES)
 
     pq = basis(N)
     m = _floor_over_beta(pq, (1, 0, 1))

@@ -147,9 +147,6 @@ def _emit(lines: Iterable[str], out: str | None, end: str = "\n") -> None:
             raise _cannot_write(out, exc) from exc
 
 
-_STR_SAFE_BITS = 2000  # under 640 digits, the lowest int-to-str limit Python accepts
-
-
 def _dec(n: int) -> str:
     """Decimal digits of an exact integer, whatever Python's int-to-str limit is.
 
@@ -157,8 +154,10 @@ def _dec(n: int) -> str:
     halves, rendered separately and joined, so output never hits the limit
     (sys.set_int_max_str_digits), which stays in force for parsing input.
     """
-    if n.bit_length() <= _STR_SAFE_BITS:
+    try:
         return str(n)
+    except ValueError:  # over the limit
+        pass
     if n < 0:
         return "-" + _dec(-n)
     k = n.bit_length() * 3 // 20  # about half of n's decimal digits, so 10**k < n
@@ -167,10 +166,11 @@ def _dec(n: int) -> str:
 
 
 def _decs(ns) -> list[str]:
-    """_dec of every int in a list, with one bit-length check for the whole list."""
-    if not ns or max(max(ns), -min(ns)).bit_length() <= _STR_SAFE_BITS:
+    """_dec of every int in a list, in one str() pass unless an int is over the limit."""
+    try:
         return list(map(str, ns))
-    return list(map(_dec, ns))
+    except ValueError:
+        return list(map(_dec, ns))
 
 
 # A record maps field names to plain values: ints, bools, None, strings,
@@ -442,20 +442,20 @@ def cmd_verify(args) -> int:
 
     m = isqrt(n)
     e = expand_sqrt(n, _step_limit())
-    mus, lams = e.mus, e.lams  # the states (mu_k, lam_k) of phi_1 .. phi_{l+1}
+    quots, mus, lams = e.quotients, e.mus, e.lams  # (mu_k, lam_k): the states of phi_1 .. phi_{l+1}
 
     def recurrences():
         for k in range(1, len(mus)):
             if lams[k] * lams[k - 1] != n - mus[k - 1] * mus[k - 1]:
                 raise AssertionError(f"product identity fails at step {k + 1}")
-            if mus[k] + mus[k - 1] != e.quotients[k] * lams[k]:
+            if mus[k] + mus[k - 1] != quots[k] * lams[k]:
                 raise AssertionError(f"sum identity fails at step {k + 1}")
 
     def bounds():
         for k in range(1, len(mus)):
             if not (1 <= lams[k] < n and mus[k] * mus[k] < n):
                 raise AssertionError(f"state bounds fail at step {k + 1}")
-        if len(e.quotients) - 1 >= pigeonhole_bound(n):
+        if len(quots) - 1 >= pigeonhole_bound(n):
             raise AssertionError("period not found before the pigeonhole bound")
 
     def palindrome():
@@ -475,17 +475,15 @@ def cmd_verify(args) -> int:
 
     def trace_agreement():
         steps = euler_trace(n)
-        quots = [m] + [s.quotient for s in steps if s.quotient is not None]
-        if quots != list(e.quotients):
+        traced = (m, *(s.quotient for s in steps if s.quotient is not None))
+        if traced != quots:
             raise AssertionError("symbolic trace quotients diverge from the engine")
 
     def convergent_quality():
         period = len(e.period)
         for k, (p, q) in enumerate(convergents(e, 2 * period)):
-            idx = k + 1  # lam_{k+2}, cycled; lams is lam_1..lam_{period+1}
-            while idx >= len(lams):
-                idx -= period
-            expected = -lams[idx] if k % 2 == 0 else lams[idx]
+            lam = lams[k % period + 1]  # lam_{k+2}, cycled; lams is lam_1..lam_{period+1}
+            expected = -lam if k % 2 == 0 else lam
             if p * p - n * q * q != expected:
                 raise AssertionError(f"quality identity fails at convergent {k}")
 

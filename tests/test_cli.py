@@ -333,7 +333,7 @@ def low_int_str_limit():
 
 
 def test_dec_renders_past_the_int_str_limit(low_int_str_limit):
-    values = [0, 7, -7, 10**600, 10**5000, -(10**5000) - 1, 3**20000, 10**4000 * 7 + 5]
+    values = [0, 7, -7, 10**600, 10**5000, -(10**5000) - 1, 3**20000, 10**4000 * 7 + 5, 10**700]
     rendered = [cli._dec(v) for v in values]
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
@@ -626,6 +626,27 @@ def test_verify_convergent_check_memory_is_linear_in_the_period(capsys):
         tracemalloc.stop()
     assert code == 0 and out.endswith("all checks passed\n")
     assert peak < 12_000_000
+
+
+def test_verify_reads_the_quotients_a_fixed_number_of_times(capsys, monkeypatch):
+    # periods 2, 16 and 458: a read per step of a check would grow with the period
+    from anthyphairesis.engine import Expansion
+
+    quotients = Expansion.quotients.fget
+    reads = []
+
+    def counted(e):
+        reads.append(e)
+        return quotients(e)
+
+    monkeypatch.setattr(Expansion, "quotients", property(counted))
+    counts = []
+    for n in (3, 94, 1000003):
+        reads.clear()
+        code, out, _ = run(capsys, "verify", str(n))
+        assert code == 0 and out.endswith("all checks passed\n")
+        counts.append(len(reads))
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_approx_keeps_one_convergent_at_a_time():

@@ -38,7 +38,7 @@ CASES = [
         "(-7920+sqrt(2))/-4894", "(0+sqrt(5))/-3", "(3+sqrt(9))/2",
     )),
     ({}, ["expand", "sqrt(7/3)", "--steps", "100"]),
-    # a Pell solution of 667 digits, past the 2000 bits that _dec renders in one piece
+    # a Pell solution of 667 digits, past 640, the lowest int-to-str limit Python accepts
     ({}, ["expand", "101581", "--pell", "--negative-pell", "--format", "json"]),
     ({}, ["expand", "101581", "--pell", "--format", "csv"]),
     # trace
