@@ -11,6 +11,9 @@ counts convergents, so only ANTH_MAX_STEPS budgets its expansion. pell
 expands sqrt(N) only to the centre of its period, so its budget counts
 steps to the centre: a period of length l needs l // 2 of them, where
 expand N --pell, which runs and checks the whole period, needs l.
+
+argv is parsed by its command's own parser; the top-level parser runs
+only for help, unknown commands and stray arguments.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ class SurdSpecError(InputError):
     pass
 
 
+_SPACE_RE = re.compile(r"\s+")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _SQRT_RE = re.compile(r"^sqrt\((\d+)(?:/(\d+))?\)$")
 _SURD_RE = re.compile(r"^\(([+-]?\d+)\+sqrt\((\d+)\)\)/([+-]?\d+)$")
@@ -64,35 +68,31 @@ def _parse_int(digits: str, text: str) -> int:
 
 def parse_surd_spec(text: str) -> QuadraticSurd:
     """Parse 'N', 'sqrt(P/Q)' or '(P+sqrt(D))/Q' (whitespace-insensitive)."""
-    compact = re.sub(r"\s+", "", text)
-    m = _INT_RE.match(compact)
-    if m:
+    return _parse_spec(text)[0]
+
+
+def _parse_spec(text: str) -> tuple[QuadraticSurd, str]:
+    """The surd text names and its label: sqrt(N) with N as parsed for an integer spec, else text without whitespace."""
+    compact = _SPACE_RE.sub("", text)
+    if _INT_RE.match(compact):
         n = _parse_int(compact, text)
         if n < 0:
             raise SurdSpecError(f"negative radicand in {text!r}")
-        return QuadraticSurd.sqrt_of(n)
+        return QuadraticSurd.sqrt_of(n), f"sqrt({_dec(n)})"
     m = _SQRT_RE.match(compact)
     if m:
         num = _parse_int(m.group(1), text)
         den = _parse_int(m.group(2), text) if m.group(2) else 1
         if den == 0:
             raise SurdSpecError(f"zero denominator in {text!r}")
-        return QuadraticSurd.sqrt_of_rational(num, den)
+        return QuadraticSurd.sqrt_of_rational(num, den), compact
     m = _SURD_RE.match(compact)
     if m:
         p, d, q = (_parse_int(g, text) for g in m.groups())
         if q == 0:
             raise SurdSpecError(f"zero denominator in {text!r}")
-        return QuadraticSurd(p, d, q)
+        return QuadraticSurd(p, d, q), compact
     raise SurdSpecError(f"cannot parse surd spec {text!r}")
-
-
-def _canonical_input(s: QuadraticSurd, original: str) -> str:
-    """The input's label: sqrt(N) with N as parsed for an integer spec, else the spec without whitespace."""
-    compact = re.sub(r"\s+", "", original)
-    if _INT_RE.match(compact):
-        return f"sqrt({_dec(s.d)})"
-    return compact
 
 
 def _step_limit(steps: int | None = None) -> int | None:
@@ -198,9 +198,12 @@ def _json_fields(record: dict) -> dict:
     return fields
 
 
+_ENCODE_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _json_line(record: dict) -> str:
     """A record as canonical JSON: every int a decimal string, a pair {x, y}."""
-    return json.dumps(_json_fields(record), sort_keys=True, separators=(",", ":"))
+    return _ENCODE_JSON(_json_fields(record))
 
 
 def _plain_value(v) -> str:
@@ -265,8 +268,7 @@ def _pell_fields(n: int, e: Expansion, want_pell: bool, want_negative: bool) -> 
 
 
 def cmd_expand(args) -> int:
-    target = parse_surd_spec(args.input)
-    label = _canonical_input(target, args.input)
+    target, label = _parse_spec(args.input)
     limit = _step_limit(args.steps)
     want_pell = args.pell or args.negative_pell
     if want_pell and not _is_sqrt_int(target):
@@ -411,8 +413,7 @@ def cmd_pell(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    target = parse_surd_spec(args.input)
-    label = _canonical_input(target, args.input)
+    target, label = _parse_spec(args.input)
     count = args.steps if args.steps is not None else 8
     e = _expand(target, _step_limit())
     pairs = enumerate(convergents(e, count))
@@ -524,8 +525,8 @@ def _positive_int(text: str) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused by every later one."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser by name, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="anth", description="exact anthyphairesis of quadratic surds"
     )
@@ -575,11 +576,28 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", default=None)
     p.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by its command's parser alone, or by the top-level one for help, an unknown command or stray arguments.
+
+    Either way the namespace, and on bad input the message and exit code,
+    are those of the top-level parser, which hands every argument after
+    the command to the same command parser.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout pipe shows here, not in the flush at exit

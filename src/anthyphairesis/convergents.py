@@ -103,14 +103,15 @@ def pell_solutions(
         centre = half[-1]
         p00, p10 = a * (a * centre + 2 * b), (c * centre + d) * a + c * b
     p, q = m * p00 + p10, p00
+    pp, nqq = p * p, N * q * q
 
     if not odd:
-        if p * p - N * q * q != 1:
+        if pp - nqq != 1:
             raise AssertionError(f"period-end convergent of sqrt({N}) does not solve Pell")
         return (p, q), None
-    if p * p - N * q * q != -1:
+    if pp - nqq != -1:
         raise AssertionError(f"odd-period convergent of sqrt({N}) does not solve negative Pell")
-    x, y = p * p + N * q * q, 2 * p * q
+    x, y = pp + nqq, 2 * p * q
     if x * x - N * y * y != 1:
         raise AssertionError(f"squared odd-period convergent of sqrt({N}) does not solve Pell")
     return (x, y), (p, q)

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from anthyphairesis import cli
 from anthyphairesis.cli import main, parse_surd_spec, SurdSpecError
 from anthyphairesis.engine import expand_sqrt
 from anthyphairesis.surd import QuadraticSurd
+from test_cli_transcript import CASES as TRANSCRIPT_CASES
 
 GOLDEN_54 = os.path.join(os.path.dirname(__file__), "..", "goldens", "trace54.txt")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -490,7 +492,58 @@ def test_bad_input_exit_2_and_internal_faults_propagate(capsys, monkeypatch):
 
 
 def test_parser_is_built_once():
-    assert cli._parser() is cli._parser()
+    assert cli._parsers() is cli._parsers()
+
+
+# argv that end in help, a usage error or an abbreviation, each run through
+# both parsers below next to every argv of the golden transcript (which
+# holds trace -4)
+_PARSE_BATTERY = [
+    [], ["-h"], ["--help"], ["-h", "expand"], ["expand", "-h"], ["expand", "19", "--help"],
+    ["frobnicate", "19"], ["Expand", "19"], [""], ["expand", "19", "--bogus"], ["--bogus", "expand", "19"],
+    ["expand", "19", "--form", "json"], ["expand", "19", "--format=json"], ["expand", "19", "--format", "xml"],
+    ["expand", "19", "--neg"], ["pell", "13", "--neg"], ["expand", "--", "19"], ["trace", "--", "-4"],
+    ["expand", "19", "--format"], ["expand"], ["expand", "19", "--format", "json", "--format", "csv"],
+    ["trace", "1e3"], ["expand", "19", "20"], ["verify", "54", "--format", "json"],
+    ["sweep", "10", "--jobs", "0"], ["sweep", "10", "--jobs=2", "-x"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in TRANSCRIPT_CASES] + _PARSE_BATTERY, ids=shlex.join)
+def test_main_parses_as_the_top_level_parser_does(capsys, argv):
+    full = _parse_outcome(capsys, cli._parsers()[0].parse_args, argv)
+    assert _parse_outcome(capsys, cli._parse, argv) == full
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["expand", "19", "--format", "json"], 0),
+        (["pell", "13", "--negative-pell"], 0),
+        (["verify", "54"], 0),
+        (["expand", "19", "--bogus"], 1),
+    ],
+    ids=lambda v: shlex.join(v) if isinstance(v, list) else f"{v} calls",
+)
+def test_top_level_parser_runs_only_for_stray_arguments(capsys, monkeypatch, argv, calls):
+    parser = cli._parsers()[0]
+    seen = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda *a: seen.append(a) or parse_args(*a))
+    try:
+        assert main(argv) == 0
+    except SystemExit as exc:
+        assert exc.code == 2
+    assert len(seen) == calls
 
 
 @pytest.mark.skipif(
