@@ -6,11 +6,13 @@ MemoryError, 4 golden-file mismatch, 5 palindrome failure during a
 sweep, 141 stdout closed by its reader (a broken pipe). The
 environment variable ANTH_MAX_STEPS, at least 1, sets the step budget
 of the expansion in every command (expand, trace, sweep, pell, approx,
-verify) wherever --steps is not given explicitly. The --steps of approx
-counts convergents, so only ANTH_MAX_STEPS budgets its expansion. pell
-expands sqrt(N) only to the centre of its period, so its budget counts
-steps to the centre: a period of length l needs l // 2 of them, where
-expand N --pell, which runs and checks the whole period, needs l.
+verify) wherever --steps is not given explicitly. approx reads exactly
+the quotients it prints, one per convergent, with no period search: its
+--steps counts them, and ANTH_MAX_STEPS caps that count, so a --steps
+above it exits 3 before any output. pell expands sqrt(N) only to the
+centre of its period, so its budget counts steps to the centre: a
+period of length l needs l // 2 of them, where expand N --pell, which
+runs and checks the whole period, needs l.
 
 argv is parsed by its command's own parser; the top-level parser runs
 only for help, unknown commands and stray arguments.
@@ -248,12 +250,10 @@ def _is_sqrt_int(s: QuadraticSurd) -> bool:
     return s.p == 0 and s.q == 1
 
 
-def _expand(target: QuadraticSurd, limit: int | None) -> Expansion:
-    if not _is_sqrt_int(target):
-        return expand_surd(target, limit)
-    if target.d == 0:
+def _reject_sqrt_zero(target: QuadraticSurd) -> None:
+    """sqrt(0), however it is written, is bad input for expand and approx."""
+    if _is_sqrt_int(target) and target.d == 0:
         raise SurdSpecError("N must be positive")
-    return expand_sqrt(target.d, limit)
 
 
 def _pell_fields(n: int, e: Expansion, want_pell: bool, want_negative: bool) -> dict:
@@ -273,7 +273,8 @@ def cmd_expand(args) -> int:
     want_pell = args.pell or args.negative_pell
     if want_pell and not _is_sqrt_int(target):
         raise InputError("Pell solutions require a plain integer radicand")
-    e = _expand(target, limit)
+    _reject_sqrt_zero(target)
+    e = expand_sqrt(target.d, limit) if _is_sqrt_int(target) else expand_surd(target, limit)
     if want_pell:
         _non_square(target.d, "Pell")
 
@@ -415,8 +416,11 @@ def cmd_pell(args) -> int:
 def cmd_approx(args) -> int:
     target, label = _parse_spec(args.input)
     count = args.steps if args.steps is not None else 8
-    e = _expand(target, _step_limit())
-    pairs = enumerate(convergents(e, count))
+    limit = _step_limit()
+    _reject_sqrt_zero(target)
+    if limit is not None and count > limit:
+        raise StepLimitExceeded(f"{label}: {count} quotients needed, {limit} steps allowed")
+    pairs = enumerate(convergents(oracle_expand(target, count)))
     if args.format == "json":  # the canonical record, streamed: its keys sort as written
         pieces = (("," if k else "") + _json_line({"index": k, "p": p, "q": q}) for k, (p, q) in pairs)
         _emit(itertools.chain(['{"convergents":['], pieces, [f'],"input":{json.dumps(label)}}}\n']), args.out, end="")
@@ -482,7 +486,7 @@ def cmd_verify(args) -> int:
 
     def convergent_quality():
         period = len(e.period)
-        for k, (p, q) in enumerate(convergents(e, 2 * period)):
+        for k, (p, q) in enumerate(convergents(e.quotient_stream(2 * period))):
             lam = lams[k % period + 1]  # lam_{k+2}, cycled; lams is lam_1..lam_{period+1}
             expected = -lam if k % 2 == 0 else lam
             if p * p - n * q * q != expected:

@@ -1,9 +1,10 @@
-"""The convergents (best rational approximations) of an expansion, and Pell solutions.
+"""The convergents (best rational approximations) of a quotient stream, and Pell solutions.
 
-The usual three-term recurrence p_k = a_k*p_{k-1} + p_{k-2} over the
-quotient stream, plus the classical payoff of a detected period: the
-fundamental solution of x^2 - N*y^2 = 1 sits at the end of the first
-period (even period length) or the second (odd).
+The usual three-term recurrence p_k = a_k*p_{k-1} + p_{k-2} over any
+stream of quotients (an expansion's quotient_stream, or the oracle's
+first K quotients, which need no period), plus the classical payoff of
+a detected period: the fundamental solution of x^2 - N*y^2 = 1 sits at
+the end of the first period (even period length) or the second (odd).
 
 Pell solutions are not read off that recurrence. With M(a) = [[a,1],[1,0]],
 the convergent (p, q) closing the first period is the first column of
@@ -20,27 +21,25 @@ it checks the palindrome and slices its period.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .engine import Expansion, _to_centre
+from .palindrome import _palindromic
 from .surd import isqrt
 
 __all__ = ["convergents", "pell_fundamental", "pell_negative", "pell_solutions"]
 
 
-def convergents(e: Expansion, count: int) -> Iterator[tuple[int, int]]:
-    """The first `count` convergents (p_k, q_k) of an expansion, one at a time.
+def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The convergents (p_k, q_k) of a quotient stream, one per quotient, one at a time.
 
-    Seeds (1, 0) and (0, 1); period quotients are recycled cyclically.
-    A terminated (rational) expansion yields at most as many convergents
-    as it has quotients. A caller that reads each pair once keeps only
-    one alive. count < 1 raises ValueError when iteration starts.
+    Seeds (1, 0) and (0, 1). Each quotient is read only when its
+    convergent is asked for, and a caller that reads each pair once keeps
+    only one alive.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
-    for a in e.quotient_stream(count):
+    for a in quotients:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         yield p_cur, q_cur
@@ -89,11 +88,9 @@ def pell_solutions(
         if e.radicand != N or e.preperiod != (m,):
             raise ValueError(f"expansion does not belong to sqrt({N})")
         period = e.period
-        l = len(period)
-        interior = period[:-1]
-        if interior != interior[::-1] or period[-1] != 2 * m:
+        if not _palindromic(period, m):
             raise AssertionError(f"period of sqrt({N}) is not palindromic")
-        half, odd = period[: l // 2], l % 2 == 1
+        half, odd = period[: len(period) // 2], len(period) % 2 == 1
 
     if odd:  # even interior a_1 .. a_{2h}: P = H*H^T
         a, b, c, d = _matrix_product(half, 0, len(half))

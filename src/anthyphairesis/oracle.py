@@ -3,16 +3,15 @@
 Deliberately naive: no integer state recurrence, no period detection,
 just floor, subtract, reciprocal on a fresh normalized surd every step.
 Divergence between this and the engine is the primary bug detector, so
-nothing here may share stepping code with the engine.
+nothing here may share stepping code with the engine. It stops at a
+count, so `anth approx` reads its first quotients here, with no period.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .surd import QuadraticSurd, floor_surd, isqrt, normalize
 
-__all__ = ["oracle_expand", "oracle_is_palindrome"]
+__all__ = ["oracle_expand"]
 
 
 def oracle_expand(s: QuadraticSurd, steps: int) -> list[int]:
@@ -37,6 +36,3 @@ def oracle_expand(s: QuadraticSurd, steps: int) -> list[int]:
         cur = normalize(QuadraticSurd(-p1, cur.d, den // cur.q))
     return out
 
-
-def oracle_is_palindrome(seq: Sequence[int]) -> bool:
-    return list(seq) == list(reversed(seq))

@@ -122,13 +122,18 @@ def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     return tuple(list(zip(mus, lams[1:])))  # via a list, as in increment_factors
 
 
+def _palindromic(period: tuple[int, ...], m: int) -> bool:
+    """The period minus its last quotient reads the same both ways, and the last quotient is 2*m."""
+    interior = period[:-1]
+    return interior == interior[::-1] and period[-1] == 2 * m
+
+
 def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     """Check the palindromic shape of a period against the integer part m.
 
-    holds is decided on the quotient list alone: the period minus its
-    last element must read the same both ways and the last element must
-    be 2*m. When the expansion carries integer increment-factor states,
-    the reflection machinery runs as well and finds the centre k. A
+    holds is decided on the quotient list alone, by _palindromic. When
+    the expansion carries integer increment-factor states, the
+    reflection machinery runs as well and finds the centre k. A
     period that holds must then have the length the reflection forces,
     2k - 2 (Case I) or 2k - 1 (Case II); any other length raises, since
     it would mean the structural argument and the definition diverge.
@@ -136,8 +141,7 @@ def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     if not e.period:
         raise ValueError("expansion has an empty period")
     period = e.period
-    interior = period[:-1]
-    holds = interior == interior[::-1] and period[-1] == 2 * m
+    holds = _palindromic(period, m)
 
     case = center = None
     mus, lams = e.mus, e.lams

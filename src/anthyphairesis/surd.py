@@ -1,8 +1,7 @@
 """Exact arithmetic for quadratic surds (p + sqrt(d)) / q.
 
 Everything is integer arithmetic, with no floats anywhere, so floors
-and square tests are exact for arbitrarily large operands; only
-rational_value, of a surd that turns out rational, builds a Fraction.
+and square tests are exact for arbitrarily large operands.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ __all__ = [
     "QuadraticSurd",
     "isqrt",
     "is_perfect_square",
-    "is_square_fraction",
     "normalize",
     "floor_surd",
 ]
@@ -34,20 +32,6 @@ def is_perfect_square(n: int) -> bool:
         return False
     r = isqrt(n)
     return r * r == n
-
-
-def is_square_fraction(value: Fraction | int) -> bool:
-    """True iff value is the square of a rational.
-
-    fractions is imported only for a value that is not an int, as in
-    bookx.basis: its import (with decimal) would cost every command's start-up.
-    """
-    if isinstance(value, int):
-        return is_perfect_square(value)
-    from fractions import Fraction
-
-    f = Fraction(value)
-    return f >= 0 and is_perfect_square(f.numerator) and is_perfect_square(f.denominator)
 
 
 class QuadraticSurd(namedtuple("QuadraticSurd", "p d q")):
@@ -90,17 +74,6 @@ class QuadraticSurd(namedtuple("QuadraticSurd", "p d q")):
     @property
     def is_rational(self) -> bool:
         return is_perfect_square(self.d)
-
-    @property
-    def is_normalized(self) -> bool:
-        return (self.d - self.p * self.p) % self.q == 0
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("surd is irrational")
-        from fractions import Fraction
-
-        return Fraction(self.p + isqrt(self.d), self.q)
 
     def __str__(self) -> str:
         if self.p == 0 and self.q == 1:

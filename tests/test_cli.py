@@ -13,6 +13,7 @@ import pytest
 from anthyphairesis import cli
 from anthyphairesis.cli import main, parse_surd_spec, SurdSpecError
 from anthyphairesis.engine import expand_sqrt
+from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.surd import QuadraticSurd
 from test_cli_transcript import CASES as TRANSCRIPT_CASES
 
@@ -421,7 +422,7 @@ def test_anth_max_steps_reaches_every_expanding_command(capsys, monkeypatch, arg
     # the whole line, so a worker's exception that lost its message on the way back fails
     message = {
         "pell": "sqrt(54): centre of the period not reached within 2 steps",
-        "approx": "sqrt(54): no state repeated within 2 steps",
+        "approx": "sqrt(54): 8 quotients needed, 2 steps allowed",
         "verify": "sqrt(54): no state repeated within 2 steps",
         "sweep": "sqrt(7): no state repeated within 2 steps",
     }[argv[0]]
@@ -564,7 +565,7 @@ def test_decs_renders_a_list_like_dec(low_int_str_limit):
     assert cli._decs([]) == []
 
 
-def _anth_in_child(*argv, address_space=None):
+def _anth_in_child(*argv, address_space=None, timeout=60):
     """anth run in a child process; address_space, if given, is RLIMIT_AS in bytes for that child alone."""
     import resource
 
@@ -575,7 +576,7 @@ def _anth_in_child(*argv, address_space=None):
         [sys.executable, "-m", "anthyphairesis.cli", *argv],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env=dict(os.environ, PYTHONPATH=SRC),
         preexec_fn=limit if address_space else None,
     )
@@ -700,6 +701,48 @@ def test_verify_reads_the_quotients_a_fixed_number_of_times(capsys, monkeypatch)
         assert code == 0 and out.endswith("all checks passed\n")
         counts.append(len(reads))
     assert counts[0] == counts[1] == counts[2]
+
+
+@pytest.mark.parametrize("spec", ["19", "16", "sqrt(7/3)", "(-3+sqrt(5))/4", "(3+sqrt(4))/-7"])
+@pytest.mark.parametrize("steps", [1, 12, 40])
+def test_approx_reads_exactly_the_quotients_it_prints(capsys, monkeypatch, spec, steps):
+    from anthyphairesis import engine
+
+    calls = []
+
+    def counted(s, k):
+        calls.append(k)
+        return oracle_expand(s, k)
+
+    def no_period_search(*args):
+        raise AssertionError("approx expanded a period")
+
+    monkeypatch.setattr(cli, "oracle_expand", counted)
+    for name in ("expand_sqrt", "expand_surd", "_anthyphairesis"):
+        monkeypatch.setattr(engine, name, no_period_search)
+    for name in ("expand_sqrt", "expand_surd"):
+        monkeypatch.setattr(cli, name, no_period_search)
+    code, out, err = run(capsys, "approx", spec, "--steps", str(steps))
+    assert (code, err) == (0, "")
+    assert calls == [steps]
+    assert 1 <= out.count("\n") <= steps
+
+
+@pytest.mark.parametrize("spec", [str(10**42 + 3), "(1+sqrt(2))/100000000000000000000"])
+def test_approx_of_a_huge_period_prints_its_first_convergents(spec):
+    # each period is far too long to find; three convergents need three quotients
+    proc = _anth_in_child("approx", spec, "--steps", "3", timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [line.split(" ")[0] for line in proc.stdout.splitlines()] == ["k=0", "k=1", "k=2"]
+
+
+def test_anth_max_steps_caps_the_quotients_approx_reads(capsys, monkeypatch):
+    monkeypatch.setenv("ANTH_MAX_STEPS", "6")
+    code, out, err = run(capsys, "approx", "19", "--steps", "6")
+    assert (code, out.count("\n"), err) == (0, 6, "")
+    code, out, err = run(capsys, "approx", "19", "--steps", "7", "--format", "json")
+    assert (code, out) == (3, "")
+    assert err == "error: step limit exhausted: sqrt(19): 7 quotients needed, 6 steps allowed\n"
 
 
 def test_approx_keeps_one_convergent_at_a_time():

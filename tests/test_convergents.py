@@ -1,5 +1,6 @@
 """convergents: three-term recurrence, quality identity, Pell solutions."""
 
+import itertools
 import math
 import sys
 
@@ -8,22 +9,23 @@ import pytest
 from anthyphairesis import engine
 from anthyphairesis.convergents import convergents, pell_fundamental, pell_negative, pell_solutions
 from anthyphairesis.engine import expand_sqrt, expand_surd
+from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.surd import QuadraticSurd, is_perfect_square
 
 
 def test_convergents_19():
-    cs = list(convergents(expand_sqrt(19), 6))
+    cs = list(convergents(expand_sqrt(19).quotient_stream(6)))
     assert cs == [(4, 1), (9, 2), (13, 3), (48, 11), (61, 14), (170, 39)]
     assert 170 * 170 - 19 * 39 * 39 == 1
 
 
 def test_first_convergent_is_first_quotient():
     for n in (2, 13, 19, 54):
-        assert list(convergents(expand_sqrt(n), 1)) == [(expand_sqrt(n).preperiod[0], 1)]
+        assert list(convergents(expand_sqrt(n).quotient_stream(1))) == [(expand_sqrt(n).preperiod[0], 1)]
 
 
 def test_convergents_sqrt2_side_and_diameter():
-    cs = list(convergents(expand_sqrt(2), 4))
+    cs = list(convergents(expand_sqrt(2).quotient_stream(4)))
     assert cs == [(1, 1), (3, 2), (7, 5), (17, 12)]
     for p, q in cs:
         assert abs(p * p - 2 * q * q) == 1
@@ -31,17 +33,33 @@ def test_convergents_sqrt2_side_and_diameter():
 
 def test_convergents_terminated_expansion_caps():
     e = expand_surd(QuadraticSurd(3, 0, 2))  # [1, 2]
-    assert list(convergents(e, 10)) == [(1, 1), (3, 2)]
+    assert list(convergents(e.quotient_stream(10))) == [(1, 1), (3, 2)]
 
 
-def test_convergents_rejects_count_below_one():
-    with pytest.raises(ValueError):
-        list(convergents(expand_sqrt(19), 0))
+def test_convergents_of_any_quotient_stream():
+    # one convergent per quotient, from a tuple, a one-shot iterator or the oracle; none from none
+    assert list(convergents(())) == []
+    assert list(convergents(iter([4, 2, 1]))) == [(4, 1), (9, 2), (13, 3)]
+    for s in (QuadraticSurd(7, 54, 5), QuadraticSurd(-3, 5, 4), QuadraticSurd(0, 21, 3), QuadraticSurd(3, 0, 2)):
+        assert list(convergents(oracle_expand(s, 20))) == list(convergents(expand_surd(s).quotient_stream(20))), s
+
+
+def test_convergents_read_one_quotient_per_pair():
+    read = []
+
+    def stream():
+        for a in itertools.cycle((1, 2)):
+            read.append(a)
+            yield a
+
+    pairs = convergents(stream())
+    assert [next(pairs) for _ in range(3)] == [(1, 1), (3, 2), (4, 3)]
+    assert read == [1, 2, 1]
 
 
 def test_convergents_coprime_and_cross_rule():
     for n in (19, 31, 61, 94, 139):
-        cs = list(convergents(expand_sqrt(n), 12))
+        cs = list(convergents(expand_sqrt(n).quotient_stream(12)))
         for p, q in cs:
             assert math.gcd(p, q) == 1
         for (p0, q0), (p1, q1) in zip(cs, cs[1:]):
@@ -56,7 +74,7 @@ def test_quality_identity_and_alternation():
         e = expand_sqrt(n)
         period = len(e.period)
         lams = e.lams
-        for k, (p, q) in enumerate(convergents(e, 2 * period)):
+        for k, (p, q) in enumerate(convergents(e.quotient_stream(2 * period))):
             idx = k + 1
             while idx >= len(lams):
                 idx -= period
@@ -92,7 +110,7 @@ def test_pell_minimality_small_range():
         x, y = pell_fundamental(n)
         assert x * x - n * y * y == 1
         e = expand_sqrt(n)
-        for p, q in convergents(e, 2 * len(e.period)):
+        for p, q in convergents(e.quotient_stream(2 * len(e.period))):
             if q < y:
                 assert p * p - n * q * q != 1
 
@@ -109,7 +127,7 @@ def test_pell_solutions_match_convergent_recurrence():
         e = expand_sqrt(n)
         l = len(e.period)
         index = l - 1 if l % 2 == 0 else 2 * l - 1
-        full = list(convergents(e, index + 1))
+        full = list(convergents(e.quotient_stream(index + 1)))
         fundamental, negative = pell_solutions(n, e)
         assert pell_solutions(n) == (fundamental, negative), n
         assert fundamental == full[index], n

@@ -3,7 +3,7 @@
 import inspect
 
 from anthyphairesis import oracle as oracle_module
-from anthyphairesis.oracle import oracle_expand, oracle_is_palindrome
+from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.surd import QuadraticSurd
 
 
@@ -23,12 +23,6 @@ def test_oracle_sqrt54_first_steps():
 
 def test_oracle_emits_exactly_requested_steps():
     assert len(oracle_expand(QuadraticSurd.sqrt_of(2), 40)) == 40
-
-
-def test_oracle_is_palindrome():
-    assert oracle_is_palindrome([2, 1, 3, 1, 2])
-    assert oracle_is_palindrome([])
-    assert not oracle_is_palindrome([1, 2])
 
 
 def test_oracle_shares_no_engine_code():

@@ -27,6 +27,32 @@ def test_package_exports_every_public_name():
             assert getattr(anthyphairesis, name) is getattr(module, name), f"{short}.{name}"
 
 
+PUBLIC_NAMES = [
+    "Expansion", "PalindromeReport", "PeriodStats", "QuadraticSurd", "ReflectionNotFound",
+    "ResourceLimitExceeded", "StepLimitExceeded", "TraceStep", "basis", "classify", "conjugate",
+    "convergents", "euler_trace", "expand_sqrt", "expand_surd", "find_reflection", "floor_surd",
+    "increment_factors", "inverse_wrt_beta_squared", "is_perfect_square", "isqrt", "line_mul",
+    "logos_cross_check", "normalize", "omega_sequence", "oracle_expand", "pell_fundamental",
+    "pell_negative", "pell_solutions", "period_stats", "pigeonhole_bound", "remainders",
+    "render_trace", "sign_of", "verify_palindrome",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 35
+    assert anthyphairesis.__all__ == PUBLIC_NAMES
+
+
+def test_readme_lists_each_module_exports():
+    # each module's bullet in the Library section opens with its __all__, in order
+    with open(README, encoding="utf-8") as fh:
+        library = fh.read().split("## Library", 1)[1].split("\n## ", 1)[0]
+    listed = dict(re.findall(r"^- `(\w+)` \(([^)]*)\):", library, re.M))
+    for short in ("bookx", "convergents", "engine", "oracle", "palindrome", "surd"):
+        module = importlib.import_module(f"anthyphairesis.{short}")
+        assert re.findall(r"`(\w+)`", listed[short]) == module.__all__, short
+
+
 def test_readme_library_example():
     # each statement runs in order; an expression whose whole comment is a
     # Python literal must also equal that literal

@@ -12,7 +12,6 @@ from anthyphairesis.surd import (
     QuadraticSurd,
     floor_surd,
     is_perfect_square,
-    is_square_fraction,
     isqrt,
     normalize,
 )
@@ -64,11 +63,11 @@ def test_normalize_examples():
     t = normalize(QuadraticSurd(1, 2, 4))
     assert t == QuadraticSurd(4, 32, 16)
     assert same_value(t, QuadraticSurd(1, 2, 4))
-    assert t.is_normalized
+    assert (t.d - t.p * t.p) % t.q == 0  # normalized
 
     r = normalize(QuadraticSurd(0, 4, 1))
     assert r.is_rational
-    assert r.rational_value() == 2
+    assert Fraction(r.p + isqrt(r.d), r.q) == 2
 
 
 @given(
@@ -79,7 +78,7 @@ def test_normalize_examples():
 def test_normalize_idempotent_and_value_preserving(p, d, q):
     s = QuadraticSurd(p, d, q)
     t = normalize(s)
-    assert t.is_normalized
+    assert (t.d - t.p * t.p) % t.q == 0  # normalized
     assert same_value(s, t)
     assert normalize(t) == t
 
@@ -118,10 +117,3 @@ def test_floor_surd_against_interval_oracle():
         q = rng.randint(1, 10**9) * rng.choice((1, -1))
         s = QuadraticSurd(p, d, q)
         assert floor_surd(s) == _floor_by_interval(s)
-
-
-def test_is_square_fraction():
-    assert is_square_fraction(Fraction(4, 9))
-    assert is_square_fraction(1)
-    assert not is_square_fraction(Fraction(2, 1))
-    assert not is_square_fraction(Fraction(4, 3))
