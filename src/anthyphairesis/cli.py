@@ -8,8 +8,9 @@ environment variable ANTH_MAX_STEPS, at least 1, sets the step budget
 of the expansion in every command (expand, trace, sweep, pell, approx,
 verify) wherever --steps is not given explicitly. approx reads exactly
 the quotients it prints, one per convergent, with no period search: its
---steps counts them, and ANTH_MAX_STEPS caps that count, so a --steps
-above it exits 3 before any output. pell expands sqrt(N) only to the
+--steps counts them, and ANTH_MAX_STEPS caps that count: a --steps
+above it exits 3 before any output, unless the input is rational and
+its quotients end inside the budget. pell expands sqrt(N) only to the
 centre of its period, so its budget counts steps to the centre: a
 period of length l needs l // 2 of them, where expand N --pell, which
 runs and checks the whole period, needs l.
@@ -418,9 +419,10 @@ def cmd_approx(args) -> int:
     count = args.steps if args.steps is not None else 8
     limit = _step_limit()
     _reject_sqrt_zero(target)
-    if limit is not None and count > limit:
-        raise StepLimitExceeded(f"{label}: {count} quotients needed, {limit} steps allowed")
-    pairs = enumerate(convergents(oracle_expand(target, count)))
+    quots = oracle_expand(target, count if limit is None else min(count, limit + 1))
+    if limit is not None and len(quots) > limit:  # a rational that ends inside the budget passes
+        raise StepLimitExceeded(f"{label}: {count} quotients asked for, {limit} steps allowed")
+    pairs = enumerate(convergents(quots))
     if args.format == "json":  # the canonical record, streamed: its keys sort as written
         pieces = (("," if k else "") + _json_line({"index": k, "p": p, "q": q}) for k, (p, q) in pairs)
         _emit(itertools.chain(['{"convergents":['], pieces, [f'],"input":{json.dumps(label)}}}\n']), args.out, end="")

@@ -1,7 +1,8 @@
 """Reference expansion by literal subtract-and-invert, one surd per step.
 
 Deliberately naive: no integer state recurrence, no period detection,
-just floor, subtract, reciprocal on a fresh normalized surd every step.
+just floor, subtract, reciprocal on a fresh normalized surd every step
+(a rational, once its radicand is taken out, steps as plain Euclid).
 Divergence between this and the engine is the primary bug detector, so
 nothing here may share stepping code with the engine. It stops at a
 count, so `anth approx` reads its first quotients here, with no period.
@@ -26,8 +27,8 @@ def oracle_expand(s: QuadraticSurd, steps: int) -> list[int]:
             r = isqrt(cur.d)
             if p1 + r == 0:
                 break  # remainder zero: the value was exactly an integer step
-            # reciprocal of the rational (p1 + r)/q
-            cur = normalize(QuadraticSurd(cur.q, 0, p1 + r))
+            # reciprocal of the rational (p1 + r)/q: plain Euclid, no scaling
+            cur = QuadraticSurd(cur.q, 0, p1 + r)
             continue
         # conjugate-and-scale reciprocal: q/(p1 + sqrt(d)) = (-p1 + sqrt(d)) / ((d - p1*p1)/q)
         den = cur.d - p1 * p1

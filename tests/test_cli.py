@@ -422,7 +422,7 @@ def test_anth_max_steps_reaches_every_expanding_command(capsys, monkeypatch, arg
     # the whole line, so a worker's exception that lost its message on the way back fails
     message = {
         "pell": "sqrt(54): centre of the period not reached within 2 steps",
-        "approx": "sqrt(54): 8 quotients needed, 2 steps allowed",
+        "approx": "sqrt(54): 8 quotients asked for, 2 steps allowed",
         "verify": "sqrt(54): no state repeated within 2 steps",
         "sweep": "sqrt(7): no state repeated within 2 steps",
     }[argv[0]]
@@ -703,7 +703,10 @@ def test_verify_reads_the_quotients_a_fixed_number_of_times(capsys, monkeypatch)
     assert counts[0] == counts[1] == counts[2]
 
 
-@pytest.mark.parametrize("spec", ["19", "16", "sqrt(7/3)", "(-3+sqrt(5))/4", "(3+sqrt(4))/-7"])
+F60_F59 = "(1548008755920+sqrt(0))/956722026041"  # F(60)/F(59): 58 quotients, 1, ..., 1, 2
+
+
+@pytest.mark.parametrize("spec", ["19", "16", "sqrt(7/3)", "(-3+sqrt(5))/4", "(3+sqrt(4))/-7", F60_F59])
 @pytest.mark.parametrize("steps", [1, 12, 40])
 def test_approx_reads_exactly_the_quotients_it_prints(capsys, monkeypatch, spec, steps):
     from anthyphairesis import engine
@@ -736,13 +739,32 @@ def test_approx_of_a_huge_period_prints_its_first_convergents(spec):
     assert [line.split(" ")[0] for line in proc.stdout.splitlines()] == ["k=0", "k=1", "k=2"]
 
 
+def test_approx_of_a_long_rational_stays_linear():
+    # Euclid on F(60)/F(59) in 58 steps: scaling p and q at each step without reducing them would double their bits
+    proc = _anth_in_child("approx", F60_F59, "--steps", "60", timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 58
+    assert lines[0] == "k=0 1/1" and lines[-1] == "k=57 1548008755920/956722026041"
+
+
 def test_anth_max_steps_caps_the_quotients_approx_reads(capsys, monkeypatch):
     monkeypatch.setenv("ANTH_MAX_STEPS", "6")
     code, out, err = run(capsys, "approx", "19", "--steps", "6")
     assert (code, out.count("\n"), err) == (0, 6, "")
     code, out, err = run(capsys, "approx", "19", "--steps", "7", "--format", "json")
     assert (code, out) == (3, "")
-    assert err == "error: step limit exhausted: sqrt(19): 7 quotients needed, 6 steps allowed\n"
+    assert err == "error: step limit exhausted: sqrt(19): 7 quotients asked for, 6 steps allowed\n"
+
+
+def test_anth_max_steps_passes_a_rational_that_ends_inside_it(capsys, monkeypatch):
+    # sqrt(16) and 7/3 = [2; 3] have one and two quotients, so a budget of 2 covers them at any --steps
+    monkeypatch.setenv("ANTH_MAX_STEPS", "2")
+    assert run(capsys, "approx", "16") == (0, "k=0 4/1\n", "")
+    assert run(capsys, "approx", "(7+sqrt(0))/3", "--steps", "40") == (0, "k=0 2/1\nk=1 7/3\n", "")
+    code, out, err = run(capsys, "approx", "(10+sqrt(0))/7")  # 10/7 = [1; 2, 3]
+    assert (code, out) == (3, "")
+    assert err == "error: step limit exhausted: (10+sqrt(0))/7: 8 quotients asked for, 2 steps allowed\n"
 
 
 def test_approx_keeps_one_convergent_at_a_time():
