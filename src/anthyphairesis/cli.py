@@ -16,7 +16,9 @@ period of length l needs l // 2 of them, where expand N --pell, which
 runs and checks the whole period, needs l.
 
 argv is parsed by its command's own parser; the top-level parser runs
-only for help, unknown commands and stray arguments.
+only for help, unknown commands and stray arguments. JSON lines come
+from one writer here, _json_line, which writes what
+json.dumps(sort_keys=True, separators=(",", ":")) would.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import os
 import re
 import sys
 from collections.abc import Iterable
+from json.encoder import encode_basestring_ascii
 
 from .bookx import euler_trace, render_trace
 from .convergents import convergents, pell_solutions
@@ -168,12 +170,12 @@ def _dec(n: int) -> str:
     return _dec(high) + _dec(low).zfill(k)
 
 
+_SMALL = tuple(map(str, range(256)))  # nearly every quotient is one of these
+
+
 def _decs(ns) -> list[str]:
-    """_dec of every int in a list, in one str() pass unless an int is over the limit."""
-    try:
-        return list(map(str, ns))
-    except ValueError:
-        return list(map(_dec, ns))
+    """_dec of every int in a list: 0 <= a < 256 from a table of strings, every other int through _dec."""
+    return [_SMALL[a] if 0 <= a < 256 else _dec(a) for a in ns]
 
 
 # A record maps field names to plain values: ints, bools, None, strings,
@@ -181,32 +183,27 @@ def _decs(ns) -> list[str]:
 # format has one renderer below, applied only to the format asked for.
 
 
-def _json_value(v):
-    if v is None or isinstance(v, (bool, str)):
-        return v
+def _json_value(v) -> str:
+    if v is None or isinstance(v, bool):
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
     if isinstance(v, int):
-        return _dec(v)
+        return f'"{_dec(v)}"'
     if isinstance(v, tuple):
-        return {"x": _dec(v[0]), "y": _dec(v[1])}
-    return _decs(v)
-
-
-def _json_fields(record: dict) -> dict:
-    fields = {}
-    for key, v in record.items():
-        if key == "pell":  # the fundamental solution is two flat fields
-            fields["pell_x"], fields["pell_y"] = _dec(v[0]), _dec(v[1])
-        else:
-            fields[key] = _json_value(v)
-    return fields
-
-
-_ENCODE_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        return f'{{"x":"{_dec(v[0])}","y":"{_dec(v[1])}"}}'
+    return '["' + '","'.join(_decs(v)) + '"]' if v else "[]"  # decimal digits need no escaping
 
 
 def _json_line(record: dict) -> str:
-    """A record as canonical JSON: every int a decimal string, a pair {x, y}."""
-    return _ENCODE_JSON(_json_fields(record))
+    """A record as canonical JSON: every int a decimal string, a pair {x, y}, keys (plain ASCII names) sorted."""
+    fields = []
+    for key, v in record.items():
+        if key == "pell":  # the fundamental solution is two flat fields
+            fields += [("pell_x", _json_value(v[0])), ("pell_y", _json_value(v[1]))]
+        else:
+            fields.append((key, _json_value(v)))
+    return "{" + ",".join(f'"{key}":{text}' for key, text in sorted(fields)) + "}"
 
 
 def _plain_value(v) -> str:
@@ -425,7 +422,7 @@ def cmd_approx(args) -> int:
     pairs = enumerate(convergents(quots))
     if args.format == "json":  # the canonical record, streamed: its keys sort as written
         pieces = (("," if k else "") + _json_line({"index": k, "p": p, "q": q}) for k, (p, q) in pairs)
-        _emit(itertools.chain(['{"convergents":['], pieces, [f'],"input":{json.dumps(label)}}}\n']), args.out, end="")
+        _emit(itertools.chain(['{"convergents":['], pieces, [f'],"input":{_json_value(label)}}}\n']), args.out, end="")
     else:
         _emit((f"k={k} {_dec(p)}/{_dec(q)}" for k, (p, q) in pairs), args.out)
     return 0  # either way one convergent is alive at a time: the digits of the k-th grow with k

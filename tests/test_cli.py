@@ -1,5 +1,7 @@
 """cli: output formats, exit codes, golden compare, sweep determinism."""
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -7,8 +9,11 @@ import shlex
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anthyphairesis import cli
 from anthyphairesis.cli import main, parse_surd_spec, SurdSpecError
@@ -563,6 +568,12 @@ def test_decs_renders_a_list_like_dec(low_int_str_limit):
     mixed = [3, -(10**700), 5, 10**5000]
     assert cli._decs(mixed) == [cli._dec(v) for v in mixed]
     assert cli._decs([]) == []
+    edges = [-1, 255, 256, 257]  # either side of the table of small ints
+    assert cli._decs(edges) == ["-1", "255", "256", "257"]
+    hits_and_misses = [0, 1, 255, 256, -1, 1000, 7, -256, 12345678901234567890, 254, 10**700, 3]
+    assert cli._decs(hits_and_misses) == [cli._dec(v) for v in hits_and_misses]
+    long = [(k * 37) % 300 - 20 for k in range(100_000)]
+    assert cli._decs(long) == [str(v) for v in long]
 
 
 def _anth_in_child(*argv, address_space=None, timeout=60):
@@ -804,3 +815,133 @@ def test_memory_error_in_a_verify_check_exits_3_not_failed(capsys, monkeypatch):
     assert code == 3
     assert err.count("\n") == 1 and err.startswith("error: memory limit reached: ")
     assert "FAILED" not in out + err
+
+
+def _json_reference(record: dict) -> str:
+    """What the JSON writer must print for a record, by the stdlib encoder."""
+
+    def plain(v):
+        if v is None or isinstance(v, (bool, str)):
+            return v
+        if isinstance(v, int):
+            return cli._dec(v)
+        if isinstance(v, tuple):
+            return {"x": cli._dec(v[0]), "y": cli._dec(v[1])}
+        return [cli._dec(a) for a in v]
+
+    fields = {}
+    for key, v in record.items():
+        if key == "pell":
+            fields["pell_x"], fields["pell_y"] = cli._dec(v[0]), cli._dec(v[1])
+        else:
+            fields[key] = plain(v)
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
+
+_RECORD_KEYS = (
+    "N", "case", "distinct_logoi", "index", "input", "m", "n_max", "negative_pell", "p", "palindrome",
+    "palindrome_failures", "palindromic", "period", "period_len", "period_length", "preperiod", "q",
+    "quotients", "records", "terminated", "x", "y",
+)  # every key a command writes, except pell, which becomes pell_x and pell_y
+_edge_ints = st.sampled_from([-1, 0, 255, 256, 10**700 + 1, -(10**700), 7**6000])  # 7**6000: 5071 digits
+_ints = st.one_of(_edge_ints, st.integers(-(2**70), 2**70))
+_labels = st.one_of(
+    st.sampled_from(["sqrt(٧/٣)", "(１+sqrt(٥))/७", 'a"b', "back\\slash", "\x00\x1f\x7f\n\t", " \ud800"]),
+    st.text(),
+)
+_int_lists = st.one_of(
+    st.lists(_ints, max_size=12),
+    st.lists(st.integers(-3, 300), min_size=1, max_size=7).map(lambda xs: (xs * 100_000)[:100_000]),
+)
+_pairs = st.tuples(_ints, _ints)
+_records = st.tuples(
+    st.dictionaries(
+        st.sampled_from(_RECORD_KEYS),
+        st.one_of(st.none(), st.booleans(), _ints, _labels, _int_lists, _pairs),
+        max_size=8,
+    ),
+    st.one_of(st.just({}), _pairs.map(lambda xy: {"pell": xy})),
+).map(lambda parts: parts[0] | parts[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_records)
+def test_json_line_writes_what_json_dumps_writes(record):
+    assert cli._json_line(record) == _json_reference(record)
+
+
+def _mutated(forms):
+    """Texts from forms, mutated by Unicode digits and inserted whitespace."""
+    unicode_digits = st.sampled_from(["", "", "٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９"])
+
+    @st.composite
+    def mutated(draw):
+        text = draw(forms)
+        script = draw(unicode_digits)
+        if script:
+            text = text.translate(str.maketrans("0123456789", script))
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from([" ", "\t", "\n", "\u00a0", "\u2003"])) + text[at:]
+        return text
+
+    return mutated()
+
+
+_STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+_digits = st.one_of(
+    st.integers(0, 10**12).map(str),
+    st.integers(0, 99).map(str),
+    st.sampled_from(["0", "00", "007", "1", "4", "16"]),
+    st.integers(1, 3).map(lambda k: "7" * (_STR_LIMIT + k)),  # past the int-to-str limit
+)
+_signed = st.tuples(st.sampled_from(["", "", "+", "-", "--"]), _digits).map("".join)
+# surd specs from the grammar, and integers for the commands that take N
+_surd_specs = _mutated(
+    st.one_of(
+        _signed,
+        st.builds("sqrt({})".format, _digits),
+        st.builds("sqrt({}/{})".format, _digits, _digits),
+        st.builds("({}+sqrt({}))/{}".format, _signed, _digits, _signed),
+    )
+)
+_n_texts = _mutated(_signed)
+
+
+def _run_in_process(argv, budget):
+    """main(argv) under ANTH_MAX_STEPS=budget: its exit code, stdout, stderr and whether argparse exited."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"ANTH_MAX_STEPS": str(budget)}), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), True
+    return code, out.getvalue(), err.getvalue(), False
+
+
+@settings(max_examples=150, deadline=None)
+@given(_surd_specs, _n_texts, st.integers(1, 8), st.integers(1, 12), st.sampled_from(["plain", "json", "csv"]))
+def test_every_command_exits_0_2_or_3_with_at_most_one_error_line(spec, n, budget, steps, fmt):
+    runs = [
+        ["expand", spec, "--format", fmt],
+        ["expand", spec, "--pell", "--negative-pell"],
+        ["approx", spec, "--steps", str(steps), "--format", "json" if fmt == "json" else "plain"],
+        ["approx", n],
+        ["trace", n],
+        ["trace", spec],
+        ["sweep", n, "--format", fmt],
+        ["pell", n, "--negative-pell"],
+        ["verify", n],
+    ]
+    for argv in runs:
+        code, _, err, by_argparse = _run_in_process(argv, budget)
+        assert code in (0, 2, 3), argv
+        lines = err.splitlines()
+        if by_argparse:  # argparse rejected argv: its usage, then one error line
+            assert code == 2 and lines[0].startswith("usage: anth ") and lines[-1].startswith(f"anth {argv[0]}: error: ")
+        elif argv[0] == "sweep" and fmt == "csv" and code == 0:  # a CSV sweep's summary goes to stderr
+            assert len(lines) == 1 and "palindrome failures" in lines[0]
+        elif code == 0:
+            assert lines == [], argv
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), argv
