@@ -1,9 +1,10 @@
 """Command line front end: expand, trace, sweep, pell, approx, verify.
 
-Exit codes: 0 success, 2 bad input (or an --out FILE that cannot be
-written), 3 step-limit exhaustion, an expansion too long for memory or a
-MemoryError, 4 golden-file mismatch, 5 palindrome failure during a
-sweep, 141 stdout closed by its reader (a broken pipe). The
+Exit codes: 0 success, 1 a verify check failed, 2 bad input (or an
+--out FILE that cannot be written), 3 step-limit exhaustion, an
+expansion too long for memory or a MemoryError, 4 golden-file
+mismatch, 5 palindrome failure during a sweep, 141 stdout closed by
+its reader (a broken pipe). The
 environment variable ANTH_MAX_STEPS, at least 1, sets the step budget
 of the expansion in every command (expand, trace, sweep, pell, approx,
 verify) wherever --steps is not given explicitly. approx reads exactly
@@ -45,17 +46,13 @@ from .engine import (
 )
 from .oracle import oracle_expand
 from .palindrome import omega_sequence, period_stats, verify_palindrome
-from .surd import QuadraticSurd, floor_surd, isqrt
+from .surd import QuadraticSurd, _dec, floor_surd, isqrt
 
-__all__ = ["main", "parse_surd_spec", "SurdSpecError"]
+__all__ = ["main"]
 
 
 class InputError(ValueError):
     """Bad user input: one line on stderr and exit 2."""
-
-
-class SurdSpecError(InputError):
-    pass
 
 
 _SPACE_RE = re.compile(r"\s+")
@@ -68,36 +65,38 @@ def _parse_int(digits: str, text: str) -> int:
     try:
         return int(digits)
     except ValueError as exc:  # more digits than Python's int-to-str limit allows
-        raise SurdSpecError(f"{exc} in {text!r}") from exc
-
-
-def parse_surd_spec(text: str) -> QuadraticSurd:
-    """Parse 'N', 'sqrt(P/Q)' or '(P+sqrt(D))/Q' (whitespace-insensitive)."""
-    return _parse_spec(text)[0]
+        raise InputError(f"{exc} in {text!r}") from exc
 
 
 def _parse_spec(text: str) -> tuple[QuadraticSurd, str]:
-    """The surd text names and its label: sqrt(N) with N as parsed for an integer spec, else text without whitespace."""
+    """The surd a spec names and its label, or an InputError.
+
+    Whitespace is ignored, digits may be any Unicode decimal digits, Q != 0:
+      N              sqrt(N), N >= 0 and optionally signed, labelled sqrt(N) in plain decimal
+      sqrt(P/Q)      sqrt(P*Q)/Q; sqrt(P) is sqrt(P/1)
+      (P+sqrt(D))/Q  P and Q optionally signed
+    The last two are labelled by the text less its whitespace.
+    """
     compact = _SPACE_RE.sub("", text)
     if _INT_RE.match(compact):
         n = _parse_int(compact, text)
         if n < 0:
-            raise SurdSpecError(f"negative radicand in {text!r}")
+            raise InputError(f"negative radicand in {text!r}")
         return QuadraticSurd.sqrt_of(n), f"sqrt({_dec(n)})"
     m = _SQRT_RE.match(compact)
     if m:
         num = _parse_int(m.group(1), text)
         den = _parse_int(m.group(2), text) if m.group(2) else 1
         if den == 0:
-            raise SurdSpecError(f"zero denominator in {text!r}")
+            raise InputError(f"zero denominator in {text!r}")
         return QuadraticSurd.sqrt_of_rational(num, den), compact
     m = _SURD_RE.match(compact)
     if m:
         p, d, q = (_parse_int(g, text) for g in m.groups())
         if q == 0:
-            raise SurdSpecError(f"zero denominator in {text!r}")
+            raise InputError(f"zero denominator in {text!r}")
         return QuadraticSurd(p, d, q), compact
-    raise SurdSpecError(f"cannot parse surd spec {text!r}")
+    raise InputError(f"cannot parse surd spec {text!r}")
 
 
 def _step_limit(steps: int | None = None) -> int | None:
@@ -150,24 +149,6 @@ def _emit(lines: Iterable[str], out: str | None, end: str = "\n") -> None:
             fh.close()
         except OSError as exc:
             raise _cannot_write(out, exc) from exc
-
-
-def _dec(n: int) -> str:
-    """Decimal digits of an exact integer, whatever Python's int-to-str limit is.
-
-    Integers too long for one str() call are split at a power of ten into
-    halves, rendered separately and joined, so output never hits the limit
-    (sys.set_int_max_str_digits), which stays in force for parsing input.
-    """
-    try:
-        return str(n)
-    except ValueError:  # over the limit
-        pass
-    if n < 0:
-        return "-" + _dec(-n)
-    k = n.bit_length() * 3 // 20  # about half of n's decimal digits, so 10**k < n
-    high, low = divmod(n, 10**k)
-    return _dec(high) + _dec(low).zfill(k)
 
 
 _SMALL = tuple(map(str, range(256)))  # nearly every quotient is one of these
@@ -251,7 +232,7 @@ def _is_sqrt_int(s: QuadraticSurd) -> bool:
 def _reject_sqrt_zero(target: QuadraticSurd) -> None:
     """sqrt(0), however it is written, is bad input for expand and approx."""
     if _is_sqrt_int(target) and target.d == 0:
-        raise SurdSpecError("N must be positive")
+        raise InputError("N must be positive")
 
 
 def _pell_fields(n: int, e: Expansion, want_pell: bool, want_negative: bool) -> dict:
@@ -491,10 +472,9 @@ def cmd_verify(args) -> int:
             if p * p - n * q * q != expected:
                 raise AssertionError(f"quality identity fails at convergent {k}")
 
-    def pell():
-        x, y = pell_solutions(n, e)[0]
-        if x * x - n * y * y != 1:
-            raise AssertionError("fundamental solution does not satisfy Pell")
+    def pell():  # each side checks x^2 - N*y^2 = 1 (and -1) before it returns
+        if pell_solutions(n, e) != pell_solutions(n):
+            raise AssertionError("the full period and the centre stop give different solutions")
 
     def pure_tail():
         tail = QuadraticSurd(mus[0], n, lams[1])

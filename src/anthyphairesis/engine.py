@@ -259,7 +259,7 @@ def _to_centre(N: int, max_steps: int | None = None) -> tuple[tuple[int, ...], b
         t = N - p_next * p_next
         q_next = t // q
         if q_next * q != t:
-            raise AssertionError(f"lost divisibility at step {len(quots) + 1} of sqrt({N})")
+            raise AssertionError(f"lost divisibility at step {len(quots) + 1} of {QuadraticSurd(0, N, 1)}")
         if p_next == p:
             return tuple(quots), False
         p, q, q_prev = p_next, q_next, q

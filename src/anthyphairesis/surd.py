@@ -34,6 +34,24 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+def _dec(n: int) -> str:
+    """Decimal digits of an exact integer, whatever Python's int-to-str limit is.
+
+    Integers too long for one str() call are split at a power of ten into
+    halves, rendered separately and joined, so output never hits the limit
+    (sys.set_int_max_str_digits), which stays in force for parsing input.
+    """
+    try:
+        return str(n)
+    except ValueError:  # over the limit
+        pass
+    if n < 0:
+        return "-" + _dec(-n)
+    k = n.bit_length() * 3 // 20  # about half of n's decimal digits, so 10**k < n
+    high, low = divmod(n, 10**k)
+    return _dec(high) + _dec(low).zfill(k)
+
+
 class QuadraticSurd(namedtuple("QuadraticSurd", "p d q")):
     """The real number (p + sqrt(d)) / q with integer p, d >= 0, q != 0.
 
@@ -77,8 +95,8 @@ class QuadraticSurd(namedtuple("QuadraticSurd", "p d q")):
 
     def __str__(self) -> str:
         if self.p == 0 and self.q == 1:
-            return f"sqrt({self.d})"
-        return f"({self.p}+sqrt({self.d}))/{self.q}"
+            return f"sqrt({_dec(self.d)})"
+        return f"({_dec(self.p)}+sqrt({_dec(self.d)}))/{_dec(self.q)}"
 
 
 def normalize(s: QuadraticSurd) -> QuadraticSurd:

@@ -12,11 +12,11 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anthyphairesis import cli
-from anthyphairesis.cli import main, parse_surd_spec, SurdSpecError
+from anthyphairesis.cli import InputError, _parse_spec, main
 from anthyphairesis.engine import expand_sqrt
 from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.surd import QuadraticSurd
@@ -33,14 +33,14 @@ def run(capsys, *argv):
 
 
 def test_parse_surd_spec():
-    assert parse_surd_spec("19") == QuadraticSurd(0, 19, 1)
-    assert parse_surd_spec("sqrt(7/3)") == QuadraticSurd(0, 21, 3)
-    assert parse_surd_spec("sqrt(8)") == QuadraticSurd(0, 8, 1)
-    assert parse_surd_spec(" ( 7 + sqrt(54) ) / 5 ") == QuadraticSurd(7, 54, 5)
-    assert parse_surd_spec("(-3+sqrt(2))/1") == QuadraticSurd(-3, 2, 1)
+    assert _parse_spec("19")[0] == QuadraticSurd(0, 19, 1)
+    assert _parse_spec("sqrt(7/3)")[0] == QuadraticSurd(0, 21, 3)
+    assert _parse_spec("sqrt(8)")[0] == QuadraticSurd(0, 8, 1)
+    assert _parse_spec(" ( 7 + sqrt(54) ) / 5 ")[0] == QuadraticSurd(7, 54, 5)
+    assert _parse_spec("(-3+sqrt(2))/1")[0] == QuadraticSurd(-3, 2, 1)
     for bad in ("-5", "sqrt(7/0)", "(1+sqrt(2))/0", "2+sqrt(3)", "sqrt(x)"):
-        with pytest.raises(SurdSpecError):
-            parse_surd_spec(bad)
+        with pytest.raises(InputError):
+            _parse_spec(bad)
 
 
 def test_expand_plain_outputs(capsys):
@@ -269,10 +269,12 @@ def test_out_file_in_a_missing_directory_is_bad_input(tmp_path, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_out_file_write_error_is_bad_input(capsys):
-    # /dev/full opens, then every write fails with ENOSPC
-    code, out, err = run(capsys, "expand", "19", "--out", "/dev/full")
-    assert (code, out) == (2, "")
-    assert err == "error: cannot write /dev/full: No space left on device\n"
+    # /dev/full opens, then every write fails with ENOSPC: expand's one line
+    # when the file closes, sweep's rows mid-stream, when a buffer fills
+    for argv in (["expand", "19"], ["sweep", "3000", "--format", "csv"]):
+        code, out, err = run(capsys, *argv, "--out", "/dev/full")
+        assert (code, out) == (2, ""), argv
+        assert err == "error: cannot write /dev/full: No space left on device\n", argv
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -382,7 +384,7 @@ def test_pell_over_4300_digits_renders(capsys, low_int_str_limit):
     [
         (["pell", "61", "--negative-pell"], 1),
         (["expand", "61", "--pell", "--negative-pell"], 1),
-        (["verify", "61"], 1),
+        (["verify", "61"], 2),
         (["sweep", "30", "--pell", "--negative-pell"], 25),
     ],
 )
@@ -404,11 +406,13 @@ def test_pell_commands_expand_each_n_once(capsys, monkeypatch, argv, expansions)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     calls = full + centre
-    assert len(calls) == expansions == len(set(calls))
+    assert len(calls) == expansions
     if argv[0] == "pell":  # pell alone stops at the centre
         assert (full, centre) == ([], [61])
+    elif argv[0] == "verify":  # its pell check compares the full period's solution with the centre stop's
+        assert (full, centre) == ([61], [61])
     else:
-        assert centre == []
+        assert centre == [] and len(full) == len(set(full))
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -474,13 +478,17 @@ def test_trace_step_budget_exit_code(capsys):
         ["approx", "19", "--steps", "-2"],
         ["sweep", "10", "--jobs", "0"],
         ["sweep", "10", "--jobs", "-3"],
+        ["expand", "19", "--steps", "x"],  # not an int at all
+        ["sweep", "10", "--jobs", "x"],
     ],
 )
 def test_flag_values_below_one_rejected_at_parse_time(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
+    flag, value = argv[-2:]
+    reason = f"invalid int value: {value!r}" if value == "x" else f"must be at least 1, got {value}"
+    assert capsys.readouterr().err.splitlines()[-1] == f"anth {argv[0]}: error: argument {flag}: {reason}"
 
 
 def test_bad_input_exit_2_and_internal_faults_propagate(capsys, monkeypatch):
@@ -817,6 +825,82 @@ def test_memory_error_in_a_verify_check_exits_3_not_failed(capsys, monkeypatch):
     assert "FAILED" not in out + err
 
 
+def _swap_first_two_quotients(e):
+    period = list(e.period)
+    period[0], period[1] = period[1], period[0]
+    return e._replace(period=tuple(period))
+
+
+def _tamper_trail(at, value):
+    def tamper(e):
+        trail = list(e.trail)
+        trail[at] = value(trail[at])
+        return e._replace(trail=tuple(trail))
+
+    return tamper
+
+
+_VERIFY_CHECKS = (
+    "recurrence identities", "state bounds and pigeonhole", "palindrome (both routes)", "omega identities",
+    "oracle agreement (3 periods)", "symbolic trace agreement", "convergent quality", "pell fundamental",
+    "purely periodic tail",
+)
+
+
+@pytest.mark.parametrize(
+    "tamper, failures",
+    [
+        (
+            _swap_first_two_quotients,
+            {
+                "recurrence identities": "sum identity fails at step 2",
+                "palindrome (both routes)": "period is not palindromic",
+                "omega identities": "omega_2*(I_1*beta + omega_1) != beta^2 for sqrt(19)",
+                "oracle agreement (3 periods)": "oracle quotients diverge from the engine",
+                "symbolic trace agreement": "symbolic trace quotients diverge from the engine",
+                "convergent quality": "quality identity fails at convergent 1",
+                "pell fundamental": "period of sqrt(19) is not palindromic",
+                "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
+            },
+        ),
+        (
+            _tamper_trail(5, lambda v: v + 1),  # a mu
+            {
+                "recurrence identities": "product identity fails at step 3",
+                "omega identities": "omega_2 is not the inverse of (phi_2)* for sqrt(19)",
+                "convergent quality": "quality identity fails at convergent 1",
+            },
+        ),
+        (
+            _tamper_trail(3, lambda v: 19),  # a lambda, set to N
+            {
+                "recurrence identities": "product identity fails at step 2",
+                "state bounds and pigeonhole": "state bounds fail at step 2",
+                "omega identities": "omega_1 is not the inverse of (phi_1)* for sqrt(19)",
+                "convergent quality": "quality identity fails at convergent 0",
+                "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
+            },
+        ),
+        (
+            lambda e: e._replace(period=e.period * 2),  # still palindromic: its Pell pair solves x^2 - N*y^2 = 1 but is the fundamental one squared
+            {
+                "palindrome (both routes)": "quotient-level and reflection-level palindrome verdicts disagree",
+                "symbolic trace agreement": "symbolic trace quotients diverge from the engine",
+                "convergent quality": "tuple index out of range",
+                "pell fundamental": "the full period and the centre stop give different solutions",
+                "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
+            },
+        ),
+    ],
+    ids=["swapped quotients", "mu off by one", "lambda set to N", "period doubled"],
+)
+def test_a_tampered_expansion_fails_verify(capsys, monkeypatch, tamper, failures):
+    monkeypatch.setattr(cli, "expand_sqrt", lambda n, *rest: tamper(expand_sqrt(n, *rest)))
+    code, out, err = run(capsys, "verify", "19")
+    lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
+    assert (code, out, err) == (1, "\n".join(lines) + "\nverify 19: FAILED\n", "")
+
+
 def _json_reference(record: dict) -> str:
     """What the JSON writer must print for a record, by the stdlib encoder."""
 
@@ -896,6 +980,16 @@ _digits = st.one_of(
     st.integers(1, 3).map(lambda k: "7" * (_STR_LIMIT + k)),  # past the int-to-str limit
 )
 _signed = st.tuples(st.sampled_from(["", "", "+", "-", "--"]), _digits).map("".join)
+
+
+def _near_limit(share):
+    """Digits, share of the int-to-str limit long: each such int parses, while the surd the spec normalizes to need not fit one str()."""
+    return st.sampled_from("1379").map(lambda c: c * int(_STR_LIMIT * share))
+
+
+# (0, P*Q, Q) for sqrt(P/Q), and (P*Q, D*Q*Q, Q*Q) for (P+sqrt(D))/Q when Q does not divide D - P^2
+_SQRT_RATIO_NEAR_LIMIT = "sqrt({}/{}1)".format("7" * int(_STR_LIMIT * 3 / 5), "3" * int(_STR_LIMIT * 3 / 5 - 1))
+_SURD_NEAR_LIMIT = "(1+sqrt({}))/{}1".format("7" * int(_STR_LIMIT * 3 / 5), "3" * int(_STR_LIMIT / 4 - 1))
 # surd specs from the grammar, and integers for the commands that take N
 _surd_specs = _mutated(
     st.one_of(
@@ -903,6 +997,10 @@ _surd_specs = _mutated(
         st.builds("sqrt({})".format, _digits),
         st.builds("sqrt({}/{})".format, _digits, _digits),
         st.builds("({}+sqrt({}))/{}".format, _signed, _digits, _signed),
+        st.builds("sqrt({}/{})".format, _near_limit(3 / 5), _near_limit(3 / 5)),
+        st.tuples(st.integers(-9, 9), _near_limit(3 / 5), _near_limit(1 / 4))
+        .filter(lambda t: (int(t[1]) - t[0] ** 2) % int(t[2]))
+        .map(lambda t: "({}+sqrt({}))/{}".format(*t)),
     )
 )
 _n_texts = _mutated(_signed)
@@ -921,6 +1019,8 @@ def _run_in_process(argv, budget):
 
 @settings(max_examples=150, deadline=None)
 @given(_surd_specs, _n_texts, st.integers(1, 8), st.integers(1, 12), st.sampled_from(["plain", "json", "csv"]))
+@example(_SQRT_RATIO_NEAR_LIMIT, "19", 1, 1, "plain")
+@example(_SURD_NEAR_LIMIT, "19", 1, 1, "json")
 def test_every_command_exits_0_2_or_3_with_at_most_one_error_line(spec, n, budget, steps, fmt):
     runs = [
         ["expand", spec, "--format", fmt],

@@ -13,7 +13,7 @@ import tokenize
 import pytest
 
 import anthyphairesis
-from anthyphairesis import QuadraticSurd, euler_trace, expand_sqrt, expand_surd, period_stats, verify_palindrome
+from anthyphairesis import QuadraticSurd, cli, euler_trace, expand_sqrt, expand_surd, period_stats, verify_palindrome
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -41,6 +41,7 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 35
     assert anthyphairesis.__all__ == PUBLIC_NAMES
+    assert cli.__all__ == ["main"]  # the command line exports only its entry point
 
 
 def test_readme_lists_each_module_exports():
@@ -48,7 +49,7 @@ def test_readme_lists_each_module_exports():
     with open(README, encoding="utf-8") as fh:
         library = fh.read().split("## Library", 1)[1].split("\n## ", 1)[0]
     listed = dict(re.findall(r"^- `(\w+)` \(([^)]*)\):", library, re.M))
-    for short in ("bookx", "convergents", "engine", "oracle", "palindrome", "surd"):
+    for short in ("bookx", "convergents", "engine", "oracle", "palindrome", "surd", "cli"):
         module = importlib.import_module(f"anthyphairesis.{short}")
         assert re.findall(r"`(\w+)`", listed[short]) == module.__all__, short
 

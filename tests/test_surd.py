@@ -117,3 +117,10 @@ def test_floor_surd_against_interval_oracle():
         q = rng.randint(1, 10**9) * rng.choice((1, -1))
         s = QuadraticSurd(p, d, q)
         assert floor_surd(s) == _floor_by_interval(s)
+
+
+def test_str_writes_each_field_in_full_past_the_int_to_str_limit():
+    big = 7 * 10**5000 + 1  # more digits than Python's default int-to-str limit, 4300
+    digits = "7" + "0" * 4999 + "1"
+    assert str(QuadraticSurd(0, big, 1)) == f"sqrt({digits})"
+    assert str(QuadraticSurd(-big, big, big)) == f"(-{digits}+sqrt({digits}))/{digits}"
