@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, isqrt
 
-from .surd import is_perfect_square
+from .surd import QuadraticSurd, is_perfect_square
 
 __all__ = [
     "TraceStep",
@@ -153,23 +153,23 @@ def logos_cross_check(basis: Basis, a1: Triple, a2: Triple, b1: Triple, b2: Trip
     return line_mul(basis, a1, b2) == line_mul(basis, a2, b1)
 
 
-class TraceStep(namedtuple("TraceStep", "index lam mu phi phi_conjugate product_constant psi quotient next_phi repeats_index")):
+class TraceStep(namedtuple("TraceStep", "index lam mu phi product_constant psi quotient repeats_index")):
     """One division step of the symbolic expansion of sqrt(N); each line is a reduced triple.
 
-    index, lam, mu and the line phi = (alpha - mu*beta)/lam. Then its
-    conjugate phi*, the int product_constant with
-    lam*phi*phi* = product_constant*beta^2, the inverse psi, the int
-    quotient and the line next_phi. The closing step (where phi repeats
-    an earlier one) carries only the factor itself plus the int
-    repeats_index; the remaining fields are None. An immutable named
-    tuple.
+    index, lam, mu and the line phi = (alpha - mu*beta)/lam. Then the
+    int product_constant with lam*phi*phi* = product_constant*beta^2
+    (phi* = conjugate(phi)), the inverse psi and the int quotient; the
+    next factor, psi - quotient*beta, is the next step's phi. The closing
+    step (where phi repeats an earlier one) carries only the factor
+    itself plus the int repeats_index; the remaining fields are None. An
+    immutable named tuple.
     """
 
     __slots__ = ()
 
 
 # Peak bytes one trace step costs: its TraceStep, line triples and rendered text
-# come to about 2.0 KB (sqrt(10^8+3), tracemalloc).
+# come to about 1.8 KB, the steps alone to 445 B (sqrt(10^8+3), tracemalloc).
 _TRACE_STEP_BYTES = 4096
 
 
@@ -187,10 +187,11 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
     Each step inverts the current increment factor phi via its conjugate
     (no integer state recurrence is used, so this is an independent
     derivation of the quotients), reads off the quotient as the integer
-    part of psi/beta, and subtracts to get the next factor. Stops when a
-    phi repeats an earlier one. Raises StepLimitExceeded when more than
-    max_steps factors pass without a repeat, and ResourceLimitExceeded
-    when, before that, the steps would outgrow this process's memory.
+    part of psi/beta, and subtracts to get the next factor, which only
+    the next step stores. Stops when a phi repeats an earlier one.
+    Raises StepLimitExceeded when more than max_steps factors pass
+    without a repeat, and ResourceLimitExceeded when, before that, the
+    steps would outgrow this process's memory.
     """
     # the step safety net only; no stepping code is shared with the engine
     from .engine import ResourceLimitExceeded, StepLimitExceeded, _budget
@@ -208,23 +209,21 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
     while True:
         lam, mu = _as_lambda_mu(phi)
         if phi in seen:
-            steps.append(TraceStep(k, lam, mu, phi, None, None, None, None, None, seen[phi]))
+            steps.append(TraceStep(k, lam, mu, phi, None, None, None, seen[phi]))
             return steps
         seen[phi] = k
         if k > limit:
             if limit == max_steps:
-                raise StepLimitExceeded(f"trace of sqrt({N}) exceeded {max_steps} steps without repeating")
-            raise ResourceLimitExceeded(f"trace of sqrt({N}) exceeded {limit} steps, all that fit in memory")
-        conj = conjugate(phi)
-        ab, bb, den = line_mul(pq, phi, conj)
-        # lam*phi*conj = constant*beta^2 for a positive integer constant
+                raise StepLimitExceeded(f"trace of {QuadraticSurd.sqrt_of(N)} exceeded {max_steps} steps without repeating")
+            raise ResourceLimitExceeded(f"trace of {QuadraticSurd.sqrt_of(N)} exceeded {limit} steps, all that fit in memory")
+        ab, bb, den = line_mul(pq, phi, conjugate(phi))
+        # lam*phi*phi* = constant*beta^2 for a positive integer constant
         if ab != 0 or bb <= 0 or bb * lam % den:
             raise RuntimeError("conjugacy product is not a positive rational multiple of beta^2")
         psi = inverse_wrt_beta_squared(pq, phi)
         quotient = _floor_over_beta(pq, psi)
-        next_phi = _add(psi, (0, -quotient, 1))
-        steps.append(TraceStep(k, lam, mu, phi, conj, bb * lam // den, psi, quotient, next_phi, None))
-        phi = next_phi
+        steps.append(TraceStep(k, lam, mu, phi, bb * lam // den, psi, quotient, None))
+        phi = _add(psi, (0, -quotient, 1))
         k += 1
 
 
@@ -235,17 +234,10 @@ def _term(coeff: int, symbol: str) -> str:
 
 
 def render_line(u: Triple, name: str) -> str:
-    """Integer-scaled rendering 'den*name = a*alpha +/- b*beta'."""
+    """Integer-scaled rendering 'den*name = a*alpha +/- b*beta' of a line with a, b != 0."""
     a, b, den = u
-    lhs = _term(den, name)
-    if a == 0:
-        rhs = _term(abs(b), "beta") if b >= 0 else f"-{_term(abs(b), 'beta')}"
-    elif b == 0:
-        rhs = _term(abs(a), "alpha") if a >= 0 else f"-{_term(abs(a), 'alpha')}"
-    else:
-        sign = "+" if b > 0 else "-"
-        rhs = f"{_term(a, 'alpha')} {sign} {_term(abs(b), 'beta')}"
-    return f"{lhs} = {rhs}"
+    sign = "+" if b > 0 else "-"
+    return f"{_term(den, name)} = {_term(a, 'alpha')} {sign} {_term(abs(b), 'beta')}"
 
 
 def render_trace(steps: list[TraceStep], N: int) -> str:
@@ -253,7 +245,7 @@ def render_trace(steps: list[TraceStep], N: int) -> str:
     out = [f"anthyphairesis trace: alpha^2 = {N}*beta^2"]
     pq = basis(N)
     quotients = []
-    for s in steps:
+    for i, s in enumerate(steps):
         kind = classify(pq, s.phi)
         out.append(
             f"step {s.index}: {render_line(s.phi, f'phi_{s.index}')}"
@@ -266,14 +258,14 @@ def render_trace(steps: list[TraceStep], N: int) -> str:
                 f" periodicity by the incremental Logos criterion (period {period})"
             )
             continue
-        out.append(f"  conjugate: {render_line(s.phi_conjugate, f'phi_{s.index}*')}")
+        out.append(f"  conjugate: {render_line(conjugate(s.phi), f'phi_{s.index}*')}")
         out.append(
             f"  product:   lambda_{s.index}*phi_{s.index}*phi_{s.index}*"
             f" = {s.product_constant}*beta^2 = lambda_{s.index + 1}*beta^2"
         )
         out.append(f"  inverse:   {render_line(s.psi, f'psi_{s.index}')}")
         out.append(f"  quotient:  I_{s.index} = {s.quotient}")
-        out.append(f"  next:      {render_line(s.next_phi, f'phi_{s.index + 1}')}")
+        out.append(f"  next:      {render_line(steps[i + 1].phi, f'phi_{s.index + 1}')}")
         quotients.append(s.quotient)
     first = steps[0].mu
     body = ", ".join(str(q) for q in quotients)

@@ -308,7 +308,7 @@ def cmd_trace(args) -> int:
         if text != expected:
             print(f"golden mismatch against {args.golden}", file=sys.stderr)
             return 4
-    _emit(text.splitlines(), args.out)
+    _emit([text], args.out, end="")
     return 0
 
 
@@ -466,6 +466,8 @@ def cmd_verify(args) -> int:
 
     def convergent_quality():
         period = len(e.period)
+        if len(lams) <= period:
+            raise AssertionError(f"period of {period} quotients is longer than the {len(lams) - 1} states of the trail")
         for k, (p, q) in enumerate(convergents(e.quotient_stream(2 * period))):
             lam = lams[k % period + 1]  # lam_{k+2}, cycled; lams is lam_1..lam_{period+1}
             expected = -lam if k % 2 == 0 else lam

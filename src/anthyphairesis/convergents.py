@@ -25,7 +25,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .engine import Expansion, _to_centre
 from .palindrome import _palindromic
-from .surd import isqrt
+from .surd import QuadraticSurd, isqrt
 
 __all__ = ["convergents", "pell_fundamental", "pell_negative", "pell_solutions"]
 
@@ -86,10 +86,10 @@ def pell_solutions(
         if e.terminated:
             raise ValueError("N must not be a perfect square")
         if e.radicand != N or e.preperiod != (m,):
-            raise ValueError(f"expansion does not belong to sqrt({N})")
+            raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
         period = e.period
         if not _palindromic(period, m):
-            raise AssertionError(f"period of sqrt({N}) is not palindromic")
+            raise AssertionError(f"period of {QuadraticSurd.sqrt_of(N)} is not palindromic")
         half, odd = period[: len(period) // 2], len(period) % 2 == 1
 
     if odd:  # even interior a_1 .. a_{2h}: P = H*H^T
@@ -104,13 +104,13 @@ def pell_solutions(
 
     if not odd:
         if pp - nqq != 1:
-            raise AssertionError(f"period-end convergent of sqrt({N}) does not solve Pell")
+            raise AssertionError(f"period-end convergent of {QuadraticSurd.sqrt_of(N)} does not solve Pell")
         return (p, q), None
     if pp - nqq != -1:
-        raise AssertionError(f"odd-period convergent of sqrt({N}) does not solve negative Pell")
+        raise AssertionError(f"odd-period convergent of {QuadraticSurd.sqrt_of(N)} does not solve negative Pell")
     x, y = pp + nqq, 2 * p * q
     if x * x - N * y * y != 1:
-        raise AssertionError(f"squared odd-period convergent of sqrt({N}) does not solve Pell")
+        raise AssertionError(f"squared odd-period convergent of {QuadraticSurd.sqrt_of(N)} does not solve Pell")
     return (x, y), (p, q)
 
 

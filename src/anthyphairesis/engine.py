@@ -88,11 +88,11 @@ def _memory_steps(bytes_per_step: int) -> int:
     return memory // bytes_per_step
 
 
-class Expansion(namedtuple("Expansion", "preperiod period terminated radicand trail", defaults=(0, ()))):
+class Expansion(namedtuple("Expansion", "preperiod period radicand trail", defaults=(0, ()))):
     """Quotients of one expansion: preperiod, period, and the state trail.
 
-    terminated is True for rational inputs (finite quotient list in
-    preperiod, empty period). Otherwise trail holds the complete
+    A rational input has a finite quotient list in preperiod and an
+    empty period, so it is terminated. Otherwise trail holds the complete
     quotients x_k = (p_k + sqrt(radicand))/q_k of the normalized input
     as the flat ints p_0, q_0, p_1, q_1, ...: one pair per emitted
     quotient plus the closing repeat of the first periodic state. For
@@ -104,6 +104,10 @@ class Expansion(namedtuple("Expansion", "preperiod period terminated radicand tr
     """
 
     __slots__ = ()
+
+    @property
+    def terminated(self) -> bool:
+        return not self.period
 
     @property
     def quotients(self) -> tuple[int, ...]:
@@ -192,7 +196,6 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: int | None) -> Expansion:
     return Expansion(
         preperiod=tuple(quots[:j]),
         period=tuple(quots[j:]),
-        terminated=False,
         radicand=d,
         trail=tuple(trail),
     )
@@ -276,7 +279,7 @@ def _expand_rational(num: int, den: int) -> Expansion:
         if rem == 0:
             break
         num, den = den, rem
-    return Expansion(preperiod=tuple(quots), period=(), terminated=True)
+    return Expansion(preperiod=tuple(quots), period=())
 
 
 def increment_factors(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
@@ -293,11 +296,11 @@ def increment_factors(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     if not mus:
         raise ValueError("expansion does not carry integer increment-factor states")
     if e.radicand != N or mus[0] != isqrt(N) or lams[0] != 1:
-        raise ValueError(f"expansion does not belong to sqrt({N})")
+        raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
     pq = basis(N)
     for i, (mu, lam) in enumerate(zip(mus, lams)):
         if (N - mu * mu) % lam:
-            raise ValueError(f"expansion does not belong to sqrt({N})")
+            raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
         if N >= (mu + lam) ** 2:
             raise ValueError(f"increment factor {i + 1} is not smaller than beta")
         if i + 1 < len(mus):
@@ -328,10 +331,10 @@ def remainders(N: int, count: int) -> tuple[Triple, ...]:
     for quotient in stream:
         nxt = _add(prev, (-quotient * cur[0], -quotient * cur[1], cur[2]))
         if sign_of(pq, nxt) <= 0:
-            raise AssertionError(f"remainder {len(lines) + 1} of sqrt({N}) is not positive")
+            raise AssertionError(f"remainder {len(lines) + 1} of {QuadraticSurd.sqrt_of(N)} is not positive")
         drop = _add(cur, (-nxt[0], -nxt[1], nxt[2]))
         if sign_of(pq, drop) <= 0:
-            raise AssertionError(f"remainder {len(lines) + 1} of sqrt({N}) does not decrease")
+            raise AssertionError(f"remainder {len(lines) + 1} of {QuadraticSurd.sqrt_of(N)} does not decrease")
         lines.append(nxt)
         prev, cur = cur, nxt
     return tuple(lines)

@@ -19,6 +19,7 @@ from collections.abc import Iterable
 
 from .bookx import BETA_SQUARED, _add, basis, conjugate, line_mul
 from .engine import Expansion, increment_factors
+from .surd import QuadraticSurd
 
 __all__ = [
     "PalindromeReport",
@@ -103,7 +104,7 @@ def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     An expansion of another radicand is a ValueError.
     """
     if e.radicand != N:
-        raise ValueError(f"expansion does not belong to sqrt({N})")
+        raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
     pq = basis(N)
     mus, lams, quotients = e.mus, e.lams, e.quotients
     omegas = [(1, -mus[n - 1], lams[n]) for n in range(1, len(mus))]  # (alpha - mu_n*beta)/lam_{n+1}
@@ -111,13 +112,13 @@ def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
         mu, lam_next = mus[n - 1], lams[n]
         phi = (1, -mu, lams[n - 1])
         if line_mul(pq, conjugate(phi), w) != BETA_SQUARED:
-            raise AssertionError(f"omega_{n} is not the inverse of (phi_{n})* for sqrt({N})")
+            raise AssertionError(f"omega_{n} is not the inverse of (phi_{n})* for {QuadraticSurd.sqrt_of(N)}")
         if mu * mu >= N or N >= (mu + lam_next) ** 2:
-            raise AssertionError(f"omega_{n} is not strictly between 0 and beta for sqrt({N})")
+            raise AssertionError(f"omega_{n} is not strictly between 0 and beta for {QuadraticSurd.sqrt_of(N)}")
         if n == 1 and line_mul(pq, w, _add(phi, (0, 2 * mu, 1))) != BETA_SQUARED:
-            raise AssertionError(f"omega_1*(phi_1 + 2*mu_1*beta) != beta^2 for sqrt({N})")
+            raise AssertionError(f"omega_1*(phi_1 + 2*mu_1*beta) != beta^2 for {QuadraticSurd.sqrt_of(N)}")
         if n > 1 and line_mul(pq, w, _add((0, quotients[n - 1], 1), omegas[n - 2])) != BETA_SQUARED:
-            raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for sqrt({N})")
+            raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for {QuadraticSurd.sqrt_of(N)}")
     increment_factors(e, N)
     return tuple(list(zip(mus, lams[1:])))  # via a list, as in increment_factors
 

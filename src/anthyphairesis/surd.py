@@ -89,10 +89,6 @@ class QuadraticSurd(namedtuple("QuadraticSurd", "p d q")):
             raise ValueError("radicand must be a non-negative rational")
         return cls(0, num * den, den)
 
-    @property
-    def is_rational(self) -> bool:
-        return is_perfect_square(self.d)
-
     def __str__(self) -> str:
         if self.p == 0 and self.q == 1:
             return f"sqrt({_dec(self.d)})"

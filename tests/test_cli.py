@@ -886,7 +886,7 @@ _VERIFY_CHECKS = (
             {
                 "palindrome (both routes)": "quotient-level and reflection-level palindrome verdicts disagree",
                 "symbolic trace agreement": "symbolic trace quotients diverge from the engine",
-                "convergent quality": "tuple index out of range",
+                "convergent quality": "period of 12 quotients is longer than the 6 states of the trail",
                 "pell fundamental": "the full period and the centre stop give different solutions",
                 "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
             },

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from anthyphairesis.bookx import euler_trace
+from anthyphairesis.convergents import pell_solutions
 from anthyphairesis.engine import (
     StepLimitExceeded,
     _anthyphairesis,
@@ -17,7 +19,8 @@ from anthyphairesis.engine import (
     pigeonhole_bound,
     remainders,
 )
-from anthyphairesis.surd import QuadraticSurd, floor_surd, is_perfect_square, isqrt, normalize
+from anthyphairesis.palindrome import omega_sequence
+from anthyphairesis.surd import QuadraticSurd, _dec, floor_surd, is_perfect_square, isqrt, normalize
 
 PAPER_EXPANSIONS = {
     19: ((4,), (2, 1, 3, 1, 2, 8)),
@@ -271,6 +274,26 @@ def test_increment_factors_rejects_radicand_with_same_integer_part():
     # sqrt(19) and sqrt(20) share the integer part 4
     with pytest.raises(ValueError, match=r"does not belong to sqrt\(20\)"):
         increment_factors(expand_sqrt(19), 20)
+
+
+_PAST_THE_LIMIT = 7 * 10**5000 + 1  # 5,001 digits, past every int-to-str limit; 2 mod 3, so no square
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda n: euler_trace(n, 1), StepLimitExceeded, "trace of {} exceeded 1 steps without repeating"),
+        (lambda n: pell_solutions(n, expand_sqrt(2)), ValueError, "expansion does not belong to {}"),
+        (lambda n: increment_factors(expand_sqrt(2), n), ValueError, "expansion does not belong to {}"),
+        (lambda n: omega_sequence(expand_sqrt(2), n), ValueError, "expansion does not belong to {}"),
+    ],
+    ids=["euler_trace", "pell_solutions", "increment_factors", "omega_sequence"],
+)
+def test_messages_write_an_n_past_the_int_to_str_limit(call, error, message):
+    # the intended error, not str()'s ValueError for too many digits
+    with pytest.raises(error) as exc:
+        call(_PAST_THE_LIMIT)
+    assert str(exc.value) == message.format(f"sqrt({_dec(_PAST_THE_LIMIT)})")
 
 
 def _line_ratio_floor(u, v, n: int) -> int:

@@ -30,7 +30,7 @@ def test_verify_palindrome_paper_periods():
 
 
 def test_verify_palindrome_negative_case():
-    fake = Expansion(preperiod=(1,), period=(2, 3), terminated=False)
+    fake = Expansion(preperiod=(1,), period=(2, 3))
     r = verify_palindrome(fake, 1)
     assert not r.holds  # 3 != 2*1
     assert r.case is None and r.center_index is None
@@ -38,13 +38,13 @@ def test_verify_palindrome_negative_case():
 
 def test_verify_palindrome_rejects_empty_period():
     with pytest.raises(ValueError):
-        verify_palindrome(Expansion(preperiod=(2,), period=(), terminated=True), 2)
+        verify_palindrome(Expansion(preperiod=(2,), period=()), 2)
 
 
 def test_verify_palindrome_fails_when_last_not_doubled():
     # take a real period and break only the final quotient
     e = expand_sqrt(19)
-    broken = Expansion(preperiod=e.preperiod, period=e.period[:-1] + (7,), terminated=False)
+    broken = Expansion(preperiod=e.preperiod, period=e.period[:-1] + (7,))
     assert not verify_palindrome(broken, 4).holds
 
 
@@ -182,7 +182,7 @@ def test_distinct_logoi_is_the_period_length():
         else:
             q = rng.randint(1, 300) * rng.choice((1, -1))
             s = QuadraticSurd(rng.randint(-1000, 1000), rng.randint(2, 20000), q)
-        if not s.is_rational:
+        if not is_perfect_square(s.d):
             surds.append(normalize(s))
     assert sum(s.q < 0 for s in surds) > 500 and sum(s.p == 0 for s in surds) >= 500
     sqrts = (expand_sqrt(n) for n in range(2, 20001) if not is_perfect_square(n))

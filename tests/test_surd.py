@@ -66,7 +66,7 @@ def test_normalize_examples():
     assert (t.d - t.p * t.p) % t.q == 0  # normalized
 
     r = normalize(QuadraticSurd(0, 4, 1))
-    assert r.is_rational
+    assert is_perfect_square(r.d)
     assert Fraction(r.p + isqrt(r.d), r.q) == 2
 
 
