@@ -10,6 +10,14 @@ product is a rational multiple of beta^2 (the content of Elements
 X.112-114), which is what makes exact inversion of a line possible and
 drives the symbolic expansion trace.
 
+An identity test needs no reduced triple. The unreduced product
+(ab, bb, den) of two lines differs from its reduced area only by a
+common factor, so it is the area beta^2 exactly when ab == 0 and
+bb == den != 0, whatever that factor and its sign; _is_beta_squared
+decides so, with no gcd. Adding k*beta to a reduced line keeps it
+reduced, since gcd(a, b + k*den, den) = gcd(a, b, den), so _plus_beta
+needs none either.
+
 All of it is integer arithmetic. basis(r) checks the ratio r = P/Q and
 gives (P, Q), which every operation that needs the ratio takes as its
 first argument.
@@ -68,12 +76,32 @@ def _reduced(a: int, b: int, den: int) -> Triple:
     return a // g, b // g, den // g
 
 
-def line_mul(basis: Basis, u: Triple, v: Triple) -> Triple:
-    """Area of the product of two lines, alpha^2 = (P/Q)*beta^2 eliminated."""
+def _product(basis: Basis, u: Triple, v: Triple) -> Triple:
+    """The product of two lines as the unreduced area (ab, bb, den), den = Q*den_u*den_v."""
     p, q = basis
     a1, b1, d1 = u
     a2, b2, d2 = v
-    return _reduced(q * (a1 * b2 + b1 * a2), p * a1 * a2 + q * b1 * b2, q * d1 * d2)
+    return q * (a1 * b2 + b1 * a2), p * a1 * a2 + q * b1 * b2, q * d1 * d2
+
+
+def line_mul(basis: Basis, u: Triple, v: Triple) -> Triple:
+    """Area of the product of two lines, alpha^2 = (P/Q)*beta^2 eliminated."""
+    return _reduced(*_product(basis, u, v))
+
+
+def _is_beta_squared(basis: Basis, u: Triple, v: Triple) -> bool:
+    """line_mul(basis, u, v) == BETA_SQUARED, decided on the unreduced product.
+
+    False, not ZeroDivisionError, where the product's den is 0.
+    """
+    ab, bb, den = _product(basis, u, v)
+    return ab == 0 and bb == den != 0
+
+
+def _plus_beta(u: Triple, k: int) -> Triple:
+    """u + k*beta; reduced whenever u is."""
+    a, b, den = u
+    return a, b + k * den, den
 
 
 def _add(u: Triple, v: Triple) -> Triple:
@@ -169,7 +197,7 @@ class TraceStep(namedtuple("TraceStep", "index lam mu phi product_constant psi q
 
 
 # Peak bytes one trace step costs: its TraceStep, line triples and rendered text
-# come to about 1.8 KB, the steps alone to 445 B (sqrt(10^8+3), tracemalloc).
+# come to about 1.2 KB, the steps alone to 445 B (sqrt(10^8+3), tracemalloc).
 _TRACE_STEP_BYTES = 4096
 
 
@@ -216,58 +244,57 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
             if limit == max_steps:
                 raise StepLimitExceeded(f"trace of {QuadraticSurd.sqrt_of(N)} exceeded {max_steps} steps without repeating")
             raise ResourceLimitExceeded(f"trace of {QuadraticSurd.sqrt_of(N)} exceeded {limit} steps, all that fit in memory")
-        ab, bb, den = line_mul(pq, phi, conjugate(phi))
-        # lam*phi*phi* = constant*beta^2 for a positive integer constant
+        ab, bb, den = _product(pq, phi, conjugate(phi))
+        # lam*phi*phi* = constant*beta^2 for a positive integer constant; the
+        # unreduced area is the reduced one times den/reduced den > 0, so the
+        # tests and the constant read the same on it
         if ab != 0 or bb <= 0 or bb * lam % den:
             raise RuntimeError("conjugacy product is not a positive rational multiple of beta^2")
         psi = inverse_wrt_beta_squared(pq, phi)
         quotient = _floor_over_beta(pq, psi)
         steps.append(TraceStep(k, lam, mu, phi, bb * lam // den, psi, quotient, None))
-        phi = _add(psi, (0, -quotient, 1))
+        phi = _plus_beta(psi, -quotient)  # psi is reduced, so phi is
         k += 1
 
 
-def _term(coeff: int, symbol: str) -> str:
-    if coeff == 1:
-        return symbol
-    return f"{coeff}*{symbol}"
-
-
-def render_line(u: Triple, name: str) -> str:
-    """Integer-scaled rendering 'den*name = a*alpha +/- b*beta' of a line with a, b != 0."""
+def _lines(u: Triple, name: str) -> tuple[str, str]:
+    """'den*name = a*alpha +/- b*beta' and the same for name*, the conjugate; coefficients of 1 left out."""
     a, b, den = u
-    sign = "+" if b > 0 else "-"
-    return f"{_term(den, name)} = {_term(a, 'alpha')} {sign} {_term(abs(b), 'beta')}"
+    d = "" if den == 1 else f"{den}*"
+    x = "alpha" if a == 1 else f"{a}*alpha"
+    y = "beta" if b in (1, -1) else f"{abs(b)}*beta"
+    return f"{d}{name} = {x} {'+' if b > 0 else '-'} {y}", f"{d}{name}* = {x} {'+' if b < 0 else '-'} {y}"
 
 
 def render_trace(steps: list[TraceStep], N: int) -> str:
-    """Stable plain-text rendering of a trace, golden-file friendly."""
-    out = [f"anthyphairesis trace: alpha^2 = {N}*beta^2"]
+    """Stable plain-text rendering of a trace, golden-file friendly.
+
+    Each phi is rendered once, and its line serves its own step, its
+    conjugate and the previous step's next: line.
+    """
     pq = basis(N)
+    out = [f"anthyphairesis trace: alpha^2 = {N}*beta^2\n"]
     quotients = []
+    line, conj = _lines(steps[0].phi, f"phi_{steps[0].index}")
     for i, s in enumerate(steps):
-        kind = classify(pq, s.phi)
-        out.append(
-            f"step {s.index}: {render_line(s.phi, f'phi_{s.index}')}"
-            f" ({kind}; lambda_{s.index} = {s.lam}, mu_{s.index} = {s.mu})"
-        )
+        k = s.index
+        head = f"step {k}: {line} ({classify(pq, s.phi)}; lambda_{k} = {s.lam}, mu_{k} = {s.mu})\n"
         if s.repeats_index is not None:
-            period = len(steps) - s.repeats_index
             out.append(
-                f"  phi_{s.index} = phi_{s.repeats_index}:"
-                f" periodicity by the incremental Logos criterion (period {period})"
+                f"{head}  phi_{k} = phi_{s.repeats_index}:"
+                f" periodicity by the incremental Logos criterion (period {len(steps) - s.repeats_index})\n"
             )
             continue
-        out.append(f"  conjugate: {render_line(conjugate(s.phi), f'phi_{s.index}*')}")
+        conj_k = conj
+        line, conj = _lines(steps[i + 1].phi, f"phi_{k + 1}")
         out.append(
-            f"  product:   lambda_{s.index}*phi_{s.index}*phi_{s.index}*"
-            f" = {s.product_constant}*beta^2 = lambda_{s.index + 1}*beta^2"
+            f"{head}  conjugate: {conj_k}\n"
+            f"  product:   lambda_{k}*phi_{k}*phi_{k}* = {s.product_constant}*beta^2 = lambda_{k + 1}*beta^2\n"
+            f"  inverse:   {_lines(s.psi, f'psi_{k}')[0]}\n"
+            f"  quotient:  I_{k} = {s.quotient}\n"
+            f"  next:      {line}\n"
         )
-        out.append(f"  inverse:   {render_line(s.psi, f'psi_{s.index}')}")
-        out.append(f"  quotient:  I_{s.index} = {s.quotient}")
-        out.append(f"  next:      {render_line(steps[i + 1].phi, f'phi_{s.index + 1}')}")
         quotients.append(s.quotient)
-    first = steps[0].mu
     body = ", ".join(str(q) for q in quotients)
-    out.append(f"anthyphairesis: [{first}, period({body})]")
-    return "\n".join(out) + "\n"
+    out.append(f"anthyphairesis: [{steps[0].mu}, period({body})]\n")
+    return "".join(out)

@@ -31,7 +31,7 @@ import resource
 from collections import namedtuple
 from math import isqrt
 
-from .bookx import BETA_SQUARED, Triple, _add, basis, line_mul, sign_of
+from .bookx import Triple, _add, _is_beta_squared, _plus_beta, basis, sign_of
 from .surd import QuadraticSurd, normalize
 
 __all__ = [
@@ -304,8 +304,8 @@ def increment_factors(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
         if N >= (mu + lam) ** 2:
             raise ValueError(f"increment factor {i + 1} is not smaller than beta")
         if i + 1 < len(mus):
-            rhs = _add((1, -mus[i + 1], lams[i + 1]), (0, quotients[i + 1], 1))  # I_k*beta + phi_{k+1}
-            if line_mul(pq, (1, -mu, lam), rhs) != BETA_SQUARED:
+            rhs = _plus_beta((1, -mus[i + 1], lams[i + 1]), quotients[i + 1])  # I_k*beta + phi_{k+1}
+            if not _is_beta_squared(pq, (1, -mu, lam), rhs):
                 raise ValueError(f"inversion identity fails between factors {i + 1} and {i + 2}")
     return tuple(list(zip(mus, lams)))  # tuple(zip()) grows by reallocs that fragment a long run's heap
 

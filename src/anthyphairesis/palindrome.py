@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .bookx import BETA_SQUARED, _add, basis, conjugate, line_mul
+from .bookx import _is_beta_squared, _plus_beta, basis, conjugate
 from .engine import Expansion, increment_factors
 from .surd import QuadraticSurd
 
@@ -111,13 +111,13 @@ def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     for n, w in enumerate(omegas, 1):
         mu, lam_next = mus[n - 1], lams[n]
         phi = (1, -mu, lams[n - 1])
-        if line_mul(pq, conjugate(phi), w) != BETA_SQUARED:
+        if not _is_beta_squared(pq, conjugate(phi), w):
             raise AssertionError(f"omega_{n} is not the inverse of (phi_{n})* for {QuadraticSurd.sqrt_of(N)}")
         if mu * mu >= N or N >= (mu + lam_next) ** 2:
             raise AssertionError(f"omega_{n} is not strictly between 0 and beta for {QuadraticSurd.sqrt_of(N)}")
-        if n == 1 and line_mul(pq, w, _add(phi, (0, 2 * mu, 1))) != BETA_SQUARED:
+        if n == 1 and not _is_beta_squared(pq, w, _plus_beta(phi, 2 * mu)):
             raise AssertionError(f"omega_1*(phi_1 + 2*mu_1*beta) != beta^2 for {QuadraticSurd.sqrt_of(N)}")
-        if n > 1 and line_mul(pq, w, _add((0, quotients[n - 1], 1), omegas[n - 2])) != BETA_SQUARED:
+        if n > 1 and not _is_beta_squared(pq, w, _plus_beta(omegas[n - 2], quotients[n - 1])):
             raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for {QuadraticSurd.sqrt_of(N)}")
     increment_factors(e, N)
     return tuple(list(zip(mus, lams[1:])))  # via a list, as in increment_factors

@@ -5,10 +5,16 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anthyphairesis.bookx import (
+    BETA_SQUARED,
+    _add,
+    _is_beta_squared,
+    _plus_beta,
+    _product,
+    _reduced,
     basis,
     classify,
     conjugate,
@@ -242,6 +248,59 @@ def test_euler_trace_agrees_with_engine():
         assert tuple(quots) == expand_sqrt(n).quotients
 
 
+def _ref_term(coeff, symbol):
+    return symbol if coeff == 1 else f"{coeff}*{symbol}"
+
+
+def _ref_line(u, name):
+    a, b, den = u
+    sign = "+" if b > 0 else "-"
+    return f"{_ref_term(den, name)} = {_ref_term(a, 'alpha')} {sign} {_ref_term(abs(b), 'beta')}"
+
+
+def _ref_render_trace(steps, N):
+    """render_trace as it read when each line was rendered on its own, line by line."""
+    pq = basis(N)
+    out = [f"anthyphairesis trace: alpha^2 = {N}*beta^2"]
+    quotients = []
+    for i, s in enumerate(steps):
+        out.append(
+            f"step {s.index}: {_ref_line(s.phi, f'phi_{s.index}')}"
+            f" ({classify(pq, s.phi)}; lambda_{s.index} = {s.lam}, mu_{s.index} = {s.mu})"
+        )
+        if s.repeats_index is not None:
+            out.append(
+                f"  phi_{s.index} = phi_{s.repeats_index}:"
+                f" periodicity by the incremental Logos criterion (period {len(steps) - s.repeats_index})"
+            )
+            continue
+        out.append(f"  conjugate: {_ref_line(conjugate(s.phi), f'phi_{s.index}*')}")
+        out.append(
+            f"  product:   lambda_{s.index}*phi_{s.index}*phi_{s.index}*"
+            f" = {s.product_constant}*beta^2 = lambda_{s.index + 1}*beta^2"
+        )
+        out.append(f"  inverse:   {_ref_line(s.psi, f'psi_{s.index}')}")
+        out.append(f"  quotient:  I_{s.index} = {s.quotient}")
+        out.append(f"  next:      {_ref_line(steps[i + 1].phi, f'phi_{s.index + 1}')}")
+        quotients.append(s.quotient)
+    out.append(f"anthyphairesis: [{steps[0].mu}, period({', '.join(str(q) for q in quotients)})]")
+    return "\n".join(out) + "\n"
+
+
+def test_render_trace_matches_the_line_by_line_reference_to_2000():
+    ones = set()  # (coefficient, whether it was 1) over every phi and psi rendered
+    for n in range(2, 2001):
+        if is_perfect_square(n):
+            continue
+        steps = euler_trace(n)
+        assert render_trace(steps, n) == _ref_render_trace(steps, n), n
+        for s in steps:
+            for a, b, den in (s.phi, s.psi or s.phi):
+                ones |= {("den", den == 1), ("a", a == 1), ("|b|", abs(b) == 1)}
+    # a is 1 in every phi and psi of a sqrt(N) trace: (alpha -/+ mu*beta)/lam
+    assert ones == {("den", True), ("den", False), ("a", True), ("|b|", True), ("|b|", False)}
+
+
 def test_render_trace_is_stable():
     text = render_trace(euler_trace(54), 54)
     assert text.startswith("anthyphairesis trace: alpha^2 = 54*beta^2\n")
@@ -322,6 +381,42 @@ def test_integer_layer_matches_fraction_reference(c1, c2, c3, c4, ratio):
     _assert_reduced(inv)
     assert _coeffs(inv) == (c1 / norm, -c2 / norm)
     assert _ref_mul((c1, c2), _coeffs(inv), r) == (0, 1)
+
+
+small = st.integers(-6, 6)
+raw_triple = st.tuples(small, small, small)  # any den, 0 and negative ones too
+any_ratio = st.one_of(nonsquare_ratio, rational_ratio)
+
+
+@given(coeff, coeff, coeff, coeff, any_ratio)
+def test_product_reduces_to_line_mul(c1, c2, c3, c4, ratio):
+    pq = basis(ratio)
+    u, v = _triple(c1, c2), _triple(c3, c4)
+    assert _reduced(*_product(pq, u, v)) == line_mul(pq, u, v)
+
+
+@given(raw_triple, raw_triple, any_ratio, st.booleans(), st.integers(-3, 3))
+@example((0, 0, 0), (1, 1, 1), 54, False, 1)  # line_mul raises: all of the product is 0
+@example((-1, 7, -1), (1, 7, 5), 54, False, 1)  # alpha - 7*beta with den < 0, times its inverse
+@example((1, -7, 0), (1, 7, 5), 54, False, 1)  # den = 0, and line_mul does not raise
+@example((1, -7, 1), (1, 7, 1), 54, False, 1)  # 5*beta^2
+def test_is_beta_squared_is_line_mul_equal_to_beta_squared(u, v, ratio, to_inverse, c):
+    """Also for unreduced triples; v is then c times an inverse of u, c = 0 included."""
+    pq = basis(ratio)
+    if to_inverse and u[:2] != (0, 0):
+        a, b, den = inverse_wrt_beta_squared(pq, u)
+        v = (c * a, c * b, c * den)
+    try:
+        expected = line_mul(pq, u, v) == BETA_SQUARED
+    except ZeroDivisionError:
+        expected = False
+    assert _is_beta_squared(pq, u, v) == expected
+
+
+@given(coeff, coeff, st.integers(-(10**6), 10**6))
+def test_plus_beta_is_add(c_a, c_b, k):
+    u = _triple(c_a, c_b)
+    assert _plus_beta(u, k) == _add(u, (0, k, 1))
 
 
 def test_euler_trace_agrees_with_engine_to_3000():

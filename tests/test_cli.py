@@ -12,7 +12,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from anthyphairesis import cli
@@ -104,10 +104,12 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert code == 4
 
 
-def test_trace_golden_match(capsys):
-    code, out, _ = run(capsys, "trace", "54", "--golden", GOLDEN_54)
+@pytest.mark.parametrize("n", ["54", "61"])  # 61: period 11, Case II
+def test_trace_golden_match(capsys, n):
+    golden = os.path.join(os.path.dirname(__file__), "..", "goldens", f"trace{n}.txt")
+    code, out, _ = run(capsys, "trace", n, "--golden", golden)
     assert code == 0
-    with open(GOLDEN_54, encoding="utf-8") as fh:
+    with open(golden, encoding="utf-8") as fh:
         assert out == fh.read()
 
 
@@ -891,8 +893,28 @@ _VERIFY_CHECKS = (
                 "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
             },
         ),
+        (
+            _tamper_trail(3, lambda v: 0),  # a lambda, set to 0
+            {
+                "recurrence identities": "product identity fails at step 2",
+                "state bounds and pigeonhole": "state bounds fail at step 2",
+                "omega identities": "omega_1 is not the inverse of (phi_1)* for sqrt(19)",
+                "convergent quality": "quality identity fails at convergent 0",
+                "purely periodic tail": "denominator must be non-zero",
+            },
+        ),
+        (
+            _tamper_trail(3, lambda v: -5),  # a lambda, made negative
+            {
+                "recurrence identities": "product identity fails at step 2",
+                "state bounds and pigeonhole": "state bounds fail at step 2",
+                "omega identities": "omega_1 is not the inverse of (phi_1)* for sqrt(19)",
+                "convergent quality": "quality identity fails at convergent 0",
+                "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
+            },
+        ),
     ],
-    ids=["swapped quotients", "mu off by one", "lambda set to N", "period doubled"],
+    ids=["swapped quotients", "mu off by one", "lambda set to N", "period doubled", "lambda set to 0", "lambda negative"],
 )
 def test_a_tampered_expansion_fails_verify(capsys, monkeypatch, tamper, failures):
     monkeypatch.setattr(cli, "expand_sqrt", lambda n, *rest: tamper(expand_sqrt(n, *rest)))
@@ -948,7 +970,8 @@ _records = st.tuples(
 ).map(lambda parts: parts[0] | parts[1])
 
 
-@settings(max_examples=150, deadline=None)
+# No shrink phase: shrinking a failure of these large records took about 5 minutes.
+@settings(max_examples=150, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(_records)
 def test_json_line_writes_what_json_dumps_writes(record):
     assert cli._json_line(record) == _json_reference(record)
