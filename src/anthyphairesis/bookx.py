@@ -222,7 +222,7 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
     steps would outgrow this process's memory.
     """
     # the step safety net only; no stepping code is shared with the engine
-    from .engine import ResourceLimitExceeded, StepLimitExceeded, _budget
+    from .engine import _budget, _exhausted
 
     if N < 2 or isqrt(N) ** 2 == N:
         raise ValueError("N must be a non-square integer >= 2")
@@ -241,9 +241,7 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
             return steps
         seen[phi] = k
         if k > limit:
-            if limit == max_steps:
-                raise StepLimitExceeded(f"trace of {QuadraticSurd.sqrt_of(N)} exceeded {max_steps} steps without repeating")
-            raise ResourceLimitExceeded(f"trace of {QuadraticSurd.sqrt_of(N)} exceeded {limit} steps, all that fit in memory")
+            raise _exhausted(f"trace of {QuadraticSurd.sqrt_of(N)} exceeded", max_steps, limit, " without repeating")
         ab, bb, den = _product(pq, phi, conjugate(phi))
         # lam*phi*phi* = constant*beta^2 for a positive integer constant; the
         # unreduced area is the reduced one times den/reduced den > 0, so the

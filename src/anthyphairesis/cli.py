@@ -45,7 +45,7 @@ from .engine import (
     pigeonhole_bound,
 )
 from .oracle import oracle_expand
-from .palindrome import omega_sequence, period_stats, verify_palindrome
+from .palindrome import omega_sequence, verify_palindrome
 from .surd import QuadraticSurd, _dec, floor_surd, isqrt
 
 __all__ = ["main"]
@@ -235,15 +235,27 @@ def _reject_sqrt_zero(target: QuadraticSurd) -> None:
         raise InputError("N must be positive")
 
 
-def _pell_fields(n: int, e: Expansion, want_pell: bool, want_negative: bool) -> dict:
-    """The Pell pairs asked for, under the record keys pell and negative_pell."""
-    if not (want_pell or want_negative):
-        return {}
-    pell, negative = pell_solutions(n, e)
-    fields = {"pell": pell} if want_pell else {}
-    if want_negative:
-        fields["negative_pell"] = negative
-    return fields
+def _period_record(label, n: int, m: int, e: Expansion, report, want_pell: bool, want_negative: bool) -> dict:
+    """The record of a periodic expansion: the CSV columns in order, then the Pell pairs asked for.
+
+    report is verify_palindrome's, or None where no verdict applies. The
+    period closes at the first recurrence of its first state, so its
+    states are distinct and distinct_logoi is its length. The Pell pairs
+    come from pell_solutions(n, e), which checks that e expands sqrt(n).
+    """
+    length = len(e.period)
+    palindrome, case = (None, None) if report is None else (report.holds, report.case)
+    record = {"N": label, "m": m, "period_len": length, "palindrome": palindrome, "case": case, "distinct_logoi": length}
+    if want_pell or want_negative:
+        pell, negative = pell_solutions(n, e)
+        if want_pell:
+            record["pell"] = pell
+        if want_negative:
+            record["negative_pell"] = negative
+    return record
+
+
+_EXPAND_NAMES = {"N": "input", "period_len": "period_length", "palindrome": "palindromic"}  # expand's JSON keys
 
 
 def cmd_expand(args) -> int:
@@ -268,27 +280,18 @@ def cmd_expand(args) -> int:
         _emit(lines, args.out)
         return 0
 
-    stats = period_stats(e)
     m = floor_surd(target)
     report = verify_palindrome(e, m) if target.p == 0 < target.q and m >= 1 else None
-    palindromic, case = (None, None) if report is None else (report.holds, report.case)
-    pell = _pell_fields(target.d, e, args.pell, args.negative_pell)
+    record = _period_record(label, target.d, m, e, report, args.pell, args.negative_pell)
     if args.format == "json":
-        record = {
-            "input": label,
-            "terminated": False,
-            "preperiod": list(e.preperiod),
-            "period": list(e.period),
-            "period_length": len(e.period),
-            "palindromic": palindromic,
-            "case": case,
-            "distinct_logoi": stats.distinct_logoi,
-        }
-        lines = [_json_line(record | pell)]
+        fields = {_EXPAND_NAMES.get(key, key): v for key, v in record.items() if key != "m"}
+        fields |= {"terminated": False, "preperiod": list(e.preperiod), "period": list(e.period)}
+        lines = [_json_line(fields)]
     elif args.format == "csv":
-        lines = [_CSV_HEADER, _csv_row(label, m, len(e.period), palindromic, case, stats.distinct_logoi, **pell)]
+        lines = [_CSV_HEADER, _csv_row(**record)]
     else:
-        verdict = "n/a" if palindromic is None else palindromic
+        verdict = "n/a" if record["palindrome"] is None else record["palindrome"]
+        pell = {key: record[key] for key in ("pell", "negative_pell") if key in record}
         lines = [f"{label} = {_fmt_quotients(e.preperiod, e.period)} {_plain({'palindromic': verdict, **pell})}"]
     _emit(lines, args.out)
     return 0
@@ -318,17 +321,7 @@ def _sweep_record(task: tuple[int, bool, bool, int | None]) -> dict | None:
     if m * m == n:
         return None
     e = expand_sqrt(n, limit)
-    report = verify_palindrome(e, m)
-    stats = period_stats(e)
-    rec = {
-        "N": n,
-        "m": m,
-        "period_len": stats.period_length,
-        "palindrome": report.holds,
-        "case": report.case,
-        "distinct_logoi": stats.distinct_logoi,
-    }
-    return rec | _pell_fields(n, e, want_pell, want_negative)
+    return _period_record(n, n, m, e, verify_palindrome(e, m), want_pell, want_negative)
 
 
 def _pool(jobs: int):

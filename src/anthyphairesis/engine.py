@@ -180,7 +180,7 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: int | None) -> Expansion:
         elif p == pj and q == qj:
             break
         if len(quots) > limit:
-            raise _exhausted(QuadraticSurd(trail[0], d, trail[1]), "no state repeated", max_steps, limit)
+            raise _exhausted(f"{QuadraticSurd(trail[0], d, trail[1])}: no state repeated within", max_steps, limit)
         a = (p + r) // q if q > 0 else (p + r + 1) // q
         p = a * q - p
         t = d - p * p
@@ -226,11 +226,11 @@ def _budget(q: int, d: int, max_steps: int | None, bytes_per_step: int) -> tuple
     return max_steps, limit
 
 
-def _exhausted(start: QuadraticSurd, goal: str, max_steps: int, limit: int) -> RuntimeError:
-    """The error for an expansion of start that ran out of its limit of steps before goal."""
+def _exhausted(head: str, max_steps: int, limit: int, tail: str = "") -> RuntimeError:
+    """The error for a loop that ran out of its limit of steps: head, the count, then tail or the memory reason."""
     if limit == max_steps:
-        return StepLimitExceeded(f"{start}: {goal} within {max_steps} steps")
-    return ResourceLimitExceeded(f"{start}: {goal} within {limit} steps, all that fit in memory")
+        return StepLimitExceeded(f"{head} {max_steps} steps{tail}")
+    return ResourceLimitExceeded(f"{head} {limit} steps, all that fit in memory")
 
 
 def _to_centre(N: int, max_steps: int | None = None) -> tuple[tuple[int, ...], bool]:
@@ -255,7 +255,7 @@ def _to_centre(N: int, max_steps: int | None = None) -> tuple[tuple[int, ...], b
     quots: list[int] = []
     while q != q_prev:
         if len(quots) >= limit:
-            raise _exhausted(QuadraticSurd(0, N, 1), "centre of the period not reached", max_steps, limit)
+            raise _exhausted(f"{QuadraticSurd(0, N, 1)}: centre of the period not reached within", max_steps, limit)
         a = (p + m) // q
         quots.append(a)
         p_next = a * q - p

@@ -150,6 +150,27 @@ def test_sweep_json_round_trip(capsys):
         assert json.dumps(record, sort_keys=True, separators=(",", ":")) == line
 
 
+def test_expand_and_sweep_report_the_same_record(capsys):
+    """For each non-square N <= 300: expand's CSV row past its label is sweep's row, and
+    expand's JSON is sweep's record under expand's names, less m, plus the quotients."""
+    flags = ("--pell", "--negative-pell")
+    _, out, _ = run(capsys, "sweep", "300", *flags, "--format", "csv")
+    rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+    _, out, _ = run(capsys, "sweep", "300", *flags, "--format", "json")
+    records = {r["N"]: r for r in map(json.loads, out.splitlines()[:-1])}
+    assert list(rows) == list(records) and len(rows) == 299 - 16  # 2..300 less the squares 4..289
+    renames = {"N": "input", "period_len": "period_length", "palindrome": "palindromic"}
+    for n, row in rows.items():
+        _, out, _ = run(capsys, "expand", n, *flags, "--format", "csv")
+        assert out.splitlines()[1] == f"sqrt({n}),{row}"
+        e = expand_sqrt(int(n))
+        expected = {renames.get(key, key): v for key, v in records[n].items() if key != "m"}
+        expected |= {"input": f"sqrt({n})", "terminated": False, "preperiod": list(map(str, e.preperiod)),
+                     "period": list(map(str, e.period))}
+        _, out, _ = run(capsys, "expand", n, *flags, "--format", "json")
+        assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_sweep_jobs_deterministic(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -502,7 +523,7 @@ def test_bad_input_exit_2_and_internal_faults_propagate(capsys, monkeypatch):
     def broken(*args):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, "period_stats", broken)
+    monkeypatch.setattr(cli, "verify_palindrome", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["expand", "19"])
 

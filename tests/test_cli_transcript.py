@@ -41,6 +41,9 @@ CASES = [
     # a Pell solution of 667 digits, past 640, the lowest int-to-str limit Python accepts
     ({}, ["expand", "101581", "--pell", "--negative-pell", "--format", "json"]),
     ({}, ["expand", "101581", "--pell", "--format", "csv"]),
+    # Pell pairs under a label other than sqrt(N)
+    *(({}, ["expand", "(0+sqrt(13))/1", "--pell", "--negative-pell", "--format", fmt]) for fmt in _FORMATS),
+    *(({}, ["expand", "sqrt(19/1)", "--pell", "--format", fmt]) for fmt in _FORMATS),
     # trace
     ({}, ["trace", "54"]),
     ({}, ["trace", "2"]),
