@@ -385,6 +385,16 @@ def cmd_pell(args) -> int:
     return 0
 
 
+def _lagrange_checked(pairs, n: int):
+    """The numbered convergents (k, (p, q)) of sqrt(n), each checked as it passes:
+    (-1)^(k+1)*(p^2 - n*q^2) > 0, and (p^2 - n*q^2)^2 < 4n (Lagrange), or a fault."""
+    for k, (p, q) in pairs:
+        norm = p * p - n * q * q
+        if (norm if k % 2 else -norm) <= 0 or norm * norm >= 4 * n:
+            raise AssertionError(f"convergent {k} of sqrt({_dec(n)}) fails the sign or the Lagrange bound")
+        yield k, (p, q)
+
+
 def cmd_approx(args) -> int:
     target, label = _parse_spec(args.input)
     count = args.steps if args.steps is not None else 8
@@ -394,6 +404,8 @@ def cmd_approx(args) -> int:
     if limit is not None and len(quots) > limit:  # a rational that ends inside the budget passes
         raise StepLimitExceeded(f"{label}: {count} quotients asked for, {limit} steps allowed")
     pairs = enumerate(convergents(quots))
+    if _is_sqrt_int(target) and isqrt(target.d) ** 2 != target.d:
+        pairs = _lagrange_checked(pairs, target.d)
     if args.format == "json":  # the canonical record, streamed: its keys sort as written
         pieces = (("," if k else "") + _json_line({"index": k, "p": p, "q": q}) for k, (p, q) in pairs)
         _emit(itertools.chain(['{"convergents":['], pieces, [f'],"input":{_json_value(label)}}}\n']), args.out, end="")
@@ -403,6 +415,13 @@ def cmd_approx(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Nine checks of sqrt(N), one line each, then the verdict; exit 1 when any fails.
+
+    Convergent quality runs the norm recurrence of the convergents module
+    docstring over two periods and checks N_k = (-1)^(k+1)*lam_{k+2} and
+    M_k = (-1)^k*mu_{k+1} against the trail, then runs convergents() to
+    the period end and compares that pair with pell_solutions(N, e)'s.
+    """
     n = _non_square(args.N, "verify")
     lines = []
     ok = True
@@ -457,15 +476,21 @@ def cmd_verify(args) -> int:
         if traced != quots:
             raise AssertionError("symbolic trace quotients diverge from the engine")
 
-    def convergent_quality():
+    def convergent_quality():  # mus and lams are mu_1.., lam_1..lam_{period+1}, cycled
         period = len(e.period)
         if len(lams) <= period:
             raise AssertionError(f"period of {period} quotients is longer than the {len(lams) - 1} states of the trail")
-        for k, (p, q) in enumerate(convergents(e.quotient_stream(2 * period))):
-            lam = lams[k % period + 1]  # lam_{k+2}, cycled; lams is lam_1..lam_{period+1}
-            expected = -lam if k % 2 == 0 else lam
-            if p * p - n * q * q != expected:
+        norm_prev, norm, cross = -n, 1, 0  # N_{-2}, N_{-1}, M_{-1}
+        for k, a in enumerate(e.quotient_stream(2 * period)):
+            norm_prev, norm, cross = norm, a * (a * norm + 2 * cross) + norm_prev, a * norm + cross
+            lam, mu = lams[k % period + 1], mus[k % period]
+            if norm != (lam if k % 2 else -lam):
                 raise AssertionError(f"quality identity fails at convergent {k}")
+            if cross != (-mu if k % 2 else mu):
+                raise AssertionError(f"companion identity fails at convergent {k}")
+        end = period if period % 2 == 0 else 2 * period  # the convergent k = end - 1 closes the Pell period
+        if next(itertools.islice(convergents(e.quotient_stream(end)), end - 1, None)) != pell_solutions(n, e)[0]:
+            raise AssertionError(f"convergent {end - 1} is not the fundamental Pell solution")
 
     def pell():  # each side checks x^2 - N*y^2 = 1 (and -1) before it returns
         if pell_solutions(n, e) != pell_solutions(n):

@@ -17,6 +17,14 @@ So the half period a_1 .. a_{l//2} and the parity of l are all the
 product needs: without an expansion, pell_solutions takes them from a
 trail-free expansion that stops at the centre of the period; with one,
 it checks the palindrome and slices its period.
+
+convergents() and the product tree share no code, so `anth verify`
+checks that the convergent at the period end (k = l - 1 for an even
+period length l, 2l - 1 for an odd one) is pell_solutions' fundamental
+pair. It checks the quality of the convergents without forming them:
+N_k = p_k^2 - N*q_k^2 and M_k = p_k*p_{k-1} - N*q_k*q_{k-1} follow
+N_{k+1} = a^2*N_k + 2a*M_k + N_{k-1} and M_{k+1} = a*N_k + M_k, with
+a = a_{k+1} and seeds N_{-2} = -N, N_{-1} = 1, M_{-1} = 0, in ints below 2*sqrt(N).
 """
 
 from __future__ import annotations
@@ -47,16 +55,16 @@ def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
 
 _Matrix = tuple[int, int, int, int]  # [[a, b], [c, d]] row by row
 
-_LEAF = 32  # quotients multiplied left to right at a leaf of the product tree
+_LEAF = 32  # quotients multiplied left to right at a leaf; 32, 64 and 128 time within 10% on pell_long
 
 
 def _matrix_product(quotients: Sequence[int], lo: int, hi: int) -> _Matrix:
     """M(a_lo) * ... * M(a_{hi-1}) by binary splitting; the identity when lo == hi."""
-    if hi - lo <= _LEAF:
+    if hi - lo <= _LEAF:  # row by row: [a, b]*M(q) = [a*q + b, a]
         a, b, c, d = 1, 0, 0, 1
-        for k in range(lo, hi):
-            q = quotients[k]
-            a, b, c, d = a * q + b, a, c * q + d, c
+        for q in quotients[lo:hi]:
+            a, b = a * q + b, a
+            c, d = c * q + d, c
         return (a, b, c, d)
     mid = (lo + hi) // 2
     a, b, c, d = _matrix_product(quotients, lo, mid)

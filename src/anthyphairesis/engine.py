@@ -251,11 +251,11 @@ def _to_centre(N: int, max_steps: int | None = None) -> tuple[tuple[int, ...], b
     if m * m == N:
         raise ValueError("N must not be a perfect square")
     max_steps, limit = _budget(1, N, max_steps, _CENTRE_STEP_BYTES)
-    p, q, q_prev = m, N - m * m, 1
+    p, q = m, N - m * m
+    if q == 1:  # q_1 == q_0: the period is (2m,)
+        return (), True
     quots: list[int] = []
-    while q != q_prev:
-        if len(quots) >= limit:
-            raise _exhausted(f"{QuadraticSurd(0, N, 1)}: centre of the period not reached within", max_steps, limit)
+    for _ in range(limit):
         a = (p + m) // q
         quots.append(a)
         p_next = a * q - p
@@ -265,8 +265,10 @@ def _to_centre(N: int, max_steps: int | None = None) -> tuple[tuple[int, ...], b
             raise AssertionError(f"lost divisibility at step {len(quots) + 1} of {QuadraticSurd(0, N, 1)}")
         if p_next == p:
             return tuple(quots), False
-        p, q, q_prev = p_next, q_next, q
-    return tuple(quots), True
+        if q_next == q:
+            return tuple(quots), True
+        p, q = p_next, q_next
+    raise _exhausted(f"{QuadraticSurd(0, N, 1)}: centre of the period not reached within", max_steps, limit)
 
 
 def _expand_rational(num: int, den: int) -> Expansion:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from anthyphairesis import cli
 from anthyphairesis.cli import InputError, _parse_spec, main
+from anthyphairesis.convergents import pell_solutions
 from anthyphairesis.engine import expand_sqrt
 from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.surd import QuadraticSurd
@@ -773,6 +774,27 @@ def test_approx_reads_exactly_the_quotients_it_prints(capsys, monkeypatch, spec,
     assert 1 <= out.count("\n") <= steps
 
 
+@pytest.mark.parametrize("spec", ["19", "sqrt(19/1)", "(0+sqrt(1000003))/1"])
+@pytest.mark.parametrize("at, delta", [(0, 1), (1, 1), (5, 1), (11, 1), (0, -1)])
+def test_approx_of_sqrt_n_fails_on_a_wrong_quotient(capsys, monkeypatch, spec, at, delta):
+    # one quotient off by one makes its convergent break the sign rule (+1 here) or Lagrange's bound (-1 at 0):
+    # a fault, not bad input
+    printed = []
+
+    def one_wrong(s, k):
+        quots = list(oracle_expand(s, k))
+        quots[at] += delta
+        return tuple(quots)
+
+    monkeypatch.setattr(cli, "oracle_expand", one_wrong)
+    monkeypatch.setattr(cli, "_emit", lambda lines, out, end="\n": printed.extend(lines))
+    with pytest.raises(AssertionError, match=f"convergent {at} of sqrt"):
+        main(["approx", spec, "--steps", "12"])
+    assert len(printed) == at
+    monkeypatch.undo()
+    assert run(capsys, "approx", spec, "--steps", "12")[0] == 0
+
+
 @pytest.mark.parametrize("spec", [str(10**42 + 3), "(1+sqrt(2))/100000000000000000000"])
 def test_approx_of_a_huge_period_prints_its_first_convergents(spec):
     # each period is far too long to find; three convergents need three quotients
@@ -887,11 +909,20 @@ _VERIFY_CHECKS = (
             },
         ),
         (
-            _tamper_trail(5, lambda v: v + 1),  # a mu
+            _tamper_trail(5, lambda v: v + 1),  # q_2, which is lam_3
             {
                 "recurrence identities": "product identity fails at step 3",
                 "omega identities": "omega_2 is not the inverse of (phi_2)* for sqrt(19)",
                 "convergent quality": "quality identity fails at convergent 1",
+            },
+        ),
+        (
+            _tamper_trail(4, lambda v: v + 1),  # p_2, which is mu_2
+            {
+                "recurrence identities": "sum identity fails at step 2",
+                "palindrome (both routes)": "quotient-level and reflection-level palindrome verdicts disagree",
+                "omega identities": "omega_2 is not the inverse of (phi_2)* for sqrt(19)",
+                "convergent quality": "companion identity fails at convergent 1",
             },
         ),
         (
@@ -935,11 +966,24 @@ _VERIFY_CHECKS = (
             },
         ),
     ],
-    ids=["swapped quotients", "mu off by one", "lambda set to N", "period doubled", "lambda set to 0", "lambda negative"],
+    ids=["swapped quotients", "mu off by one", "mu_2 off by one", "lambda set to N", "period doubled", "lambda set to 0", "lambda negative"],
 )
 def test_a_tampered_expansion_fails_verify(capsys, monkeypatch, tamper, failures):
     monkeypatch.setattr(cli, "expand_sqrt", lambda n, *rest: tamper(expand_sqrt(n, *rest)))
     code, out, err = run(capsys, "verify", "19")
+    lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
+    assert (code, out, err) == (1, "\n".join(lines) + "\nverify 19: FAILED\n", "")
+
+
+def test_verify_compares_the_period_end_convergent_with_pell(capsys, monkeypatch):
+    # a Pell pair off by one: both Pell paths agree with each other, the convergents do not
+    def off_by_one(n, *rest):
+        (x, y), negative = pell_solutions(n, *rest)
+        return (x + 1, y), negative
+
+    monkeypatch.setattr(cli, "pell_solutions", off_by_one)
+    code, out, err = run(capsys, "verify", "19")
+    failures = {"convergent quality": "convergent 5 is not the fundamental Pell solution"}
     lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
     assert (code, out, err) == (1, "\n".join(lines) + "\nverify 19: FAILED\n", "")
 

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import random
 import sys
 
 import pytest
 
 from anthyphairesis import engine
-from anthyphairesis.convergents import convergents, pell_fundamental, pell_negative, pell_solutions
+from anthyphairesis.convergents import _matrix_product, convergents, pell_fundamental, pell_negative, pell_solutions
 from anthyphairesis.engine import expand_sqrt, expand_surd
 from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.surd import QuadraticSurd, is_perfect_square
@@ -113,6 +114,25 @@ def test_pell_minimality_small_range():
         for p, q in convergents(e.quotient_stream(2 * len(e.period))):
             if q < y:
                 assert p * p - n * q * q != 1
+
+
+def _times(x, y):
+    (a, b, c, d), (e, f, g, h) = x, y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_product_tree_equals_the_plain_product(seed):
+    # every length 0..140, so both sides of every leaf boundary; quotients of 1 and past 2^64 among them
+    rng = random.Random(seed)
+    draws = (lambda: 1, lambda: rng.randint(2, 300), lambda: rng.randint(2**64, 2**80))
+    qs = tuple(rng.choice(draws)() for _ in range(140))
+    assert 1 in qs and max(qs) > 2**64
+    plain = (1, 0, 0, 1)
+    for n in range(141):
+        assert _matrix_product(qs, 0, n) == plain, n
+        if n < 140:
+            plain = _times(plain, (qs[n], 1, 1, 0))
 
 
 LONG_PERIOD_N = (1000003, 10000019, 92590649, 150008437)

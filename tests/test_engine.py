@@ -394,3 +394,27 @@ def test_centre_stop_gives_the_first_half_of_every_period_below_1e5():
             continue
         l = len(e.period)
         assert _to_centre(n) == (e.period[: l // 2], l % 2 == 1), n
+
+
+def test_centre_stop_budget_boundary(monkeypatch):
+    # a period of length l reaches its centre in exactly l // 2 steps; one fewer runs out of the budget or the memory
+    from anthyphairesis import engine
+    from anthyphairesis.engine import ResourceLimitExceeded
+
+    for n in range(2, 3001):
+        e = expand_sqrt(n)
+        if e.terminated:
+            continue
+        l = len(e.period)
+        assert _to_centre(n, l // 2) == (e.period[: l // 2], l % 2 == 1), n
+        short = l // 2 - 1
+        if short < 1:
+            continue
+        with pytest.raises(StepLimitExceeded) as info:
+            _to_centre(n, short)
+        assert str(info.value) == f"sqrt({n}): centre of the period not reached within {short} steps"
+        monkeypatch.setattr(engine, "_memory_steps", lambda bytes_per_step: short)
+        with pytest.raises(ResourceLimitExceeded) as info:
+            _to_centre(n)
+        assert str(info.value) == f"sqrt({n}): centre of the period not reached within {short} steps, all that fit in memory"
+        monkeypatch.undo()
