@@ -16,8 +16,13 @@ centre of its period, so its budget counts steps to the centre: a
 period of length l needs l // 2 of them, where expand N --pell, which
 runs and checks the whole period, needs l.
 
-argv is parsed by its command's own parser; the top-level parser runs
-only for help, unknown commands and stray arguments. JSON lines come
+argv made of a command, its positional and exact option strings of its
+own, each valued one followed by a value that does not start with "-"
+and passes the option's type and choices, is read off a table of the
+command parser's own actions, with no argparse parse. Any other argv
+goes to its command's parser, and the top-level parser runs only for
+help, unknown commands and stray arguments, so argparse alone prints
+help, usage and every usage error. JSON lines come
 from one writer here, _json_line, which writes what
 json.dumps(sort_keys=True, separators=(",", ":")) would.
 """
@@ -440,6 +445,7 @@ def cmd_verify(args) -> int:
     m = isqrt(n)
     e = expand_sqrt(n, _step_limit())
     quots, mus, lams = e.quotients, e.mus, e.lams  # (mu_k, lam_k): the states of phi_1 .. phi_{l+1}
+    trail_pell = functools.cache(lambda: pell_solutions(n, e))  # a raise is not cached: each check asking reports it
 
     def recurrences():
         for k in range(1, len(mus)):
@@ -489,11 +495,11 @@ def cmd_verify(args) -> int:
             if cross != (-mu if k % 2 else mu):
                 raise AssertionError(f"companion identity fails at convergent {k}")
         end = period if period % 2 == 0 else 2 * period  # the convergent k = end - 1 closes the Pell period
-        if next(itertools.islice(convergents(e.quotient_stream(end)), end - 1, None)) != pell_solutions(n, e)[0]:
+        if next(itertools.islice(convergents(e.quotient_stream(end)), end - 1, None)) != trail_pell()[0]:
             raise AssertionError(f"convergent {end - 1} is not the fundamental Pell solution")
 
     def pell():  # each side checks x^2 - N*y^2 = 1 (and -1) before it returns
-        if pell_solutions(n, e) != pell_solutions(n):
+        if trail_pell() != pell_solutions(n):
             raise AssertionError("the full period and the centre stop give different solutions")
 
     def pure_tail():
@@ -528,8 +534,8 @@ def _positive_int(text: str) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's parser by name, built on the first call and reused by every later one."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, tuple]]:
+    """The top-level parser, and each command's parser and quick table by name, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="anth", description="exact anthyphairesis of quadratic surds"
     )
@@ -579,24 +585,78 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--out", metavar="FILE", default=None)
     p.set_defaults(func=cmd_verify)
 
-    return parser, sub.choices
+    return parser, sub.choices, {name: _quick_table(p) for name, p in sub.choices.items()}
+
+
+def _quick_table(p: argparse.ArgumentParser) -> tuple[dict, dict, list]:
+    """What _quick_parse reads off p's own actions: p's defaults as argparse
+    sets them, each exact option string of a store or store_const action
+    mapped to that action, and p's positional actions in order."""
+    defaults = p._defaults | {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS}
+    stores = (argparse._StoreAction, argparse._StoreConstAction)  # not help: argparse prints it
+    options = {s: a for a in p._actions if isinstance(a, stores) for s in a.option_strings}
+    return defaults, options, [a for a in p._actions if not a.option_strings]
+
+
+def _quick_parse(table: tuple[dict, dict, list], tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives tokens, for the shapes a table covers; None for any other.
+
+    Covered: exact option strings, a valued one followed by a token not
+    starting with "-", and bare tokens filling the positionals in order,
+    each value passing its action's type and choices. Everything else
+    (-h, an abbreviation, --x=y, --, -4, a missing or stray argument, a
+    bad value) is left to argparse, which alone prints help and errors.
+    """
+    defaults, options, positionals = table
+    values = {}
+    unfilled = iter(positionals)
+    tokens = iter(tokens)
+    for token in tokens:
+        if token.startswith("-"):
+            action = options.get(token)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            token = next(tokens, "-")
+            if token.startswith("-"):
+                return None
+        else:
+            action = next(unfilled, None)
+            if action is None:
+                return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse reports as a usage error
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if next(unfilled, None) is not None:
+        return None
+    return argparse.Namespace(**(defaults | values))
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by its command's parser alone, or by the top-level one for help, an unknown command or stray arguments.
+    """argv read off its command's quick table, else parsed by its command's parser alone,
+    else by the top-level one for help, an unknown command or stray arguments.
 
-    Either way the namespace, and on bad input the message and exit code,
-    are those of the top-level parser, which hands every argument after
-    the command to the same command parser.
+    Each way gives the namespace, and on bad input the message and exit
+    code, of the top-level parser, which hands every argument after the
+    command to the same command parser.
     """
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    parser, commands, tables = _parsers()
+    table = tables.get(argv[0]) if argv else None
+    if table is None:
+        return parser.parse_args(argv)
+    args = _quick_parse(table, argv[1:])
+    if args is None:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:

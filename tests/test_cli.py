@@ -544,6 +544,7 @@ _PARSE_BATTERY = [
     ["expand", "19", "--format"], ["expand"], ["expand", "19", "--format", "json", "--format", "csv"],
     ["trace", "1e3"], ["expand", "19", "20"], ["verify", "54", "--format", "json"],
     ["sweep", "10", "--jobs", "0"], ["sweep", "10", "--jobs=2", "-x"],
+    ["expand", "19", "--out", "-"], ["expand", ""], ["pell", "１３"], ["expand", "19", "--steps", "-5"],
 ]
 
 
@@ -560,6 +561,92 @@ def _parse_outcome(capsys, parse, argv):
 def test_main_parses_as_the_top_level_parser_does(capsys, argv):
     full = _parse_outcome(capsys, cli._parsers()[0].parse_args, argv)
     assert _parse_outcome(capsys, cli._parse, argv) == full
+
+
+def _command_options() -> dict[str, dict[str, object]]:
+    """Each command's option strings mapped to their actions, read off its parser, less -h and --help."""
+    return {
+        name: {s: a for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in cli._parsers()[1].items()
+    }
+
+
+_OPTION_VALUES = ["19", "54", "2", "json", "csv", "plain", "xml", "0", "1e3", "sqrt(2)", "o.txt", "１３", "١٩", ""]
+_OPTIONS = sorted({s for options in _command_options().values() for s in options})
+_TOKENS = _OPTIONS + _OPTION_VALUES + [
+    "-h", "--help", "--form", "--neg", "--st", "--jo", "--gold", "--pel", "--format=json", "--steps=3",
+    "--jobs=2", "--out=o.txt", "--pell=1", "-4", "-5", "-", "--", "-x",
+]
+
+
+def _captured(parse, argv):
+    """vars() of the namespace or the SystemExit code, then stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _argv_of(command: str):
+    """command, then mostly a positional, then stray tokens, flags of command's own and its
+    valued options with a value: repeats, missing values and bad values among them."""
+    own = _command_options().get(command, {})
+    flags = [s for s, a in own.items() if a.nargs == 0] or _TOKENS
+    valued = [s for s, a in own.items() if a.nargs != 0] or _OPTIONS
+    pair = st.tuples(st.sampled_from(valued), st.sampled_from(_OPTION_VALUES)).map(list)
+    chunk = st.one_of(st.sampled_from(_TOKENS).map(lambda t: [t]), st.sampled_from(flags).map(lambda t: [t]), pair, pair, pair)
+    parts = st.tuples(st.lists(st.sampled_from(_OPTION_VALUES), max_size=1), st.lists(chunk, max_size=4))
+    return parts.map(lambda p: [command, *p[0], *(t for chunk in p[1] for t in chunk)])
+
+
+_argv = st.sampled_from(sorted(cli._parsers()[1]) + ["Expand", "", "-h"]).flatmap(_argv_of)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv)
+def test_parse_equals_parse_args_on_drawn_argv(argv):
+    assert _captured(cli._parse, argv) == _captured(cli._parsers()[0].parse_args, argv)
+
+
+_WELL_FORMED = [
+    ["expand", "19", "--steps", "50", "--pell", "--negative-pell", "--format", "json", "--out", "o.txt"],
+    ["expand", "--format", "csv", "(7+sqrt(54))/5"],
+    ["trace", "54", "--steps", "3", "--golden", "g.txt", "--out", "o.txt"],
+    ["sweep", "--jobs", "2", "100", "--pell", "--negative-pell", "--format", "csv", "--out", "o.txt"],
+    ["pell", "１３", "--negative-pell", "--format", "json", "--out", "o.txt"],
+    ["approx", "sqrt(7/3)", "--steps", "4", "--format", "plain", "--out", "o.txt"],
+    ["verify", "54", "--out", "", "--out", "o.txt"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [(argv, 0) for argv in _WELL_FORMED]
+    + [
+        (["expand", "19", "--form", "json"], 1),
+        (["expand", "19", "--format=json"], 1),
+        (["trace", "-4"], 1),
+        (["expand", "19", "--out", "-"], 1),
+        (["expand", "19", "--format", "xml"], 1),
+    ],
+    ids=lambda v: shlex.join(v) if isinstance(v, list) else f"{v} calls",
+)
+def test_command_parsers_run_only_off_the_quick_path(monkeypatch, argv, calls):
+    seen = []
+    for p in cli._parsers()[1].values():
+        monkeypatch.setattr(p, "parse_known_args", lambda *a, _f=p.parse_known_args: seen.append(a) or _f(*a))
+    outcome = _captured(cli._parse, argv)
+    assert len(seen) == calls
+    monkeypatch.undo()
+    assert outcome == _captured(cli._parsers()[0].parse_args, argv)
+
+
+def test_well_formed_cases_use_every_option():
+    used = {(argv[0], t) for argv in _WELL_FORMED for t in argv[1:]}
+    assert {(name, s) for name, options in _command_options().items() for s in options} <= used
 
 
 @pytest.mark.parametrize(
@@ -984,6 +1071,31 @@ def test_verify_compares_the_period_end_convergent_with_pell(capsys, monkeypatch
     monkeypatch.setattr(cli, "pell_solutions", off_by_one)
     code, out, err = run(capsys, "verify", "19")
     failures = {"convergent quality": "convergent 5 is not the fundamental Pell solution"}
+    lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
+    assert (code, out, err) == (1, "\n".join(lines) + "\nverify 19: FAILED\n", "")
+
+
+def test_verify_expands_pell_from_the_trail_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(n, *rest):
+        calls.append(rest)
+        return pell_solutions(n, *rest)
+
+    monkeypatch.setattr(cli, "pell_solutions", counted)
+    assert run(capsys, "verify", "19")[0] == 0
+    assert [len(rest) for rest in calls] == [1, 0]  # the trail's, then the centre stop's
+
+
+def test_verify_reports_a_raising_pell_in_each_check_that_asks(capsys, monkeypatch):
+    def raising(n, *rest):
+        if rest:
+            raise ArithmeticError("pell from the trail fails")
+        return pell_solutions(n)
+
+    monkeypatch.setattr(cli, "pell_solutions", raising)
+    code, out, err = run(capsys, "verify", "19")
+    failures = {name: "pell from the trail fails" for name in ("convergent quality", "pell fundamental")}
     lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
     assert (code, out, err) == (1, "\n".join(lines) + "\nverify 19: FAILED\n", "")
 
