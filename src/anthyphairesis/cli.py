@@ -136,7 +136,7 @@ def _emit(lines: Iterable[str], out: str | None, end: str = "\n") -> None:
     FILE failing to open, to take a line or to close is an InputError; an
     error raised while the lines are computed propagates as it is.
     """
-    if not out:
+    if out is None:
         sys.stdout.writelines(line + end for line in lines)
         return
     try:

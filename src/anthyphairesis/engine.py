@@ -15,7 +15,11 @@ exactly when it is reduced (x > 1, -1 < conj(x) < 0; on the state q > 0,
 0 < p <= r < p + q, q - p <= r): the first reduced state ends the
 preperiod and its recurrence closes the period (the Logos criterion), so
 no set of earlier states is kept. For sqrt(N) that state is
-x_1 = (m + sqrt(N))/(N - m^2). Reduced states lie in the box
+x_1 = (m + sqrt(N))/(N - m^2). So the expansion runs in two phases: a
+preperiod loop steps with the sign-aware floor until the state is
+reduced, and a period loop, in which every state is reduced and so
+q > 0, floors with (p + r) // q and only steps, records and tests for
+the first reduced state's return. Reduced states lie in the box
 1 <= p <= r, r - p < q <= r + p of r(r+1) pairs, so every period is
 shorter than pigeonhole_bound(d) = r(r+1) + 1. For Pell alone, which
 needs only the first half of the period, _to_centre runs the same
@@ -172,13 +176,7 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: int | None) -> Expansion:
 
     quots: list[int] = []
     trail = [p, q]
-    j = pj = qj = None  # index and state of the first reduced complete quotient
-    while True:
-        if j is None:
-            if q > 0 and 0 < p <= r < p + q and q - p <= r:
-                j, pj, qj = len(quots), p, q
-        elif p == pj and q == qj:
-            break
+    while not (q > 0 and 0 < p <= r < p + q and q - p <= r):  # the preperiod
         if len(quots) > limit:
             raise _exhausted(f"{QuadraticSurd(trail[0], d, trail[1])}: no state repeated within", max_steps, limit)
         a = (p + r) // q if q > 0 else (p + r + 1) // q
@@ -193,12 +191,22 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: int | None) -> Expansion:
         trail.append(p)
         trail.append(q)
 
-    return Expansion(
-        preperiod=tuple(quots[:j]),
-        period=tuple(quots[j:]),
-        radicand=d,
-        trail=tuple(trail),
-    )
+    j, pj, qj = len(quots), p, q  # the first reduced state: from here on every state is reduced, so q > 0
+    for k in range(j, limit + 1):
+        a = (p + r) // q
+        p = a * q - p
+        t = d - p * p
+        q_next = t // q
+        if q_next * q != t:
+            start = QuadraticSurd(trail[0], d, trail[1])
+            raise AssertionError(f"lost divisibility at step {k + 1} of {start}")
+        q = q_next
+        quots.append(a)
+        trail.append(p)
+        trail.append(q)
+        if p == pj and q == qj:
+            return Expansion(tuple(quots[:j]), tuple(quots[j:]), d, tuple(trail))
+    raise _exhausted(f"{QuadraticSurd(trail[0], d, trail[1])}: no state repeated within", max_steps, limit)
 
 
 def _budget(q: int, d: int, max_steps: int | None, bytes_per_step: int) -> tuple[int, int]:

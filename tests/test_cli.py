@@ -299,6 +299,9 @@ def test_out_file_write_error_is_bad_input(capsys):
         code, out, err = run(capsys, *argv, "--out", "/dev/full")
         assert (code, out) == (2, ""), argv
         assert err == "error: cannot write /dev/full: No space left on device\n", argv
+    # an empty FILE is a file that cannot be opened, not stdout
+    code, out, err = run(capsys, "expand", "19", "--out", "")
+    assert (code, out, err) == (2, "", "error: cannot write : No such file or directory\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

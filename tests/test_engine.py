@@ -418,3 +418,53 @@ def test_centre_stop_budget_boundary(monkeypatch):
             _to_centre(n)
         assert str(info.value) == f"sqrt({n}): centre of the period not reached within {short} steps, all that fit in memory"
         monkeypatch.undo()
+
+
+def test_trail_budget_boundary(monkeypatch):
+    # a budget of b steps lets the trail take b + 1 quotients: an expansion of L quotients
+    # closes within L - 1, and L - 2 runs out of the budget or the memory, also inside the preperiod
+    from anthyphairesis import engine
+    from anthyphairesis.engine import ResourceLimitExceeded
+
+    rng = random.Random(0xB0D)
+    cases = [(expand_sqrt, n, f"sqrt({n})", ()) for n in range(2, 3001) if not is_perfect_square(n)]
+    surds = [ones_then_two(k) for k in (1, 5, 11, 40)]
+    for _ in range(100):
+        q = -rng.randint(1, 60)
+        p, d = rng.randint(-300, 300), rng.randint(2, 3000)
+        if (d - p * p) % q and not is_perfect_square(d):
+            surds.append(QuadraticSurd(p, d, q))
+    for s in surds:
+        preperiod = len(expand_surd(s).preperiod)
+        cases.append((expand_surd, s, str(normalize(s)), range(preperiod)))
+    for expand, x, head, inside in cases:
+        e = expand(x)
+        steps = len(e.quotients)
+        assert expand(x, steps - 1) == e, head
+        for short in sorted({steps - 2, *inside}):
+            with pytest.raises(StepLimitExceeded) as info:
+                expand(x, short)
+            assert str(info.value) == f"{head}: no state repeated within {short} steps"
+            monkeypatch.setattr(engine, "_memory_steps", lambda bytes_per_step: short)
+            with pytest.raises(ResourceLimitExceeded) as info:
+                expand(x)
+            assert str(info.value) == f"{head}: no state repeated within {short} steps, all that fit in memory"
+            monkeypatch.undo()
+
+
+def test_period_states_are_reduced_and_the_preperiod_minimal():
+    # Galois: the preperiod ends at the first state in the reduced box and every later
+    # state stays in it, so q > 0 there and the period's floor is (p + r) // q
+    rng = random.Random(0x6B0)
+    expansions = [expand_sqrt(n) for n in range(2, 3001)]
+    for _ in range(1000):
+        q = rng.randint(1, 200) * rng.choice((1, -1))
+        expansions.append(expand_surd(QuadraticSurd(rng.randint(-500, 500), rng.randint(2, 5000), q)))
+    for e in expansions:
+        if e.terminated:
+            continue
+        r = isqrt(e.radicand)
+        boxed = [q > 0 and 0 < p <= r < p + q and q - p <= r for p, q in zip(e.trail[::2], e.trail[1::2])]
+        j = len(e.preperiod)
+        assert all(boxed[j:]), e
+        assert not any(boxed[:j]), e
