@@ -26,7 +26,9 @@ first argument.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .surd import QuadraticSurd, is_perfect_square
 
@@ -188,9 +190,9 @@ class TraceStep(namedtuple("TraceStep", "index lam mu phi product_constant psi q
     int product_constant with lam*phi*phi* = product_constant*beta^2
     (phi* = conjugate(phi)), the inverse psi and the int quotient; the
     next factor, psi - quotient*beta, is the next step's phi. The closing
-    step (where phi repeats an earlier one) carries only the factor
-    itself plus the int repeats_index; the remaining fields are None. An
-    immutable named tuple.
+    step (where phi returns to phi_1) carries only the factor itself plus
+    the int repeats_index, 1; the remaining fields are None. An immutable
+    named tuple.
     """
 
     __slots__ = ()
@@ -199,6 +201,11 @@ class TraceStep(namedtuple("TraceStep", "index lam mu phi product_constant psi q
 # Peak bytes one trace step costs: its TraceStep, line triples and rendered text
 # come to about 1.2 KB, the steps alone to 445 B (sqrt(10^8+3), tracemalloc).
 _TRACE_STEP_BYTES = 4096
+
+# Peak bytes one quotient-only trace step costs verify: its quotient in a list, then
+# in the tuple, 16.6 (sqrt(10^13+3), tracemalloc). Charged about twice that, on top of
+# the trail step of the same index, which verify holds beside it.
+_TRACE_QUOTIENT_BYTES = 32
 
 
 def _as_lambda_mu(phi: Triple) -> tuple[int, int]:
@@ -209,39 +216,30 @@ def _as_lambda_mu(phi: Triple) -> tuple[int, int]:
     return lam, -b
 
 
-def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
-    """Drive the expansion of sqrt(N) purely through the line algebra.
+def _trace_steps(N: int, max_steps: int | None, bytes_per_step: int) -> Iterator[tuple]:
+    """The symbolic steps of sqrt(N), each as TraceStep's fields (k, lam, mu, phi, constant, psi, quotient, None).
 
-    Each step inverts the current increment factor phi via its conjugate
-    (no integer state recurrence is used, so this is an independent
-    derivation of the quotients), reads off the quotient as the integer
-    part of psi/beta, and subtracts to get the next factor, which only
-    the next step stores. Stops when a phi repeats an earlier one.
-    Raises StepLimitExceeded when more than max_steps factors pass
-    without a repeat, and ResourceLimitExceeded when, before that, the
-    steps would outgrow this process's memory.
+    A step checks that phi = (alpha - mu*beta)/lam and lam*phi*phi* =
+    constant*beta^2, inverts phi via its conjugate (no integer state
+    recurrence is used, so this derives the quotients independently),
+    floors psi/beta to the quotient and subtracts it to the next phi. The
+    steps stop when phi returns to phi_1: x_1 = 1/phi_1 is reduced, so by
+    Galois's theorem phi_1 is the first phi to repeat, and a fault that
+    broke this would run into the budget rather than close a wrong
+    period. Raises StepLimitExceeded past max_steps steps, and
+    ResourceLimitExceeded first when steps of bytes_per_step would
+    outgrow memory.
     """
     # the step safety net only; no stepping code is shared with the engine
     from .engine import _budget, _exhausted
 
     if N < 2 or isqrt(N) ** 2 == N:
         raise ValueError("N must be a non-square integer >= 2")
-    max_steps, limit = _budget(1, N, max_steps, _TRACE_STEP_BYTES)
-
+    max_steps, limit = _budget(1, N, max_steps, bytes_per_step)
     pq = basis(N)
-    m = _floor_over_beta(pq, (1, 0, 1))
-    phi = (1, -m, 1)  # alpha - m*beta
-    seen: dict[Triple, int] = {}
-    steps: list[TraceStep] = []
-    k = 1
-    while True:
+    first = phi = (1, -_floor_over_beta(pq, (1, 0, 1)), 1)  # alpha - m*beta
+    for k in range(1, limit + 1):
         lam, mu = _as_lambda_mu(phi)
-        if phi in seen:
-            steps.append(TraceStep(k, lam, mu, phi, None, None, None, seen[phi]))
-            return steps
-        seen[phi] = k
-        if k > limit:
-            raise _exhausted(f"trace of {QuadraticSurd.sqrt_of(N)} exceeded", max_steps, limit, " without repeating")
         ab, bb, den = _product(pq, phi, conjugate(phi))
         # lam*phi*phi* = constant*beta^2 for a positive integer constant; the
         # unreduced area is the reduced one times den/reduced den > 0, so the
@@ -250,9 +248,31 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
             raise RuntimeError("conjugacy product is not a positive rational multiple of beta^2")
         psi = inverse_wrt_beta_squared(pq, phi)
         quotient = _floor_over_beta(pq, psi)
-        steps.append(TraceStep(k, lam, mu, phi, bb * lam // den, psi, quotient, None))
+        yield k, lam, mu, phi, bb * lam // den, psi, quotient, None
         phi = _plus_beta(psi, -quotient)  # psi is reduced, so phi is
-        k += 1
+        if phi == first:
+            return
+    raise _exhausted(f"trace of {QuadraticSurd.sqrt_of(N)} exceeded", max_steps, limit, " without repeating")
+
+
+def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
+    """Drive the expansion of sqrt(N) purely through the line algebra.
+
+    One TraceStep per step of _trace_steps, whose errors it raises, then
+    the closing step, whose phi is phi_1 again.
+    """
+    steps = list(map(TraceStep._make, _trace_steps(N, max_steps, _TRACE_STEP_BYTES)))
+    first = steps[0]
+    steps.append(TraceStep(len(steps) + 1, first.lam, first.mu, first.phi, None, None, None, 1))
+    return steps
+
+
+def _trace_quotients(N: int, max_steps: int | None = None) -> tuple[int, ...]:
+    """The quotients m, a_1, .., a_l of the symbolic trace of sqrt(N): _trace_steps' checks, no TraceStep kept."""
+    from .engine import _TRAIL_STEP_BYTES
+
+    steps = _trace_steps(N, max_steps, _TRAIL_STEP_BYTES + _TRACE_QUOTIENT_BYTES)
+    return (isqrt(N), *map(itemgetter(6), steps))
 
 
 def _lines(u: Triple, name: str) -> tuple[str, str]:

@@ -14,7 +14,11 @@ above it exits 3 before any output, unless the input is rational and
 its quotients end inside the budget. pell expands sqrt(N) only to the
 centre of its period, so its budget counts steps to the centre: a
 period of length l needs l // 2 of them, where expand N --pell, which
-runs and checks the whole period, needs l.
+runs and checks the whole period, needs l. In verify, ANTH_MAX_STEPS
+reaches every check: the trace, the centre stop and the re-expanded
+tail take it as their budget, and the oracle's 3l + 1 quotients must
+fit in it, which covers the convergent check's 2l steps, so verify
+needs a budget of 3l + 1. A check that runs out exits 3, not 1.
 
 argv made of a command, its positional and exact option strings of its
 own, each valued one followed by a value that does not start with "-"
@@ -39,18 +43,20 @@ import sys
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
-from .bookx import euler_trace, render_trace
+from .bookx import _trace_quotients, euler_trace, render_trace
 from .convergents import convergents, pell_solutions
 from .engine import (
     Expansion,
     ResourceLimitExceeded,
     StepLimitExceeded,
+    _budget,
+    _exhausted,
     expand_sqrt,
     expand_surd,
     pigeonhole_bound,
 )
 from .oracle import oracle_expand
-from .palindrome import omega_sequence, verify_palindrome
+from .palindrome import _check_omegas, verify_palindrome
 from .surd import QuadraticSurd, _dec, floor_surd, isqrt
 
 __all__ = ["main"]
@@ -419,15 +425,36 @@ def cmd_approx(args) -> int:
     return 0  # either way one convergent is alive at a time: the digits of the k-th grow with k
 
 
+# verify's convergent check runs convergents() to the period end, an O(l^2) run in
+# bit operations, only when that end is at most this many quotients: about 0.3 s at
+# 45,492 (sqrt(10^10+3)), against 3.4 s at 171,126 (sqrt(10^13+3)).
+_EXACT_CONVERGENTS = 1 << 16
+
+# Peak bytes one step of verify's oracle check costs beyond the trail it reads: the
+# oracle's quotient and the engine's, each in a list, 16.4 (sqrt(10^13+3), tracemalloc).
+# Charged about twice that. The convergent check after it peaks at 12.8 a step over 2l
+# steps, so it fits wherever the oracle's 3l + 1 did.
+_ORACLE_STEP_BYTES = 32
+
+
 def cmd_verify(args) -> int:
     """Nine checks of sqrt(N), one line each, then the verdict; exit 1 when any fails.
 
     Convergent quality runs the norm recurrence of the convergents module
     docstring over two periods and checks N_k = (-1)^(k+1)*lam_{k+2} and
-    M_k = (-1)^k*mu_{k+1} against the trail, then runs convergents() to
-    the period end and compares that pair with pell_solutions(N, e)'s.
+    M_k = (-1)^k*mu_{k+1} against the trail. When the period ends within
+    _EXACT_CONVERGENTS quotients, it then runs convergents() to the period
+    end and compares that pair with pell_solutions(N, e)'s.
+
+    The step budget reaches every check. The trace, the centre stop and
+    the re-expanded tail take it as their own. The oracle's 3l + 1
+    quotients must fit in it, and in memory at _ORACLE_STEP_BYTES each,
+    which covers the 2l steps of the convergent check after it. The
+    other checks read only the expansion's states, which fitted. A check
+    that runs out stops verify with exit 3, not a failed check.
     """
     n = _non_square(args.N, "verify")
+    limit = _step_limit()
     lines = []
     ok = True
 
@@ -436,18 +463,18 @@ def cmd_verify(args) -> int:
         try:
             fn()
             lines.append(f"check {name}: ok")
-        except (ResourceLimitExceeded, MemoryError):  # the input outgrew memory: exit 3, not a failed check
+        except (StepLimitExceeded, ResourceLimitExceeded, MemoryError):  # a budget ran out: exit 3, not a failed check
             raise
         except Exception as exc:  # report and keep going
             ok = False
             lines.append(f"check {name}: FAIL ({exc})")
 
     m = isqrt(n)
-    e = expand_sqrt(n, _step_limit())
-    quots, mus, lams = e.quotients, e.mus, e.lams  # (mu_k, lam_k): the states of phi_1 .. phi_{l+1}
+    e = expand_sqrt(n, limit)  # e.mus, e.lams: the states (mu_k, lam_k) of phi_1 .. phi_{l+1}, viewed anew in each check
     trail_pell = functools.cache(lambda: pell_solutions(n, e))  # a raise is not cached: each check asking reports it
 
     def recurrences():
+        quots, mus, lams = e.quotients, e.mus, e.lams
         for k in range(1, len(mus)):
             if lams[k] * lams[k - 1] != n - mus[k - 1] * mus[k - 1]:
                 raise AssertionError(f"product identity fails at step {k + 1}")
@@ -455,10 +482,11 @@ def cmd_verify(args) -> int:
                 raise AssertionError(f"sum identity fails at step {k + 1}")
 
     def bounds():
+        mus, lams = e.mus, e.lams
         for k in range(1, len(mus)):
             if not (1 <= lams[k] < n and mus[k] * mus[k] < n):
                 raise AssertionError(f"state bounds fail at step {k + 1}")
-        if len(quots) - 1 >= pigeonhole_bound(n):
+        if len(e.quotients) - 1 >= pigeonhole_bound(n):
             raise AssertionError("period not found before the pigeonhole bound")
 
     def palindrome():
@@ -467,27 +495,29 @@ def cmd_verify(args) -> int:
             raise AssertionError("period is not palindromic")
 
     def omegas():
-        omega_sequence(e, n)
+        _check_omegas(e, n)
 
     def oracle_agreement():
         steps = 3 * len(e.period) + 1
+        max_steps, cap = _budget(1, n, steps if limit is None else limit, _ORACLE_STEP_BYTES)
+        if steps > cap:
+            raise _exhausted(f"{QuadraticSurd.sqrt_of(n)}: oracle agreement needs {steps} steps, more than", max_steps, cap)
         expected = e.quotient_stream(steps)
         got = oracle_expand(QuadraticSurd.sqrt_of(n), steps)
         if got != expected:
             raise AssertionError("oracle quotients diverge from the engine")
 
     def trace_agreement():
-        steps = euler_trace(n)
-        traced = (m, *(s.quotient for s in steps if s.quotient is not None))
-        if traced != quots:
+        if _trace_quotients(n, limit) != e.quotients:
             raise AssertionError("symbolic trace quotients diverge from the engine")
 
     def convergent_quality():  # mus and lams are mu_1.., lam_1..lam_{period+1}, cycled
-        period = len(e.period)
+        mus, lams, period = e.mus, e.lams, len(e.period)
         if len(lams) <= period:
             raise AssertionError(f"period of {period} quotients is longer than the {len(lams) - 1} states of the trail")
+        stream = e.quotient_stream(2 * period)
         norm_prev, norm, cross = -n, 1, 0  # N_{-2}, N_{-1}, M_{-1}
-        for k, a in enumerate(e.quotient_stream(2 * period)):
+        for k, a in enumerate(stream):
             norm_prev, norm, cross = norm, a * (a * norm + 2 * cross) + norm_prev, a * norm + cross
             lam, mu = lams[k % period + 1], mus[k % period]
             if norm != (lam if k % 2 else -lam):
@@ -495,17 +525,21 @@ def cmd_verify(args) -> int:
             if cross != (-mu if k % 2 else mu):
                 raise AssertionError(f"companion identity fails at convergent {k}")
         end = period if period % 2 == 0 else 2 * period  # the convergent k = end - 1 closes the Pell period
-        if next(itertools.islice(convergents(e.quotient_stream(end)), end - 1, None)) != trail_pell()[0]:
+        if end > _EXACT_CONVERGENTS:
+            return
+        if next(itertools.islice(convergents(stream), end - 1, None)) != trail_pell()[0]:
             raise AssertionError(f"convergent {end - 1} is not the fundamental Pell solution")
 
     def pell():  # each side checks x^2 - N*y^2 = 1 (and -1) before it returns
-        if trail_pell() != pell_solutions(n):
+        if trail_pell() != pell_solutions(n, max_steps=limit):
             raise AssertionError("the full period and the centre stop give different solutions")
 
-    def pure_tail():
-        tail = QuadraticSurd(mus[0], n, lams[1])
-        te = expand_surd(tail)
-        if te.preperiod != () or te.period != e.period:
+    def pure_tail():  # the last check: it frees e first, since its re-expansion builds a trail as large as e's
+        nonlocal e
+        tail, period = QuadraticSurd(e.mus[0], n, e.lams[1]), e.period
+        del e
+        te = expand_surd(tail, limit)
+        if te.preperiod != () or te.period != period:
             raise AssertionError("re-expanded tail is not purely periodic with the same period")
 
     check("recurrence identities", recurrences)

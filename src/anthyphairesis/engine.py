@@ -68,8 +68,10 @@ class ResourceLimitExceeded(RuntimeError):
     """
 
 
-# Peak bytes one step costs a command: the trail's ints, their list and tuple
-# slots and the rendered quotient come to about 460 (sqrt(10^10+3), tracemalloc).
+# Peak bytes one step costs a command: an expansion holds 88 a step, its ints and
+# tuple slots, and peaks at 106 while its lists turn into tuples; `expand --format
+# json` peaks at 156 a step in all (sqrt(10^13+3), tracemalloc) and at 193 a step
+# above the RSS of a fresh process (sqrt(10^14+3), period 625,024).
 _TRAIL_STEP_BYTES = 1024
 
 # Peak bytes one step to the centre of the period costs pell_solutions: its
@@ -204,8 +206,11 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: int | None) -> Expansion:
         quots.append(a)
         trail.append(p)
         trail.append(q)
-        if p == pj and q == qj:
-            return Expansion(tuple(quots[:j]), tuple(quots[j:]), d, tuple(trail))
+        if p == pj and q == qj:  # the trail's list goes before the period's tuple is built, and quots is not copied
+            trail = tuple(trail)
+            preperiod = tuple(quots[:j])
+            del quots[:j]
+            return Expansion(preperiod, tuple(quots), d, trail)
     raise _exhausted(f"{QuadraticSurd(trail[0], d, trail[1])}: no state repeated within", max_steps, limit)
 
 
@@ -296,9 +301,18 @@ def increment_factors(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     """The increment factors of an expand_sqrt(N) expansion, verified.
 
     Each phi_k = (alpha - mu_k*beta)/lam_k is returned as its int pair
-    (mu_k, lam_k). Checks, per state, the divisibility lam | (N - mu^2)
-    and the bound N < (mu + lam)^2 (phi < beta), and for every
-    consecutive pair the area identity phi_k*(I_k*beta + phi_{k+1}) = beta^2.
+    (mu_k, lam_k), once _check_increment_factors has passed.
+    """
+    _check_increment_factors(e, N)
+    return tuple(list(zip(e.mus, e.lams)))  # tuple(zip()) grows by reallocs that fragment a long run's heap
+
+
+def _check_increment_factors(e: Expansion, N: int) -> None:
+    """increment_factors' checks, with nothing kept.
+
+    Checks, per state, the divisibility lam | (N - mu^2) and the bound
+    N < (mu + lam)^2 (phi < beta), and for every consecutive pair the
+    area identity phi_k*(I_k*beta + phi_{k+1}) = beta^2.
     """
     if e.terminated:
         raise ValueError("terminated expansion has no increment factors")
@@ -317,7 +331,6 @@ def increment_factors(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
             rhs = _plus_beta((1, -mus[i + 1], lams[i + 1]), quotients[i + 1])  # I_k*beta + phi_{k+1}
             if not _is_beta_squared(pq, (1, -mu, lam), rhs):
                 raise ValueError(f"inversion identity fails between factors {i + 1} and {i + 2}")
-    return tuple(list(zip(mus, lams)))  # tuple(zip()) grows by reallocs that fragment a long run's heap
 
 
 def remainders(N: int, count: int) -> tuple[Triple, ...]:

@@ -15,10 +15,12 @@ disagree, which is a bug.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import islice, repeat
+from operator import add, mul
 
 from .bookx import _is_beta_squared, _plus_beta, basis, conjugate
-from .engine import Expansion, increment_factors
+from .engine import Expansion, _check_increment_factors
 from .surd import QuadraticSurd
 
 __all__ = [
@@ -66,50 +68,61 @@ def find_reflection(
     when omega_k is (it must equal phi_k). Any other shape of
     coincidence, or no coincidence at all, raises ReflectionNotFound.
     """
-    seen: dict[tuple[int, int], int] = {}  # phi_n at n, omega_n at -n
+    seen: dict[tuple[int, int], None] = {}  # phi_1, omega_1, phi_2, ... in order, positions left implicit
     omegas = iter(omega_keys)
     omega = None  # omega_{n-1}
     for n, phi in enumerate(phi_keys, 1):
         if phi in seen:
             if phi == omega:
                 return ("I", n)
-            raise ReflectionNotFound(f"phi_{n} repeats {_name(seen[phi])} instead of omega_{n - 1}")
-        seen[phi] = n
+            raise ReflectionNotFound(f"phi_{n} repeats {_name(seen, phi)} instead of omega_{n - 1}")
+        seen[phi] = None
         omega = next(omegas, None)
         if omega is None:
             break
         if omega in seen:
             if omega == phi:
                 return ("II", n)
-            raise ReflectionNotFound(f"omega_{n} repeats {_name(seen[omega])} instead of phi_{n}")
-        seen[omega] = -n
+            raise ReflectionNotFound(f"omega_{n} repeats {_name(seen, omega)} instead of phi_{n}")
+        seen[omega] = None
     raise ReflectionNotFound("no coincidence found within the supplied sequences")
 
 
-def _name(position: int) -> str:
-    return f"phi_{position}" if position > 0 else f"omega_{-position}"
+def _name(seen: dict[tuple[int, int], None], key: tuple[int, int]) -> str:
+    """phi_n or omega_n for a key of seen, whose i-th key is phi_{i // 2 + 1} (i even) or omega_{i // 2 + 1}."""
+    i = list(seen).index(key)
+    return f"{'omega' if i % 2 else 'phi'}_{i // 2 + 1}"
 
 
 def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
     """The omega states of an expand_sqrt(N) expansion, verified symbolically.
 
     Each omega_n = (alpha - mu_n*beta)/lam_{n+1} is returned as its int
-    pair (mu_n, lam_{n+1}). Per state: (phi_n)* * omega_n = beta^2 (the
-    defining inversion), 0 < omega_n < beta in integer form,
-    omega_1*(phi_1 + 2*mu_1*beta) = beta^2, and
-    omega_{n+1}*(I_n*beta + omega_n) = beta^2. All checks
-    are exact area-algebra identities with zero residual. The increment
-    factors are verified after them (ValueError), so a corrupted state
-    that an omega reads fails as an omega identity (AssertionError).
-    An expansion of another radicand is a ValueError.
+    pair (mu_n, lam_{n+1}), once _check_omegas has passed.
+    """
+    _check_omegas(e, N)
+    return tuple(list(zip(e.mus, e.lams[1:])))  # via a list, as in increment_factors
+
+
+def _check_omegas(e: Expansion, N: int) -> None:
+    """omega_sequence's checks, with nothing kept.
+
+    Per state: (phi_n)* * omega_n = beta^2 (the defining inversion),
+    0 < omega_n < beta in integer form, omega_1*(phi_1 + 2*mu_1*beta) = beta^2,
+    and omega_{n+1}*(I_n*beta + omega_n) = beta^2. All checks are exact
+    area-algebra identities with zero residual. The increment factors
+    are checked after them (ValueError), so a corrupted state that an
+    omega reads fails as an omega identity (AssertionError). An expansion
+    of another radicand is a ValueError.
     """
     if e.radicand != N:
         raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
     pq = basis(N)
     mus, lams, quotients = e.mus, e.lams, e.quotients
-    omegas = [(1, -mus[n - 1], lams[n]) for n in range(1, len(mus))]  # (alpha - mu_n*beta)/lam_{n+1}
-    for n, w in enumerate(omegas, 1):
+    prev = None  # omega_{n-1}
+    for n in range(1, len(mus)):
         mu, lam_next = mus[n - 1], lams[n]
+        w = (1, -mu, lam_next)  # (alpha - mu_n*beta)/lam_{n+1}
         phi = (1, -mu, lams[n - 1])
         if not _is_beta_squared(pq, conjugate(phi), w):
             raise AssertionError(f"omega_{n} is not the inverse of (phi_{n})* for {QuadraticSurd.sqrt_of(N)}")
@@ -117,10 +130,29 @@ def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
             raise AssertionError(f"omega_{n} is not strictly between 0 and beta for {QuadraticSurd.sqrt_of(N)}")
         if n == 1 and not _is_beta_squared(pq, w, _plus_beta(phi, 2 * mu)):
             raise AssertionError(f"omega_1*(phi_1 + 2*mu_1*beta) != beta^2 for {QuadraticSurd.sqrt_of(N)}")
-        if n > 1 and not _is_beta_squared(pq, w, _plus_beta(omegas[n - 2], quotients[n - 1])):
+        if n > 1 and not _is_beta_squared(pq, w, _plus_beta(prev, quotients[n - 1])):
             raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for {QuadraticSurd.sqrt_of(N)}")
-    increment_factors(e, N)
-    return tuple(list(zip(mus, lams[1:])))  # via a list, as in increment_factors
+        prev = w
+    _check_increment_factors(e, N)
+
+
+_PACKED_FROM = 1 << 12  # trail entries from which verify_palindrome packs its keys
+
+
+def _packed_keys(trail: tuple[int, ...]) -> tuple[Iterator[int], Iterator[int]]:
+    """The keys of phi_1, phi_2, .. and of omega_1, omega_2, .. of a long sqrt(N) trail, read in place.
+
+    With mu_k = trail[2k] and lam_k = trail[2k - 1], the pair (mu_k, lam_k)
+    or (mu_k, lam_{k+1}) is packed into mu*K + lam, K = 2*max|lam| + 1,
+    which is injective on the trail's pairs and takes 32 B where a pair
+    takes 56: the reflection of sqrt(10^13+3) peaks at 11.4 MB instead
+    of 14.8 (tracemalloc). Packing costs about 3 us a call, so a short
+    trail keeps its pairs.
+    """
+    end = len(trail) - 1
+    k = 2 * max(map(abs, islice(trail, 1, None, 2))) + 1
+    scaled_mus = lambda: map(mul, islice(trail, 2, None, 2), repeat(k))
+    return map(add, scaled_mus(), islice(trail, 1, end, 2)), map(add, scaled_mus(), islice(trail, 3, end, 2))
 
 
 def _palindromic(period: tuple[int, ...], m: int) -> bool:
@@ -145,9 +177,14 @@ def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     holds = _palindromic(period, m)
 
     case = center = None
-    mus, lams = e.mus, e.lams
-    if len(mus) >= 2:  # a sqrt(N) expansion with two states (mu_k, lam_k) or more
-        case, center = find_reflection(zip(mus, lams), zip(mus, lams[1:]))
+    trail = e.trail
+    if len(trail) >= 5 and trail[:2] == (0, 1):  # a sqrt(N) expansion with two states (mu_k, lam_k) or more
+        if len(trail) < _PACKED_FROM:
+            mus, lams = e.mus, e.lams
+            keys = zip(mus, lams), zip(mus, lams[1:])
+        else:
+            keys = _packed_keys(trail)
+        case, center = find_reflection(*keys)
         if holds and len(period) != 2 * center - (2 if case == "I" else 1):
             raise AssertionError(
                 "quotient-level and reflection-level palindrome verdicts disagree"

@@ -15,6 +15,7 @@ from anthyphairesis.bookx import (
     _plus_beta,
     _product,
     _reduced,
+    _trace_quotients,
     basis,
     classify,
     conjugate,
@@ -25,7 +26,13 @@ from anthyphairesis.bookx import (
     render_trace,
     sign_of,
 )
-from anthyphairesis.engine import StepLimitExceeded, expand_sqrt, increment_factors, remainders
+from anthyphairesis.engine import (
+    ResourceLimitExceeded,
+    StepLimitExceeded,
+    expand_sqrt,
+    increment_factors,
+    remainders,
+)
 from anthyphairesis.surd import is_perfect_square, isqrt
 
 GOLDEN_54 = os.path.join(os.path.dirname(__file__), "..", "goldens", "trace54.txt")
@@ -443,3 +450,42 @@ def test_trace_and_oracle_run_without_the_engine_recurrence(monkeypatch):
     with open(GOLDEN_54, encoding="utf-8") as fh:
         assert render_trace(euler_trace(54), 54) == fh.read()
     assert oracle_expand(QuadraticSurd.sqrt_of(54), 20) == [7] + ([2, 1, 6, 1, 2, 14] * 4)[:19]
+
+
+def test_trace_quotients_equal_euler_trace_and_the_engine_to_3000():
+    # verify's quotient-only path runs the stepper of euler_trace; its phi_1
+    # stop closes the period because no other phi repeats first (Galois)
+    for n in range(2, 3001):
+        if is_perfect_square(n):
+            continue
+        steps = euler_trace(n)
+        assert _trace_quotients(n) == (steps[0].mu, *(s.quotient for s in steps[:-1])) == expand_sqrt(n).quotients, n
+        assert len({s.phi for s in steps[:-1]}) == len(steps) - 1 and steps[-1].phi == steps[0].phi, n
+
+
+@pytest.mark.parametrize("n", [2, 13, 19, 46, 54, 61, 94])
+def test_trace_quotients_honour_the_step_budget(n):
+    # a period of l steps fits a budget of l, as in euler_trace and the engine, and l - 1 raises the same error
+    e = expand_sqrt(n)
+    l = len(e.period)
+    assert _trace_quotients(n, l) == e.quotients
+    for trace in (euler_trace, _trace_quotients):
+        with pytest.raises(StepLimitExceeded) as exc:
+            trace(n, l - 1)
+        assert str(exc.value) == f"trace of sqrt({n}) exceeded {l - 1} steps without repeating"
+
+
+def test_trace_quotients_are_charged_with_the_trail_step_beside_them(monkeypatch):
+    # memory for 10 trail steps: sqrt(43) expands in its 10, but 10 trace steps
+    # of a trail step plus a quotient do not fit, and euler_trace's 4 KB steps fit 2
+    from anthyphairesis import engine
+
+    monkeypatch.setattr(engine, "_memory_steps", lambda bytes_per_step: 10 * engine._TRAIL_STEP_BYTES // bytes_per_step)
+    assert len(expand_sqrt(43).period) == 10
+    assert _trace_quotients(19) == expand_sqrt(19).quotients
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        _trace_quotients(43)
+    assert str(exc.value) == "trace of sqrt(43) exceeded 9 steps, all that fit in memory"
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        euler_trace(19)
+    assert str(exc.value) == "trace of sqrt(19) exceeded 2 steps, all that fit in memory"

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from anthyphairesis import cli
 from anthyphairesis.cli import InputError, _parse_spec, main
-from anthyphairesis.convergents import pell_solutions
-from anthyphairesis.engine import expand_sqrt
+from anthyphairesis.convergents import convergents, pell_solutions
+from anthyphairesis.engine import ResourceLimitExceeded, StepLimitExceeded, expand_sqrt
 from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.surd import QuadraticSurd
 from test_cli_transcript import CASES as TRANSCRIPT_CASES
@@ -745,7 +745,7 @@ def room_for_ten_trail_steps(monkeypatch):
         ["expand", "46"],
         ["expand", "46", "--steps", "1000"],
         ["verify", "46"],
-        ["verify", "19"],  # its 7 trail steps fit; its trace needs 7 steps of 4 KB
+        ["verify", "43"],  # its 10 trail steps fit; its trace, charged 1 KB + 32 B a step beside the trail, fits 9
         ["trace", "46"],
         ["sweep", "60"],
         pytest.param(
@@ -1067,8 +1067,8 @@ def test_a_tampered_expansion_fails_verify(capsys, monkeypatch, tamper, failures
 
 def test_verify_compares_the_period_end_convergent_with_pell(capsys, monkeypatch):
     # a Pell pair off by one: both Pell paths agree with each other, the convergents do not
-    def off_by_one(n, *rest):
-        (x, y), negative = pell_solutions(n, *rest)
+    def off_by_one(n, *rest, **budget):
+        (x, y), negative = pell_solutions(n, *rest, **budget)
         return (x + 1, y), negative
 
     monkeypatch.setattr(cli, "pell_solutions", off_by_one)
@@ -1081,9 +1081,9 @@ def test_verify_compares_the_period_end_convergent_with_pell(capsys, monkeypatch
 def test_verify_expands_pell_from_the_trail_once(capsys, monkeypatch):
     calls = []
 
-    def counted(n, *rest):
+    def counted(n, *rest, **budget):
         calls.append(rest)
-        return pell_solutions(n, *rest)
+        return pell_solutions(n, *rest, **budget)
 
     monkeypatch.setattr(cli, "pell_solutions", counted)
     assert run(capsys, "verify", "19")[0] == 0
@@ -1091,7 +1091,7 @@ def test_verify_expands_pell_from_the_trail_once(capsys, monkeypatch):
 
 
 def test_verify_reports_a_raising_pell_in_each_check_that_asks(capsys, monkeypatch):
-    def raising(n, *rest):
+    def raising(n, *rest, **budget):
         if rest:
             raise ArithmeticError("pell from the trail fails")
         return pell_solutions(n)
@@ -1101,6 +1101,79 @@ def test_verify_reports_a_raising_pell_in_each_check_that_asks(capsys, monkeypat
     failures = {name: "pell from the trail fails" for name in ("convergent quality", "pell fundamental")}
     lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
     assert (code, out, err) == (1, "\n".join(lines) + "\nverify 19: FAILED\n", "")
+
+
+@pytest.mark.parametrize("n, period", [(19, 6), (54, 6), (13, 5), (2, 1)])
+def test_anth_max_steps_reaches_the_verify_checks(capsys, monkeypatch, n, period):
+    # a budget that the expansion's l steps fit but the oracle's 3l + 1 quotients
+    # do not stops verify with exit 3 and one line, not with a failed check
+    _, passed, _ = run(capsys, "verify", str(n))
+    for steps in (period, 3 * period):
+        monkeypatch.setenv("ANTH_MAX_STEPS", str(steps))
+        assert run(capsys, "verify", str(n)) == (
+            3,
+            "",
+            f"error: step limit exhausted: sqrt({n}): oracle agreement needs {3 * period + 1} steps, more than {steps} steps\n",
+        )
+    monkeypatch.setenv("ANTH_MAX_STEPS", str(3 * period + 1))
+    assert run(capsys, "verify", str(n)) == (0, passed, "")
+
+
+def test_verify_passes_its_step_budget_to_the_trace_the_centre_stop_and_the_tail(capsys, monkeypatch):
+    budgets = {}
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            budgets.setdefault(name, []).append(kwargs.get("max_steps", args[-1]))
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("_trace_quotients", "pell_solutions", "expand_surd"):
+        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+    monkeypatch.setenv("ANTH_MAX_STEPS", "40")
+    assert run(capsys, "verify", "19")[0] == 0
+    # pell_solutions(n, e) from the trail takes no steps; the centre stop gets the budget
+    assert budgets["_trace_quotients"] == [40] and budgets["pell_solutions"][-1] == 40 and budgets["expand_surd"] == [40]
+
+
+@pytest.mark.parametrize("error", [StepLimitExceeded, ResourceLimitExceeded, MemoryError])
+def test_a_check_that_runs_out_of_budget_exits_3_with_one_line(capsys, monkeypatch, error):
+    def exhausted(*args):
+        raise error("sqrt(19): oracle out of budget")
+
+    monkeypatch.setattr(cli, "oracle_expand", exhausted)
+    code, out, err = run(capsys, "verify", "19")
+    assert (code, out) == (3, "")
+    reason = "step limit exhausted" if error is StepLimitExceeded else "memory limit reached"
+    assert err == f"error: {reason}: sqrt(19): oracle out of budget\n"
+
+
+def test_verify_runs_convergents_to_the_period_end_only_within_the_bound(capsys, monkeypatch):
+    # every period that N <= 3000 reaches ends within the bound, so its comparison is exact
+    ends = (len(p) if len(p) % 2 == 0 else 2 * len(p) for p in (expand_sqrt(n).period for n in range(2, 3001)) if p)
+    assert max(ends) <= cli._EXACT_CONVERGENTS
+    calls = []
+
+    def counted(quotients):
+        calls.append(quotients)
+        return convergents(quotients)
+
+    monkeypatch.setattr(cli, "convergents", counted)
+    code, out, _ = run(capsys, "verify", "19")  # period 6, which ends at convergent 5
+    assert code == 0 and len(calls) == 1
+    monkeypatch.setattr(cli, "_EXACT_CONVERGENTS", 6)
+    assert run(capsys, "verify", "19") == (0, out, "") and len(calls) == 2
+    monkeypatch.setattr(cli, "_EXACT_CONVERGENTS", 5)
+    assert run(capsys, "verify", "19") == (0, out, "") and len(calls) == 2
+
+
+def test_verify_of_period_171126_fits_300000_kb_of_address_space():
+    # period 171,126: trace steps charged a trail step and a quotient each (1,056 B)
+    # fit an address space of 300,000 KB; at euler_trace's 4 KB they would need 701 MB
+    proc = _anth_in_child("verify", str(10**13 + 3), address_space=300_000 * 1024)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith(f"verify {10**13 + 3}: all checks passed\n")
 
 
 def _json_reference(record: dict) -> str:
