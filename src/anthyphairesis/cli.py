@@ -49,8 +49,6 @@ from .engine import (
     Expansion,
     ResourceLimitExceeded,
     StepLimitExceeded,
-    _budget,
-    _exhausted,
     expand_sqrt,
     expand_surd,
     pigeonhole_bound,
@@ -430,12 +428,6 @@ def cmd_approx(args) -> int:
 # 45,492 (sqrt(10^10+3)), against 3.4 s at 171,126 (sqrt(10^13+3)).
 _EXACT_CONVERGENTS = 1 << 16
 
-# Peak bytes one step of verify's oracle check costs beyond the trail it reads: the
-# oracle's quotient and the engine's, each in a list, 16.4 (sqrt(10^13+3), tracemalloc).
-# Charged about twice that. The convergent check after it peaks at 12.8 a step over 2l
-# steps, so it fits wherever the oracle's 3l + 1 did.
-_ORACLE_STEP_BYTES = 32
-
 
 def cmd_verify(args) -> int:
     """Nine checks of sqrt(N), one line each, then the verdict; exit 1 when any fails.
@@ -444,25 +436,26 @@ def cmd_verify(args) -> int:
     docstring over two periods and checks N_k = (-1)^(k+1)*lam_{k+2} and
     M_k = (-1)^k*mu_{k+1} against the trail. When the period ends within
     _EXACT_CONVERGENTS quotients, it then runs convergents() to the period
-    end and compares that pair with pell_solutions(N, e)'s.
+    end and compares that pair with pell_solutions(N, e)'s; past it, its
+    line says that the comparison was skipped.
 
     The step budget reaches every check. The trace, the centre stop and
     the re-expanded tail take it as their own. The oracle's 3l + 1
-    quotients must fit in it, and in memory at _ORACLE_STEP_BYTES each,
-    which covers the 2l steps of the convergent check after it. The
-    other checks read only the expansion's states, which fitted. A check
-    that runs out stops verify with exit 3, not a failed check.
+    quotients must fit in it, which covers the 2l steps of the convergent
+    check after it. The other checks read only the expansion's states,
+    which fitted. A check that runs out stops verify with exit 3, not a
+    failed check.
     """
     n = _non_square(args.N, "verify")
     limit = _step_limit()
     lines = []
     ok = True
 
-    def check(name: str, fn) -> None:
+    def check(name: str, fn) -> None:  # fn may return a note for its ok line
         nonlocal ok
         try:
-            fn()
-            lines.append(f"check {name}: ok")
+            note = fn()
+            lines.append(f"check {name}: ok" if note is None else f"check {name}: ok ({note})")
         except (StepLimitExceeded, ResourceLimitExceeded, MemoryError):  # a budget ran out: exit 3, not a failed check
             raise
         except Exception as exc:  # report and keep going
@@ -499,9 +492,10 @@ def cmd_verify(args) -> int:
 
     def oracle_agreement():
         steps = 3 * len(e.period) + 1
-        max_steps, cap = _budget(1, n, steps if limit is None else limit, _ORACLE_STEP_BYTES)
-        if steps > cap:
-            raise _exhausted(f"{QuadraticSurd.sqrt_of(n)}: oracle agreement needs {steps} steps, more than", max_steps, cap)
+        if limit is not None and steps > limit:
+            raise StepLimitExceeded(
+                f"{QuadraticSurd.sqrt_of(n)}: oracle agreement needs {steps} steps, more than {limit} steps"
+            )
         expected = e.quotient_stream(steps)
         got = oracle_expand(QuadraticSurd.sqrt_of(n), steps)
         if got != expected:
@@ -526,7 +520,7 @@ def cmd_verify(args) -> int:
                 raise AssertionError(f"companion identity fails at convergent {k}")
         end = period if period % 2 == 0 else 2 * period  # the convergent k = end - 1 closes the Pell period
         if end > _EXACT_CONVERGENTS:
-            return
+            return f"period-end comparison skipped: end {end} > {_EXACT_CONVERGENTS}"
         if next(itertools.islice(convergents(stream), end - 1, None)) != trail_pell()[0]:
             raise AssertionError(f"convergent {end - 1} is not the fundamental Pell solution")
 

@@ -206,7 +206,9 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: int | None) -> Expansion:
         quots.append(a)
         trail.append(p)
         trail.append(q)
-        if p == pj and q == qj:  # the trail's list goes before the period's tuple is built, and quots is not copied
+        if p == pj and q == qj:
+            # the trail's list is freed before the period's tuple is built, and that
+            # tuple is built from quots itself, not from a quots[j:] slice beside it
             trail = tuple(trail)
             preperiod = tuple(quots[:j])
             del quots[:j]

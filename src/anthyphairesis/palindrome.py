@@ -15,9 +15,7 @@ disagree, which is a bug.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
-from itertools import islice, repeat
-from operator import add, mul
+from collections.abc import Iterable
 
 from .bookx import _is_beta_squared, _plus_beta, basis, conjugate
 from .engine import Expansion, _check_increment_factors
@@ -136,25 +134,6 @@ def _check_omegas(e: Expansion, N: int) -> None:
     _check_increment_factors(e, N)
 
 
-_PACKED_FROM = 1 << 12  # trail entries from which verify_palindrome packs its keys
-
-
-def _packed_keys(trail: tuple[int, ...]) -> tuple[Iterator[int], Iterator[int]]:
-    """The keys of phi_1, phi_2, .. and of omega_1, omega_2, .. of a long sqrt(N) trail, read in place.
-
-    With mu_k = trail[2k] and lam_k = trail[2k - 1], the pair (mu_k, lam_k)
-    or (mu_k, lam_{k+1}) is packed into mu*K + lam, K = 2*max|lam| + 1,
-    which is injective on the trail's pairs and takes 32 B where a pair
-    takes 56: the reflection of sqrt(10^13+3) peaks at 11.4 MB instead
-    of 14.8 (tracemalloc). Packing costs about 3 us a call, so a short
-    trail keeps its pairs.
-    """
-    end = len(trail) - 1
-    k = 2 * max(map(abs, islice(trail, 1, None, 2))) + 1
-    scaled_mus = lambda: map(mul, islice(trail, 2, None, 2), repeat(k))
-    return map(add, scaled_mus(), islice(trail, 1, end, 2)), map(add, scaled_mus(), islice(trail, 3, end, 2))
-
-
 def _palindromic(period: tuple[int, ...], m: int) -> bool:
     """The period minus its last quotient reads the same both ways, and the last quotient is 2*m."""
     interior = period[:-1]
@@ -177,14 +156,9 @@ def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     holds = _palindromic(period, m)
 
     case = center = None
-    trail = e.trail
-    if len(trail) >= 5 and trail[:2] == (0, 1):  # a sqrt(N) expansion with two states (mu_k, lam_k) or more
-        if len(trail) < _PACKED_FROM:
-            mus, lams = e.mus, e.lams
-            keys = zip(mus, lams), zip(mus, lams[1:])
-        else:
-            keys = _packed_keys(trail)
-        case, center = find_reflection(*keys)
+    mus, lams = e.mus, e.lams
+    if len(mus) >= 2:  # a sqrt(N) expansion with two states (mu_k, lam_k) or more
+        case, center = find_reflection(zip(mus, lams), zip(mus, lams[1:]))
         if holds and len(period) != 2 * center - (2 if case == "I" else 1):
             raise AssertionError(
                 "quotient-level and reflection-level palindrome verdicts disagree"

@@ -209,35 +209,3 @@ def test_tampered_state_fails_both_symbolic_checks(n):
                 increment_factors(tampered, n)
             with pytest.raises(ValueError if i == closing_mu else AssertionError):
                 omega_sequence(tampered, n)
-
-
-def _reflection_outcome(e, m):
-    """verify_palindrome's report, or the type and message of what it raised."""
-    try:
-        return verify_palindrome(e, m)
-    except (AssertionError, ReflectionNotFound) as exc:
-        return type(exc).__name__, str(exc)
-
-
-def test_packed_reflection_keys_give_the_same_verdicts(monkeypatch):
-    # mu*K + lam with K above twice every |lam| is injective on a trail's pairs, so
-    # packed keys find the same centre, or fail with the same message, as the pairs
-    from anthyphairesis import palindrome
-
-    cases = [(expand_sqrt(n), isqrt(n)) for n in range(2, 3001) if not is_perfect_square(n)]
-    for n in (13, 19, 46, 54, 61, 94):
-        e = expand_sqrt(n)
-        for i in range(1, len(e.trail)):
-            for value in (lambda v: v - 1, lambda v: v + 1, lambda v: -v, lambda v: 0, lambda v: n):
-                trail = list(e.trail)
-                trail[i] = value(trail[i])
-                cases.append((e._replace(trail=tuple(trail)), isqrt(n)))
-    long = expand_sqrt(10**8 + 3)  # period 5,314: packed at the default threshold
-    assert len(long.trail) >= palindrome._PACKED_FROM
-    cases.append((long, isqrt(10**8 + 3)))
-
-    monkeypatch.setattr(palindrome, "_PACKED_FROM", 10**9)
-    pairs = [_reflection_outcome(e, m) for e, m in cases]
-    assert sum(isinstance(o, tuple) and o[0] == "ReflectionNotFound" for o in pairs) > 10
-    monkeypatch.setattr(palindrome, "_PACKED_FROM", 0)
-    assert [_reflection_outcome(e, m) for e, m in cases] == pairs
