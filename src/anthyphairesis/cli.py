@@ -24,9 +24,8 @@ argv made of a command, its positional and exact option strings of its
 own, each valued one followed by a value that does not start with "-"
 and passes the option's type and choices, is read off a table of the
 command parser's own actions, with no argparse parse. Any other argv
-goes to its command's parser, and the top-level parser runs only for
-help, unknown commands and stray arguments, so argparse alone prints
-help, usage and every usage error. JSON lines come
+goes to the top-level parser, so argparse alone prints help, usage and
+every usage error. JSON lines come
 from one writer here, _json_line, which writes what
 json.dumps(sort_keys=True, separators=(",", ":")) would.
 """
@@ -37,6 +36,7 @@ import argparse
 import contextlib
 import functools
 import itertools
+import operator
 import os
 import re
 import sys
@@ -240,7 +240,7 @@ def _is_sqrt_int(s: QuadraticSurd) -> bool:
 
 def _reject_sqrt_zero(target: QuadraticSurd) -> None:
     """sqrt(0), however it is written, is bad input for expand and approx."""
-    if _is_sqrt_int(target) and target.d == 0:
+    if target.p == 0 and target.d == 0:
         raise InputError("N must be positive")
 
 
@@ -479,7 +479,7 @@ def cmd_verify(args) -> int:
         for k in range(1, len(mus)):
             if not (1 <= lams[k] < n and mus[k] * mus[k] < n):
                 raise AssertionError(f"state bounds fail at step {k + 1}")
-        if len(e.quotients) - 1 >= pigeonhole_bound(n):
+        if len(e.preperiod) + len(e.period) - 1 >= pigeonhole_bound(n):
             raise AssertionError("period not found before the pigeonhole bound")
 
     def palindrome():
@@ -496,9 +496,9 @@ def cmd_verify(args) -> int:
             raise StepLimitExceeded(
                 f"{QuadraticSurd.sqrt_of(n)}: oracle agreement needs {steps} steps, more than {limit} steps"
             )
-        expected = e.quotient_stream(steps)
         got = oracle_expand(QuadraticSurd.sqrt_of(n), steps)
-        if got != expected:
+        expected = itertools.chain(e.preperiod, itertools.cycle(e.period))  # e.quotient_stream(steps), unbuilt
+        if len(got) != steps or not all(map(operator.eq, got, expected)):
             raise AssertionError("oracle quotients diverge from the engine")
 
     def trace_agreement():
@@ -613,14 +613,14 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--out", metavar="FILE", default=None)
     p.set_defaults(func=cmd_verify)
 
-    return parser, sub.choices, {name: _quick_table(p) for name, p in sub.choices.items()}
+    return parser, sub.choices, {name: _quick_table(name, p) for name, p in sub.choices.items()}
 
 
-def _quick_table(p: argparse.ArgumentParser) -> tuple[dict, dict, list]:
-    """What _quick_parse reads off p's own actions: p's defaults as argparse
-    sets them, each exact option string of a store or store_const action
-    mapped to that action, and p's positional actions in order."""
-    defaults = p._defaults | {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS}
+def _quick_table(name: str, p: argparse.ArgumentParser) -> tuple[dict, dict, list]:
+    """What _quick_parse reads off the parser p of command name: the defaults
+    argparse sets, command among them, each exact option string of a store or
+    store_const action mapped to that action, and p's positionals in order."""
+    defaults = {"command": name} | p._defaults | {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS}
     stores = (argparse._StoreAction, argparse._StoreConstAction)  # not help: argparse prints it
     options = {s: a for a in p._actions if isinstance(a, stores) for s in a.option_strings}
     return defaults, options, [a for a in p._actions if not a.option_strings]
@@ -667,24 +667,15 @@ def _quick_parse(table: tuple[dict, dict, list], tokens: list[str]) -> argparse.
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv read off its command's quick table, else parsed by its command's parser alone,
-    else by the top-level one for help, an unknown command or stray arguments.
+    """argv read off its command's quick table, else parsed by the top-level parser.
 
-    Each way gives the namespace, and on bad input the message and exit
-    code, of the top-level parser, which hands every argument after the
-    command to the same command parser.
+    Either way gives the top-level parser's namespace, and on bad input
+    its message and exit code.
     """
-    parser, commands, tables = _parsers()
+    parser, _, tables = _parsers()
     table = tables.get(argv[0]) if argv else None
-    if table is None:
-        return parser.parse_args(argv)
-    args = _quick_parse(table, argv[1:])
-    if args is None:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            return parser.parse_args(argv)
-    args.command = argv[0]
-    return args
+    args = None if table is None else _quick_parse(table, argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -131,6 +131,7 @@ def _check_omegas(e: Expansion, N: int) -> None:
         if n > 1 and not _is_beta_squared(pq, w, _plus_beta(prev, quotients[n - 1])):
             raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for {QuadraticSurd.sqrt_of(N)}")
         prev = w
+    del mus, lams, quotients  # the increment pass takes views of its own
     _check_increment_factors(e, N)
 
 

@@ -519,7 +519,9 @@ def test_flag_values_below_one_rejected_at_parse_time(capsys, argv):
 
 
 def test_bad_input_exit_2_and_internal_faults_propagate(capsys, monkeypatch):
-    for argv in (["expand", "1000000", "--pell"], ["expand", "16", "--negative-pell"], ["expand", "0"], ["approx", "0"]):
+    zeros = ["0", "sqrt(0/1)", "(0+sqrt(0))/1", "sqrt(0/5)", "(0+sqrt(0))/5", "(0+sqrt(0))/-5"]  # sqrt(0) however written
+    bad = [["expand", "1000000", "--pell"], ["expand", "16", "--negative-pell"]]
+    for argv in bad + [[command, zero] for command in ("expand", "approx") for zero in zeros]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ")
@@ -654,23 +656,31 @@ def test_well_formed_cases_use_every_option():
 
 @pytest.mark.parametrize(
     "argv, calls",
-    [
+    [(argv, 0) for argv in _WELL_FORMED]
+    + [
         (["expand", "19", "--format", "json"], 0),
         (["pell", "13", "--negative-pell"], 0),
+        (["sweep", "3000", "--format", "csv", "--jobs", "1"], 0),  # one argv of each benchmark workload's shape
+        (["pell", "100000007", "--negative-pell", "--format", "json"], 0),
         (["verify", "54"], 0),
+        (["trace", "61"], 0),
+        (["expand", "(7+sqrt(54))/5", "--format", "json"], 0),
+        (["expand", "sqrt(7/3)", "--format", "json"], 0),
+        (["expand", "19", "--form", "json"], 1),
+        (["expand", "19", "--format=json"], 1),
+        (["expand", "19", "--format", "xml"], 1),
+        (["expand", "19", "--out", "-"], 1),
         (["expand", "19", "--bogus"], 1),
+        (["trace", "-4"], 1),
     ],
     ids=lambda v: shlex.join(v) if isinstance(v, list) else f"{v} calls",
 )
-def test_top_level_parser_runs_only_for_stray_arguments(capsys, monkeypatch, argv, calls):
+def test_top_level_parser_runs_once_off_the_quick_path_and_never_on_it(monkeypatch, argv, calls):
     parser = cli._parsers()[0]
     seen = []
     parse_args = parser.parse_args
     monkeypatch.setattr(parser, "parse_args", lambda *a: seen.append(a) or parse_args(*a))
-    try:
-        assert main(argv) == 0
-    except SystemExit as exc:
-        assert exc.code == 2
+    _captured(cli._parse, argv)
     assert len(seen) == calls
 
 
@@ -813,6 +823,52 @@ def test_verify_convergent_check_memory_is_linear_in_the_period(capsys):
         tracemalloc.stop()
     assert code == 0 and out.endswith("all checks passed\n")
     assert peak < 12_000_000
+
+
+def test_verify_omega_and_oracle_checks_hold_one_copy_of_what_they_compare(capsys, monkeypatch):
+    # period 1,238: a second copy of the trail views doubles the omega pass, and a second list
+    # of the oracle's 3l + 1 quotients takes its check from about 12 to about 18 B a step
+    import tracemalloc
+
+    from anthyphairesis import engine, palindrome
+
+    n = 10**7 + 3
+    e = expand_sqrt(n)
+    steps = 3 * len(e.period) + 1
+    marks = {}
+
+    def mark():
+        marks["base"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+
+    def peak() -> int:
+        return tracemalloc.get_traced_memory()[1] - marks["base"]
+
+    def omegas_then_mark(*args):  # the oracle check runs next
+        check_omegas(*args)
+        mark()
+
+    def trace_after_oracle(*args):
+        marks["oracle"] = peak()
+        return trace_quotients(*args)
+
+    check_omegas, trace_quotients = cli._check_omegas, cli._trace_quotients
+    monkeypatch.setattr(cli, "_check_omegas", omegas_then_mark)
+    monkeypatch.setattr(cli, "_trace_quotients", trace_after_oracle)
+    tracemalloc.start()
+    try:
+        mark()
+        palindrome._check_omegas(e, n)
+        omegas = peak()
+        mark()
+        engine._check_increment_factors(e, n)
+        increments = peak()
+        code, out, _ = run(capsys, "verify", str(n))
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert omegas < 1.2 * increments
+    assert marks["oracle"] < 14 * steps
 
 
 def test_verify_reads_the_quotients_a_fixed_number_of_times(capsys, monkeypatch):
