@@ -54,7 +54,7 @@ from .engine import (
     pigeonhole_bound,
 )
 from .oracle import oracle_expand
-from .palindrome import _check_omegas, verify_palindrome
+from .palindrome import omega_sequence, verify_palindrome
 from .surd import QuadraticSurd, _dec, floor_surd, isqrt
 
 __all__ = ["main"]
@@ -488,7 +488,7 @@ def cmd_verify(args) -> int:
             raise AssertionError("period is not palindromic")
 
     def omegas():
-        _check_omegas(e, n)
+        omega_sequence(e, n)
 
     def oracle_agreement():
         steps = 3 * len(e.period) + 1

@@ -33,6 +33,7 @@ import itertools
 import os
 import resource
 from collections import namedtuple
+from collections.abc import Iterator
 from math import isqrt
 
 from .bookx import Triple, _add, _is_beta_squared, _plus_beta, basis, sign_of
@@ -78,7 +79,7 @@ _TRAIL_STEP_BYTES = 1024
 # quotient list and their tuple come to 16.5 (sqrt(10^13+3), an even period),
 # and with the half-period product and its checks to 24.2 (sqrt(10^12+61), an
 # odd period, whose x*x is the largest int), tracemalloc. Charged about twice
-# that, the margin _TRAIL_STEP_BYTES keeps.
+# that; _TRAIL_STEP_BYTES keeps a wider margin, 1,024 against at most 193.
 _CENTRE_STEP_BYTES = 48
 
 
@@ -299,22 +300,14 @@ def _expand_rational(num: int, den: int) -> Expansion:
     return Expansion(preperiod=tuple(quots), period=())
 
 
-def increment_factors(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
+def increment_factors(e: Expansion, N: int) -> Iterator[tuple[int, int]]:
     """The increment factors of an expand_sqrt(N) expansion, verified.
-
-    Each phi_k = (alpha - mu_k*beta)/lam_k is returned as its int pair
-    (mu_k, lam_k), once _check_increment_factors has passed.
-    """
-    _check_increment_factors(e, N)
-    return tuple(list(zip(e.mus, e.lams)))  # tuple(zip()) grows by reallocs that fragment a long run's heap
-
-
-def _check_increment_factors(e: Expansion, N: int) -> None:
-    """increment_factors' checks, with nothing kept.
 
     Checks, per state, the divisibility lam | (N - mu^2) and the bound
     N < (mu + lam)^2 (phi < beta), and for every consecutive pair the
-    area identity phi_k*(I_k*beta + phi_{k+1}) = beta^2.
+    area identity phi_k*(I_k*beta + phi_{k+1}) = beta^2. Then returns
+    each phi_k = (alpha - mu_k*beta)/lam_k as its int pair (mu_k, lam_k),
+    in one pass over the views it checked: an iterator, no tuple of pairs.
     """
     if e.terminated:
         raise ValueError("terminated expansion has no increment factors")
@@ -333,6 +326,7 @@ def _check_increment_factors(e: Expansion, N: int) -> None:
             rhs = _plus_beta((1, -mus[i + 1], lams[i + 1]), quotients[i + 1])  # I_k*beta + phi_{k+1}
             if not _is_beta_squared(pq, (1, -mu, lam), rhs):
                 raise ValueError(f"inversion identity fails between factors {i + 1} and {i + 2}")
+    return zip(mus, lams)
 
 
 def remainders(N: int, count: int) -> tuple[Triple, ...]:

@@ -15,10 +15,10 @@ disagree, which is a bug.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .bookx import _is_beta_squared, _plus_beta, basis, conjugate
-from .engine import Expansion, _check_increment_factors
+from .engine import Expansion, increment_factors
 from .surd import QuadraticSurd
 
 __all__ = [
@@ -92,26 +92,18 @@ def _name(seen: dict[tuple[int, int], None], key: tuple[int, int]) -> str:
     return f"{'omega' if i % 2 else 'phi'}_{i // 2 + 1}"
 
 
-def omega_sequence(e: Expansion, N: int) -> tuple[tuple[int, int], ...]:
+def omega_sequence(e: Expansion, N: int) -> Iterator[tuple[int, int]]:
     """The omega states of an expand_sqrt(N) expansion, verified symbolically.
 
-    Each omega_n = (alpha - mu_n*beta)/lam_{n+1} is returned as its int
-    pair (mu_n, lam_{n+1}), once _check_omegas has passed.
-    """
-    _check_omegas(e, N)
-    return tuple(list(zip(e.mus, e.lams[1:])))  # via a list, as in increment_factors
-
-
-def _check_omegas(e: Expansion, N: int) -> None:
-    """omega_sequence's checks, with nothing kept.
-
-    Per state: (phi_n)* * omega_n = beta^2 (the defining inversion),
+    Checks, per state: (phi_n)* * omega_n = beta^2 (the defining inversion),
     0 < omega_n < beta in integer form, omega_1*(phi_1 + 2*mu_1*beta) = beta^2,
     and omega_{n+1}*(I_n*beta + omega_n) = beta^2. All checks are exact
-    area-algebra identities with zero residual. The increment factors
-    are checked after them (ValueError), so a corrupted state that an
-    omega reads fails as an omega identity (AssertionError). An expansion
-    of another radicand is a ValueError.
+    area-algebra identities with zero residual. increment_factors runs
+    after them (ValueError), so a corrupted state that an omega reads
+    fails as an omega identity (AssertionError). An expansion of another
+    radicand is a ValueError. Then returns each
+    omega_n = (alpha - mu_n*beta)/lam_{n+1} as its int pair
+    (mu_n, lam_{n+1}): an iterator, no tuple of pairs.
     """
     if e.radicand != N:
         raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
@@ -132,7 +124,8 @@ def _check_omegas(e: Expansion, N: int) -> None:
             raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for {QuadraticSurd.sqrt_of(N)}")
         prev = w
     del mus, lams, quotients  # the increment pass takes views of its own
-    _check_increment_factors(e, N)
+    increment_factors(e, N)
+    return zip(e.mus, e.lams[1:])
 
 
 def _palindromic(period: tuple[int, ...], m: int) -> bool:

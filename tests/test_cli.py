@@ -845,23 +845,23 @@ def test_verify_omega_and_oracle_checks_hold_one_copy_of_what_they_compare(capsy
         return tracemalloc.get_traced_memory()[1] - marks["base"]
 
     def omegas_then_mark(*args):  # the oracle check runs next
-        check_omegas(*args)
+        omega_sequence(*args)
         mark()
 
     def trace_after_oracle(*args):
         marks["oracle"] = peak()
         return trace_quotients(*args)
 
-    check_omegas, trace_quotients = cli._check_omegas, cli._trace_quotients
-    monkeypatch.setattr(cli, "_check_omegas", omegas_then_mark)
+    omega_sequence, trace_quotients = cli.omega_sequence, cli._trace_quotients
+    monkeypatch.setattr(cli, "omega_sequence", omegas_then_mark)
     monkeypatch.setattr(cli, "_trace_quotients", trace_after_oracle)
     tracemalloc.start()
     try:
         mark()
-        palindrome._check_omegas(e, n)
+        palindrome.omega_sequence(e, n)
         omegas = peak()
         mark()
-        engine._check_increment_factors(e, n)
+        engine.increment_factors(e, n)
         increments = peak()
         code, out, _ = run(capsys, "verify", str(n))
     finally:
@@ -869,6 +869,26 @@ def test_verify_omega_and_oracle_checks_hold_one_copy_of_what_they_compare(capsy
     assert code == 0 and out.endswith("all checks passed\n")
     assert omegas < 1.2 * increments
     assert marks["oracle"] < 14 * steps
+
+
+def test_verify_runs_each_symbolic_certifier_once(capsys, monkeypatch):
+    # the omega check is omega_sequence, which runs increment_factors after its own identities
+    from anthyphairesis import engine, palindrome
+
+    calls = []
+    for module, name in ((palindrome, "omega_sequence"), (engine, "increment_factors")):
+        fn = getattr(module, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls.append(name)
+            return fn(*args)
+
+        for holder in (cli, engine, palindrome):
+            if getattr(holder, name, None) is fn:
+                monkeypatch.setattr(holder, name, counted)
+    code, out, _ = run(capsys, "verify", "54")
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert calls == ["omega_sequence", "increment_factors"]
 
 
 def test_verify_reads_the_quotients_a_fixed_number_of_times(capsys, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from anthyphairesis.bookx import euler_trace
 from anthyphairesis.convergents import pell_solutions
 from anthyphairesis.engine import (
+    Expansion,
     StepLimitExceeded,
     _anthyphairesis,
     _to_centre,
@@ -258,9 +259,9 @@ def test_increment_factors_paper_table():
 
 
 def test_increment_factors_first_factor_and_trivial():
-    fs = increment_factors(expand_sqrt(19), 19)
+    fs = tuple(increment_factors(expand_sqrt(19), 19))
     assert fs[0] == (4, 1)
-    fs = increment_factors(expand_sqrt(2), 2)
+    fs = tuple(increment_factors(expand_sqrt(2), 2))
     assert fs == ((1, 1), (1, 1))
 
 
@@ -274,6 +275,55 @@ def test_increment_factors_rejects_radicand_with_same_integer_part():
     # sqrt(19) and sqrt(20) share the integer part 4
     with pytest.raises(ValueError, match=r"does not belong to sqrt\(20\)"):
         increment_factors(expand_sqrt(19), 20)
+
+
+def _sqrt19_with(states: dict[int, tuple[int, int]], period: tuple[int, ...] = (2, 1, 3, 1, 2, 8)) -> Expansion:
+    """expand_sqrt(19) with each trail state (p_k, q_k) replaced by states[k], and its period by period."""
+    trail = list(expand_sqrt(19).trail)
+    for k, state in states.items():
+        trail[2 * k : 2 * k + 2] = state
+    return Expansion((4,), period, 19, tuple(trail))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: increment_factors(expand_sqrt(16), 16), ValueError, "terminated expansion has no increment factors"),
+        (
+            lambda: increment_factors(expand_surd(QuadraticSurd(1, 5, 2)), 5),
+            ValueError,
+            "expansion does not carry integer increment-factor states",
+        ),
+        (
+            lambda: increment_factors(_sqrt19_with({2: (-1, 6)}, (1, 1, 3, 1, 2, 8)), 19),
+            ValueError,
+            "increment factor 2 is not smaller than beta",
+        ),
+        (
+            lambda: omega_sequence(_sqrt19_with({1: (5, -6)}), 19),
+            AssertionError,
+            "omega_1 is not strictly between 0 and beta for sqrt(19)",
+        ),
+        (
+            lambda: pell_solutions(19, _sqrt19_with({}, (1, 8))),
+            AssertionError,
+            "period-end convergent of sqrt(19) does not solve Pell",
+        ),
+        (
+            lambda: pell_solutions(19, _sqrt19_with({}, (8,))),
+            AssertionError,
+            "odd-period convergent of sqrt(19) does not solve negative Pell",
+        ),
+    ],
+    ids=["terminated", "no states", "phi not below beta", "omega_1 bounds", "pell", "negative pell"],
+)
+def test_certifier_errors(call, error, message):
+    # each certifier raise that some input reaches; the divisibility raise of
+    # increment_factors, omega_1's identity and the squared Pell check follow
+    # from an earlier check, so no input reaches them
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 _PAST_THE_LIMIT = 7 * 10**5000 + 1  # 5,001 digits, past every int-to-str limit; 2 mod 3, so no square

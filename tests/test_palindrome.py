@@ -50,12 +50,12 @@ def test_verify_palindrome_fails_when_last_not_doubled():
 
 def test_omega_sequence_54():
     e = expand_sqrt(54)
-    omegas = omega_sequence(e, 54)
+    omegas = tuple(omega_sequence(e, 54))
     assert omegas == (
         (7, 5), (3, 9), (6, 2), (6, 9), (3, 5), (7, 1),
     )
     # derived: omega_3 and phi_4 denote the same line (alpha - 6*beta)/2
-    phis = increment_factors(e, 54)
+    phis = tuple(increment_factors(e, 54))
     assert omegas[2] == phis[3] == (6, 2)
 
 
@@ -67,7 +67,7 @@ def test_omega_sequence_rejects_foreign_expansion():
 
 def test_omega_sequence_trivial():
     e = expand_sqrt(2)
-    omegas = omega_sequence(e, 2)
+    omegas = tuple(omega_sequence(e, 2))
     assert omegas[0] == (1, 1)  # omega_1 = phi_1
 
 
@@ -90,7 +90,7 @@ def test_find_reflection_cases():
 @pytest.mark.parametrize("keys", [list, iter], ids=["lists", "one-shot iterators"])
 def test_find_reflection_diagnostic_on_garbage(keys):
     e = expand_sqrt(19)
-    phis = increment_factors(e, 19)
+    phis = tuple(increment_factors(e, 19))
     # omegas from a different radicand cannot close the reflection
     other = expand_sqrt(31)
     bad_omegas = tuple(zip(other.mus, other.lams))[: len(phis) - 1]
@@ -118,8 +118,8 @@ def test_reflection_pairing_and_quotient_equalities():
         if is_perfect_square(n):
             continue
         e = expand_sqrt(n)
-        phis = increment_factors(e, n)
-        omegas = omega_sequence(e, n)
+        phis = tuple(increment_factors(e, n))
+        omegas = tuple(omega_sequence(e, n))
         case, k = find_reflection(phis, omegas)
         report = verify_palindrome(e, isqrt(n))
         assert (report.case, report.center_index) == (case, k), n
