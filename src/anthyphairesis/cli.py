@@ -55,7 +55,7 @@ from .engine import (
 )
 from .oracle import oracle_expand
 from .palindrome import omega_sequence, verify_palindrome
-from .surd import QuadraticSurd, _dec, floor_surd, isqrt
+from .surd import QuadraticSurd, _dec, is_perfect_square, isqrt
 
 __all__ = ["main"]
 
@@ -125,7 +125,7 @@ def _step_limit(steps: int | None = None) -> int | None:
 
 def _non_square(n: int, command: str) -> int:
     """n, when it is a non-square N >= 2; otherwise bad input for command."""
-    if n < 2 or isqrt(n) ** 2 == n:
+    if n < 2 or is_perfect_square(n):
         raise InputError(f"{command} needs a non-square N >= 2, got {_dec(n)}")
     return n
 
@@ -244,19 +244,20 @@ def _reject_sqrt_zero(target: QuadraticSurd) -> None:
         raise InputError("N must be positive")
 
 
-def _period_record(label, n: int, m: int, e: Expansion, report, want_pell: bool, want_negative: bool) -> dict:
+def _period_record(label, m: int, e: Expansion, report, want_pell: bool, want_negative: bool) -> dict:
     """The record of a periodic expansion: the CSV columns in order, then the Pell pairs asked for.
 
     report is verify_palindrome's, or None where no verdict applies. The
     period closes at the first recurrence of its first state, so its
     states are distinct and distinct_logoi is its length. The Pell pairs
-    come from pell_solutions(n, e), which checks that e expands sqrt(n).
+    come from pell_solutions(e.radicand, e), which checks that e expands
+    the square root of its radicand.
     """
     length = len(e.period)
     palindrome, case = (None, None) if report is None else (report.holds, report.case)
     record = {"N": label, "m": m, "period_len": length, "palindrome": palindrome, "case": case, "distinct_logoi": length}
     if want_pell or want_negative:
-        pell, negative = pell_solutions(n, e)
+        pell, negative = pell_solutions(e.radicand, e)
         if want_pell:
             record["pell"] = pell
         if want_negative:
@@ -274,9 +275,9 @@ def cmd_expand(args) -> int:
     if want_pell and not _is_sqrt_int(target):
         raise InputError("Pell solutions require a plain integer radicand")
     _reject_sqrt_zero(target)
-    e = expand_sqrt(target.d, limit) if _is_sqrt_int(target) else expand_surd(target, limit)
     if want_pell:
         _non_square(target.d, "Pell")
+    e = expand_surd(target, limit)  # sqrt(N) normalizes to the start (0, N, 1) that expand_sqrt(N) takes
 
     if e.terminated:
         quots = list(e.preperiod)
@@ -289,9 +290,9 @@ def cmd_expand(args) -> int:
         _emit(lines, args.out)
         return 0
 
-    m = floor_surd(target)
+    m = (e.preperiod or e.period)[0]  # the integer part, the first quotient
     report = verify_palindrome(e, m) if target.p == 0 < target.q and m >= 1 else None
-    record = _period_record(label, target.d, m, e, report, args.pell, args.negative_pell)
+    record = _period_record(label, m, e, report, args.pell, args.negative_pell)
     if args.format == "json":
         fields = {_EXPAND_NAMES.get(key, key): v for key, v in record.items() if key != "m"}
         fields |= {"terminated": False, "preperiod": list(e.preperiod), "period": list(e.period)}
@@ -330,15 +331,16 @@ def _sweep_record(task: tuple[int, bool, bool, int | None]) -> dict | None:
     if m * m == n:
         return None
     e = expand_sqrt(n, limit)
-    return _period_record(n, n, m, e, verify_palindrome(e, m), want_pell, want_negative)
+    return _period_record(n, m, e, verify_palindrome(e, m), want_pell, want_negative)
 
 
 def _pool(jobs: int):
-    """A pool of `jobs` worker processes, or a null context for one job.
+    """A pool of `jobs` worker processes, at most one per CPU, or a null context for one job.
 
     multiprocessing is imported here, not with this module: its import
     costs every other command about 1 MB of memory and 10 ms of start-up.
     """
+    jobs = min(jobs, os.cpu_count() or 1)  # a Pool starts every worker it is asked for at once
     if jobs == 1:
         return contextlib.nullcontext()
     import multiprocessing
@@ -353,9 +355,10 @@ def cmd_sweep(args) -> int:
     tasks = ((n, args.pell, args.negative_pell, limit) for n in range(2, args.n_max + 1))
     render = {"plain": _plain, "json": _json_line, "csv": lambda r: _csv_row(**r)}[args.format]
     records = failures = 0
+    summary = None
 
     def lines():
-        nonlocal records, failures
+        nonlocal records, failures, summary
         if args.format == "csv":
             yield _CSV_HEADER
         with _pool(args.jobs) as pool:
@@ -370,10 +373,11 @@ def cmd_sweep(args) -> int:
             yield _json_line({"n_max": args.n_max, "records": records, "palindrome_failures": failures})
         elif args.format == "plain":
             yield f"# {summary}"
-        else:  # CSV output holds only rows
-            print(summary, file=sys.stderr)
 
     _emit(lines(), args.out)
+    if args.format == "csv":  # CSV output holds only rows: the summary goes to stderr once they are written
+        sys.stdout.flush()
+        print(summary, file=sys.stderr)
     return 5 if failures else 0
 
 
@@ -406,14 +410,13 @@ def _lagrange_checked(pairs, n: int):
 
 def cmd_approx(args) -> int:
     target, label = _parse_spec(args.input)
-    count = args.steps if args.steps is not None else 8
     limit = _step_limit()
     _reject_sqrt_zero(target)
-    quots = oracle_expand(target, count if limit is None else min(count, limit + 1))
+    quots = oracle_expand(target, args.steps if limit is None else min(args.steps, limit + 1))
     if limit is not None and len(quots) > limit:  # a rational that ends inside the budget passes
-        raise StepLimitExceeded(f"{label}: {count} quotients asked for, {limit} steps allowed")
+        raise StepLimitExceeded(f"{label}: {args.steps} quotients asked for, {limit} steps allowed")
     pairs = enumerate(convergents(quots))
-    if _is_sqrt_int(target) and isqrt(target.d) ** 2 != target.d:
+    if _is_sqrt_int(target) and not is_perfect_square(target.d):
         pairs = _lagrange_checked(pairs, target.d)
     if args.format == "json":  # the canonical record, streamed: its keys sort as written
         pieces = (("," if k else "") + _json_line({"index": k, "p": p, "q": q}) for k, (p, q) in pairs)
@@ -604,7 +607,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p = sub.add_parser("approx", help="first convergents of a surd")
     p.add_argument("input")
-    p.add_argument("--steps", type=_positive_int, default=None, metavar="K")
+    p.add_argument("--steps", type=_positive_int, default=8, metavar="K")
     add_common(p, formats=("plain", "json"))
     p.set_defaults(func=cmd_approx)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from itertools import pairwise
 
 from .bookx import _is_beta_squared, _plus_beta, basis, conjugate
 from .engine import Expansion, increment_factors
@@ -23,7 +24,6 @@ from .surd import QuadraticSurd
 
 __all__ = [
     "PalindromeReport",
-    "PeriodStats",
     "ReflectionNotFound",
     "verify_palindrome",
     "omega_sequence",
@@ -34,12 +34,6 @@ __all__ = [
 
 class PalindromeReport(namedtuple("PalindromeReport", "holds case center_index")):
     """holds: bool; case: "I" or "II" and center_index: int when the reflection machinery ran, else None."""
-
-    __slots__ = ()
-
-
-class PeriodStats(namedtuple("PeriodStats", "period_length distinct_logoi platonic_number")):
-    """Three ints: the period's length, its distinct states, and their count + 1."""
 
     __slots__ = ()
 
@@ -103,7 +97,8 @@ def omega_sequence(e: Expansion, N: int) -> Iterator[tuple[int, int]]:
     fails as an omega identity (AssertionError). An expansion of another
     radicand is a ValueError. Then returns each
     omega_n = (alpha - mu_n*beta)/lam_{n+1} as its int pair
-    (mu_n, lam_{n+1}): an iterator, no tuple of pairs.
+    (mu_n, lam_{n+1}), read off the consecutive pairs (mu_n, lam_n),
+    (mu_{n+1}, lam_{n+1}) of increment_factors: an iterator, no tuple of pairs.
     """
     if e.radicand != N:
         raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
@@ -124,8 +119,7 @@ def omega_sequence(e: Expansion, N: int) -> Iterator[tuple[int, int]]:
             raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for {QuadraticSurd.sqrt_of(N)}")
         prev = w
     del mus, lams, quotients  # the increment pass takes views of its own
-    increment_factors(e, N)
-    return zip(e.mus, e.lams[1:])
+    return ((mu, lam_next) for (mu, _), (_, lam_next) in pairwise(increment_factors(e, N)))
 
 
 def _palindromic(period: tuple[int, ...], m: int) -> bool:
@@ -160,8 +154,8 @@ def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     return PalindromeReport(holds, case, center)
 
 
-def period_stats(e: Expansion) -> PeriodStats:
-    """Length l of the period, distinct states inside it, and their count + 1.
+def period_stats(e: Expansion) -> tuple[int, int, int]:
+    """(l, l, l + 1): the period's length l, its distinct states, and their count + 1.
 
     The count is l, with no set built: the period closes at the first
     recurrence of x_j (j = len(preperiod)) and each state fixes the next,
@@ -172,4 +166,4 @@ def period_stats(e: Expansion) -> PeriodStats:
     if not e.trail:
         raise ValueError("expansion carries no states")
     l = len(e.period)
-    return PeriodStats(l, l, l + 1)
+    return (l, l, l + 1)

@@ -180,6 +180,31 @@ def test_sweep_jobs_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("cpus", [None, 1, 3, pytest.param(os.cpu_count(), id="this_host")])
+def test_sweep_starts_at_most_one_worker_per_cpu(capsys, monkeypatch, cpus):
+    # a stand-in Pool records the size asked for and maps in this process: no worker starts
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    expected = run(capsys, "sweep", "30", "--jobs", "1")
+    assert run(capsys, "sweep", "30", "--jobs", "1000000") == expected
+    assert sizes == ([cpus] if cpus and cpus > 1 else [])
+
+
 def test_sweep_failure_exit_code(capsys, monkeypatch):
     real = cli._sweep_record
 
@@ -294,8 +319,9 @@ def test_out_file_in_a_missing_directory_is_bad_input(tmp_path, capsys):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_out_file_write_error_is_bad_input(capsys):
     # /dev/full opens, then every write fails with ENOSPC: expand's one line
-    # when the file closes, sweep's rows mid-stream, when a buffer fills
-    for argv in (["expand", "19"], ["sweep", "3000", "--format", "csv"]):
+    # and a short sweep's rows when the file closes, a long sweep's rows
+    # mid-stream, when a buffer fills; no CSV summary follows rows not written
+    for argv in (["expand", "19"], ["sweep", "50", "--format", "csv"], ["sweep", "3000", "--format", "csv"]):
         code, out, err = run(capsys, *argv, "--out", "/dev/full")
         assert (code, out) == (2, ""), argv
         assert err == "error: cannot write /dev/full: No space left on device\n", argv
@@ -416,20 +442,25 @@ def test_pell_over_4300_digits_renders(capsys, low_int_str_limit):
     ],
 )
 def test_pell_commands_expand_each_n_once(capsys, monkeypatch, argv, expansions):
-    # expansions counts full expansions and expansions to the centre of the period alike
+    # expansions counts full expansions and expansions to the centre of the period alike;
+    # a full expansion of sqrt(N) is the recurrence from the start (0, N, 1), through
+    # expand_sqrt or expand_surd, so verify's re-expanded tail is not one
     from anthyphairesis import engine
 
     full, centre = [], []
+    recurrence = engine._anthyphairesis
 
-    def counting(calls, expand):
-        def wrapped(n, *rest):
-            calls.append(n)
-            return expand(n, *rest)
+    def counting_full(p, d, q, *rest):
+        if (p, q) == (0, 1):
+            full.append(d)
+        return recurrence(p, d, q, *rest)
 
-        return wrapped
+    def counting_centre(n, *rest):
+        centre.append(n)
+        return engine._to_centre(n, *rest)
 
-    monkeypatch.setattr(cli, "expand_sqrt", counting(full, engine.expand_sqrt))
-    monkeypatch.setattr(sys.modules["anthyphairesis.convergents"], "_to_centre", counting(centre, engine._to_centre))
+    monkeypatch.setattr(engine, "_anthyphairesis", counting_full)
+    monkeypatch.setattr(sys.modules["anthyphairesis.convergents"], "_to_centre", counting_centre)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     calls = full + centre
@@ -440,6 +471,17 @@ def test_pell_commands_expand_each_n_once(capsys, monkeypatch, argv, expansions)
         assert (full, centre) == ([61], [61])
     else:
         assert centre == [] and len(full) == len(set(full))
+
+
+@pytest.mark.parametrize("argv", [["expand", "16", "--pell"], ["expand", "1", "--negative-pell"]])
+def test_expand_rejects_a_square_for_pell_before_expanding_it(capsys, monkeypatch, argv):
+    from anthyphairesis import engine
+
+    def expanding(*args):
+        raise AssertionError(f"expanded {args}")
+
+    monkeypatch.setattr(engine, "_anthyphairesis", expanding)
+    assert run(capsys, *argv) == (2, "", f"error: Pell needs a non-square N >= 2, got {argv[1]}\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

@@ -13,7 +13,7 @@ import tokenize
 import pytest
 
 import anthyphairesis
-from anthyphairesis import QuadraticSurd, cli, euler_trace, expand_sqrt, expand_surd, period_stats, verify_palindrome
+from anthyphairesis import QuadraticSurd, cli, euler_trace, expand_sqrt, expand_surd, verify_palindrome
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -28,7 +28,7 @@ def test_package_exports_every_public_name():
 
 
 PUBLIC_NAMES = [
-    "Expansion", "PalindromeReport", "PeriodStats", "QuadraticSurd", "ReflectionNotFound",
+    "Expansion", "PalindromeReport", "QuadraticSurd", "ReflectionNotFound",
     "ResourceLimitExceeded", "StepLimitExceeded", "TraceStep", "basis", "classify", "conjugate",
     "convergents", "euler_trace", "expand_sqrt", "expand_surd", "find_reflection", "floor_surd",
     "increment_factors", "inverse_wrt_beta_squared", "is_perfect_square", "isqrt", "line_mul",
@@ -39,7 +39,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 34
     assert anthyphairesis.__all__ == PUBLIC_NAMES
     assert cli.__all__ == ["main"]  # the command line exports only its entry point
 
@@ -85,7 +85,6 @@ def _values():
         "QuadraticSurd": (QuadraticSurd(1, 5, 2), "p"),
         "Expansion": (e, "period"),
         "PalindromeReport": (verify_palindrome(e, 4), "holds"),
-        "PeriodStats": (period_stats(e), "period_length"),
         "TraceStep": (euler_trace(19)[0], "quotient"),
     }
 

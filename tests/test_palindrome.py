@@ -71,6 +71,19 @@ def test_omega_sequence_trivial():
     assert omegas[0] == (1, 1)  # omega_1 = phi_1
 
 
+def test_omega_sequence_is_mu_n_with_lam_n_plus_1():
+    # omega_sequence reads its pairs off consecutive increment factors; they
+    # are the trail's (mu_n, lam_{n+1}), n = 1 .. l, for every N
+    count = 0
+    for n in range(2, 3001):
+        if is_perfect_square(n):
+            continue
+        e = expand_sqrt(n)
+        assert tuple(omega_sequence(e, n)) == tuple(zip(e.mus, e.lams[1:])), n
+        count += 1
+    assert count == 2946
+
+
 def test_find_reflection_cases():
     e = expand_sqrt(54)
     case, k = find_reflection(increment_factors(e, 54), omega_sequence(e, 54))
@@ -149,11 +162,10 @@ def test_palindrome_theorem_desk_scale():
 
 
 def test_period_stats():
-    s = period_stats(expand_sqrt(54))
-    assert (s.period_length, s.distinct_logoi, s.platonic_number) == (6, 6, 7)
-    s = period_stats(expand_sqrt(2))
-    assert (s.period_length, s.distinct_logoi, s.platonic_number) == (1, 1, 2)
-    assert period_stats(expand_sqrt(19)).period_length == 6
+    # (period length, distinct logoi, Platonic number)
+    assert period_stats(expand_sqrt(54)) == (6, 6, 7)
+    assert period_stats(expand_sqrt(2)) == (1, 1, 2)
+    assert period_stats(expand_sqrt(19))[0] == 6
 
 
 def test_period_stats_surd_path():
@@ -161,8 +173,7 @@ def test_period_stats_surd_path():
     from anthyphairesis.surd import QuadraticSurd
 
     e = expand_surd(QuadraticSurd(7, 54, 5))
-    s = period_stats(e)
-    assert (s.period_length, s.distinct_logoi, s.platonic_number) == (6, 6, 7)
+    assert period_stats(e) == (6, 6, 7)
 
 
 def _period_states(e):
@@ -187,7 +198,7 @@ def test_distinct_logoi_is_the_period_length():
     assert sum(s.q < 0 for s in surds) > 500 and sum(s.p == 0 for s in surds) >= 500
     sqrts = (expand_sqrt(n) for n in range(2, 20001) if not is_perfect_square(n))
     for e in itertools.chain(sqrts, map(expand_surd, surds)):  # one expansion alive at a time
-        assert len(set(_period_states(e))) == len(e.period) == period_stats(e).distinct_logoi, (e.trail[:2], e.radicand)
+        assert len(set(_period_states(e))) == len(e.period) == period_stats(e)[1], (e.trail[:2], e.radicand)
 
 
 @pytest.mark.parametrize("n", [13, 19, 46, 54, 61, 94])
