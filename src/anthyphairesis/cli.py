@@ -291,8 +291,9 @@ def cmd_expand(args) -> int:
         return 0
 
     m = (e.preperiod or e.period)[0]  # the integer part, the first quotient
-    report = verify_palindrome(e, m) if target.p == 0 < target.q and m >= 1 else None
-    record = _period_record(label, m, e, report, args.pell, args.negative_pell)
+    report = verify_palindrome(e) if target.p == 0 < target.q and m >= 1 else None
+    want_negative = args.negative_pell and args.format != "csv"  # CSV has no negative-Pell column
+    record = _period_record(label, m, e, report, args.pell, want_negative)
     if args.format == "json":
         fields = {_EXPAND_NAMES.get(key, key): v for key, v in record.items() if key != "m"}
         fields |= {"terminated": False, "preperiod": list(e.preperiod), "period": list(e.period)}
@@ -331,7 +332,7 @@ def _sweep_record(task: tuple[int, bool, bool, int | None]) -> dict | None:
     if m * m == n:
         return None
     e = expand_sqrt(n, limit)
-    return _period_record(n, m, e, verify_palindrome(e, m), want_pell, want_negative)
+    return _period_record(n, m, e, verify_palindrome(e), want_pell, want_negative)
 
 
 def _pool(jobs: int):
@@ -352,7 +353,8 @@ def cmd_sweep(args) -> int:
     if args.n_max < 2:
         raise InputError("sweep needs N_max >= 2")
     limit = _step_limit()
-    tasks = ((n, args.pell, args.negative_pell, limit) for n in range(2, args.n_max + 1))
+    want_negative = args.negative_pell and args.format != "csv"  # CSV has no negative-Pell column
+    tasks = ((n, args.pell, want_negative, limit) for n in range(2, args.n_max + 1))
     render = {"plain": _plain, "json": _json_line, "csv": lambda r: _csv_row(**r)}[args.format]
     records = failures = 0
     summary = None
@@ -465,7 +467,6 @@ def cmd_verify(args) -> int:
             ok = False
             lines.append(f"check {name}: FAIL ({exc})")
 
-    m = isqrt(n)
     e = expand_sqrt(n, limit)  # e.mus, e.lams: the states (mu_k, lam_k) of phi_1 .. phi_{l+1}, viewed anew in each check
     trail_pell = functools.cache(lambda: pell_solutions(n, e))  # a raise is not cached: each check asking reports it
 
@@ -486,12 +487,12 @@ def cmd_verify(args) -> int:
             raise AssertionError("period not found before the pigeonhole bound")
 
     def palindrome():
-        report = verify_palindrome(e, m)
+        report = verify_palindrome(e)
         if not report.holds:
             raise AssertionError("period is not palindromic")
 
     def omegas():
-        omega_sequence(e, n)
+        omega_sequence(e)
 
     def oracle_agreement():
         steps = 3 * len(e.period) + 1

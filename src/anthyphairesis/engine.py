@@ -300,8 +300,8 @@ def _expand_rational(num: int, den: int) -> Expansion:
     return Expansion(preperiod=tuple(quots), period=())
 
 
-def increment_factors(e: Expansion, N: int) -> Iterator[tuple[int, int]]:
-    """The increment factors of an expand_sqrt(N) expansion, verified.
+def increment_factors(e: Expansion) -> Iterator[tuple[int, int]]:
+    """The increment factors of an expand_sqrt(N) expansion, N its radicand, verified.
 
     Checks, per state, the divisibility lam | (N - mu^2) and the bound
     N < (mu + lam)^2 (phi < beta), and for every consecutive pair the
@@ -311,10 +311,10 @@ def increment_factors(e: Expansion, N: int) -> Iterator[tuple[int, int]]:
     """
     if e.terminated:
         raise ValueError("terminated expansion has no increment factors")
-    mus, lams, quotients = e.mus, e.lams, e.quotients
+    N, mus, lams, quotients = e.radicand, e.mus, e.lams, e.quotients
     if not mus:
         raise ValueError("expansion does not carry integer increment-factor states")
-    if e.radicand != N or mus[0] != isqrt(N) or lams[0] != 1:
+    if mus[0] != isqrt(N):  # lams[0] is q_0 = 1: mus and lams view only a trail that starts (0, 1)
         raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
     pq = basis(N)
     for i, (mu, lam) in enumerate(zip(mus, lams)):

@@ -86,24 +86,21 @@ def _name(seen: dict[tuple[int, int], None], key: tuple[int, int]) -> str:
     return f"{'omega' if i % 2 else 'phi'}_{i // 2 + 1}"
 
 
-def omega_sequence(e: Expansion, N: int) -> Iterator[tuple[int, int]]:
-    """The omega states of an expand_sqrt(N) expansion, verified symbolically.
+def omega_sequence(e: Expansion) -> Iterator[tuple[int, int]]:
+    """The omega states of an expand_sqrt(N) expansion, N its radicand, verified symbolically.
 
     Checks, per state: (phi_n)* * omega_n = beta^2 (the defining inversion),
     0 < omega_n < beta in integer form, omega_1*(phi_1 + 2*mu_1*beta) = beta^2,
     and omega_{n+1}*(I_n*beta + omega_n) = beta^2. All checks are exact
     area-algebra identities with zero residual. increment_factors runs
     after them (ValueError), so a corrupted state that an omega reads
-    fails as an omega identity (AssertionError). An expansion of another
-    radicand is a ValueError. Then returns each
+    fails as an omega identity (AssertionError). Then returns each
     omega_n = (alpha - mu_n*beta)/lam_{n+1} as its int pair
     (mu_n, lam_{n+1}), read off the consecutive pairs (mu_n, lam_n),
     (mu_{n+1}, lam_{n+1}) of increment_factors: an iterator, no tuple of pairs.
     """
-    if e.radicand != N:
-        raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
-    pq = basis(N)
-    mus, lams, quotients = e.mus, e.lams, e.quotients
+    N, mus, lams, quotients = e.radicand, e.mus, e.lams, e.quotients
+    pq = basis(N) if mus else None  # no states, no omegas: increment_factors below says why
     prev = None  # omega_{n-1}
     for n in range(1, len(mus)):
         mu, lam_next = mus[n - 1], lams[n]
@@ -119,7 +116,7 @@ def omega_sequence(e: Expansion, N: int) -> Iterator[tuple[int, int]]:
             raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for {QuadraticSurd.sqrt_of(N)}")
         prev = w
     del mus, lams, quotients  # the increment pass takes views of its own
-    return ((mu, lam_next) for (mu, _), (_, lam_next) in pairwise(increment_factors(e, N)))
+    return ((mu, lam_next) for (mu, _), (_, lam_next) in pairwise(increment_factors(e)))
 
 
 def _palindromic(period: tuple[int, ...], m: int) -> bool:
@@ -128,8 +125,8 @@ def _palindromic(period: tuple[int, ...], m: int) -> bool:
     return interior == interior[::-1] and period[-1] == 2 * m
 
 
-def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
-    """Check the palindromic shape of a period against the integer part m.
+def verify_palindrome(e: Expansion) -> PalindromeReport:
+    """Check the palindromic shape of a period against the expansion's integer part, its first quotient.
 
     holds is decided on the quotient list alone, by _palindromic. When
     the expansion carries integer increment-factor states, the
@@ -141,7 +138,7 @@ def verify_palindrome(e: Expansion, m: int) -> PalindromeReport:
     if not e.period:
         raise ValueError("expansion has an empty period")
     period = e.period
-    holds = _palindromic(period, m)
+    holds = _palindromic(period, (e.preperiod or period)[0])
 
     case = center = None
     mus, lams = e.mus, e.lams

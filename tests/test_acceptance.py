@@ -100,8 +100,8 @@ def test_criterion_04_reflection_machinery_1k():
     with verdict("4 (reflection and omega identities for N <= 1e3)"):
         for n in non_squares(10**3):
             e = expand_sqrt(n)
-            phis = increment_factors(e, n)  # verifies the inversion identity
-            omegas = omega_sequence(e, n)  # verifies 3a-3d with zero residual
+            phis = increment_factors(e)  # verifies the inversion identity
+            omegas = omega_sequence(e)  # verifies 3a-3d with zero residual
             case, k = find_reflection(phis, omegas)
             period = e.period
             m = e.preperiod[0]

@@ -185,7 +185,7 @@ def test_apotome_binomial_round_trip_from_increment_factors():
         if is_perfect_square(n):
             continue
         pq = basis(n)
-        for mu, lam in increment_factors(expand_sqrt(n), n):
+        for mu, lam in increment_factors(expand_sqrt(n)):
             phi = _triple(Fraction(1, lam), Fraction(-mu, lam))
             assert classify(pq, phi) == "apotome"
             psi = inverse_wrt_beta_squared(pq, phi)

@@ -473,6 +473,22 @@ def test_pell_commands_expand_each_n_once(capsys, monkeypatch, argv, expansions)
         assert centre == [] and len(full) == len(set(full))
 
 
+@pytest.mark.parametrize("argv", [["sweep", "30"], ["expand", "13"]])
+def test_csv_computes_no_negative_pell_pair(capsys, monkeypatch, argv):
+    # the CSV schema has no negative-Pell column, so --negative-pell there prints and computes nothing more
+    calls = []
+    solutions = cli.pell_solutions
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solutions(*args, **kwargs)
+
+    without = run(capsys, *argv, "--format", "csv")
+    monkeypatch.setattr(cli, "pell_solutions", counted)
+    assert run(capsys, *argv, "--negative-pell", "--format", "csv") == without
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [["expand", "16", "--pell"], ["expand", "1", "--negative-pell"]])
 def test_expand_rejects_a_square_for_pell_before_expanding_it(capsys, monkeypatch, argv):
     from anthyphairesis import engine
@@ -900,10 +916,10 @@ def test_verify_omega_and_oracle_checks_hold_one_copy_of_what_they_compare(capsy
     tracemalloc.start()
     try:
         mark()
-        palindrome.omega_sequence(e, n)
+        palindrome.omega_sequence(e)
         omegas = peak()
         mark()
-        engine.increment_factors(e, n)
+        engine.increment_factors(e)
         increments = peak()
         code, out, _ = run(capsys, "verify", str(n))
     finally:

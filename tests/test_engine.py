@@ -252,29 +252,17 @@ def test_preperiod_ends_at_the_first_reduced_state():
 
 def test_increment_factors_paper_table():
     e = expand_sqrt(54)
-    fs = increment_factors(e, 54)
+    fs = increment_factors(e)
     assert [(lam, mu) for mu, lam in fs] == [
         (1, 7), (5, 3), (9, 6), (2, 6), (9, 3), (5, 7), (1, 7),
     ]
 
 
 def test_increment_factors_first_factor_and_trivial():
-    fs = tuple(increment_factors(expand_sqrt(19), 19))
+    fs = tuple(increment_factors(expand_sqrt(19)))
     assert fs[0] == (4, 1)
-    fs = tuple(increment_factors(expand_sqrt(2), 2))
+    fs = tuple(increment_factors(expand_sqrt(2)))
     assert fs == ((1, 1), (1, 1))
-
-
-def test_increment_factors_rejects_mismatched_radicand():
-    e = expand_sqrt(54)
-    with pytest.raises(ValueError):
-        increment_factors(e, 19)
-
-
-def test_increment_factors_rejects_radicand_with_same_integer_part():
-    # sqrt(19) and sqrt(20) share the integer part 4
-    with pytest.raises(ValueError, match=r"does not belong to sqrt\(20\)"):
-        increment_factors(expand_sqrt(19), 20)
 
 
 def _sqrt19_with(states: dict[int, tuple[int, int]], period: tuple[int, ...] = (2, 1, 3, 1, 2, 8)) -> Expansion:
@@ -288,19 +276,20 @@ def _sqrt19_with(states: dict[int, tuple[int, int]], period: tuple[int, ...] = (
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: increment_factors(expand_sqrt(16), 16), ValueError, "terminated expansion has no increment factors"),
+        (lambda: increment_factors(expand_sqrt(16)), ValueError, "terminated expansion has no increment factors"),
         (
-            lambda: increment_factors(expand_surd(QuadraticSurd(1, 5, 2)), 5),
+            lambda: increment_factors(expand_surd(QuadraticSurd(1, 5, 2))),
             ValueError,
             "expansion does not carry integer increment-factor states",
         ),
         (
-            lambda: increment_factors(_sqrt19_with({2: (-1, 6)}, (1, 1, 3, 1, 2, 8)), 19),
+            lambda: increment_factors(_sqrt19_with({2: (-1, 6)}, (1, 1, 3, 1, 2, 8))),
             ValueError,
             "increment factor 2 is not smaller than beta",
         ),
+        (lambda: omega_sequence(expand_sqrt(16)), ValueError, "terminated expansion has no increment factors"),
         (
-            lambda: omega_sequence(_sqrt19_with({1: (5, -6)}), 19),
+            lambda: omega_sequence(_sqrt19_with({1: (5, -6)})),
             AssertionError,
             "omega_1 is not strictly between 0 and beta for sqrt(19)",
         ),
@@ -315,7 +304,7 @@ def _sqrt19_with(states: dict[int, tuple[int, int]], period: tuple[int, ...] = (
             "odd-period convergent of sqrt(19) does not solve negative Pell",
         ),
     ],
-    ids=["terminated", "no states", "phi not below beta", "omega_1 bounds", "pell", "negative pell"],
+    ids=["terminated", "no states", "phi not below beta", "omega of terminated", "omega_1 bounds", "pell", "negative pell"],
 )
 def test_certifier_errors(call, error, message):
     # each certifier raise that some input reaches; the divisibility raise of
@@ -329,13 +318,18 @@ def test_certifier_errors(call, error, message):
 _PAST_THE_LIMIT = 7 * 10**5000 + 1  # 5,001 digits, past every int-to-str limit; 2 mod 3, so no square
 
 
+def _off_first_state(n: int) -> Expansion:
+    """An expansion of sqrt(n) whose one state (mu_1, lam_1) = (1, 1) is not (isqrt(n), 1), so no omega reads it."""
+    return Expansion((1,), (2,), n, (0, 1, 1, 1))
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
         (lambda n: euler_trace(n, 1), StepLimitExceeded, "trace of {} exceeded 1 steps without repeating"),
         (lambda n: pell_solutions(n, expand_sqrt(2)), ValueError, "expansion does not belong to {}"),
-        (lambda n: increment_factors(expand_sqrt(2), n), ValueError, "expansion does not belong to {}"),
-        (lambda n: omega_sequence(expand_sqrt(2), n), ValueError, "expansion does not belong to {}"),
+        (lambda n: increment_factors(_off_first_state(n)), ValueError, "expansion does not belong to {}"),
+        (lambda n: omega_sequence(_off_first_state(n)), ValueError, "expansion does not belong to {}"),
     ],
     ids=["euler_trace", "pell_solutions", "increment_factors", "omega_sequence"],
 )

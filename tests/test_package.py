@@ -84,7 +84,7 @@ def _values():
     return {
         "QuadraticSurd": (QuadraticSurd(1, 5, 2), "p"),
         "Expansion": (e, "period"),
-        "PalindromeReport": (verify_palindrome(e, 4), "holds"),
+        "PalindromeReport": (verify_palindrome(e), "holds"),
         "TraceStep": (euler_trace(19)[0], "quotient"),
     }
 
