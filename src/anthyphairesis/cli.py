@@ -55,7 +55,7 @@ from .engine import (
 )
 from .oracle import oracle_expand
 from .palindrome import omega_sequence, verify_palindrome
-from .surd import QuadraticSurd, _dec, is_perfect_square, isqrt
+from .surd import QuadraticSurd, _dec, is_perfect_square
 
 __all__ = ["main"]
 
@@ -214,8 +214,8 @@ def _plain(record: dict) -> str:
 _CSV_HEADER = "N,m,period_len,palindrome,case,distinct_logoi,pell_x,pell_y"
 
 
-def _csv_row(N, m, period_len, palindrome, case, distinct_logoi, pell=None, negative_pell=None) -> str:
-    """One row of the fixed CSV schema of expand and sweep; negative_pell has no column.
+def _csv_row(N, m, period_len, palindrome, case, distinct_logoi, pell=None) -> str:
+    """One row of the fixed CSV schema of expand and sweep.
 
     No field can hold a comma, a quote or a line break (input labels match
     the spec grammar), so no field needs quoting.
@@ -244,20 +244,22 @@ def _reject_sqrt_zero(target: QuadraticSurd) -> None:
         raise InputError("N must be positive")
 
 
-def _period_record(label, m: int, e: Expansion, report, want_pell: bool, want_negative: bool) -> dict:
+def _period_record(label, e: Expansion, want_pell: bool, want_negative: bool) -> dict:
     """The record of a periodic expansion: the CSV columns in order, then the Pell pairs asked for.
 
-    report is verify_palindrome's, or None where no verdict applies. The
-    period closes at the first recurrence of its first state, so its
-    states are distinct and distinct_logoi is its length. The Pell pairs
-    come from pell_solutions(e.radicand, e), which checks that e expands
-    the square root of its radicand.
+    m is the first quotient. The palindrome verdict is verify_palindrome's
+    where the normal form starts at p = 0 and m >= 1 (so q > 0), else
+    None. The period closes at the first recurrence of its first state,
+    so its states are distinct and distinct_logoi is its length. The Pell
+    pairs come from pell_solutions(e), which checks that e expands the
+    square root of its radicand.
     """
-    length = len(e.period)
+    m, length = (e.preperiod or e.period)[0], len(e.period)
+    report = verify_palindrome(e) if e.trail[0] == 0 and m >= 1 else None
     palindrome, case = (None, None) if report is None else (report.holds, report.case)
     record = {"N": label, "m": m, "period_len": length, "palindrome": palindrome, "case": case, "distinct_logoi": length}
     if want_pell or want_negative:
-        pell, negative = pell_solutions(e.radicand, e)
+        pell, negative = pell_solutions(e)
         if want_pell:
             record["pell"] = pell
         if want_negative:
@@ -290,10 +292,8 @@ def cmd_expand(args) -> int:
         _emit(lines, args.out)
         return 0
 
-    m = (e.preperiod or e.period)[0]  # the integer part, the first quotient
-    report = verify_palindrome(e) if target.p == 0 < target.q and m >= 1 else None
     want_negative = args.negative_pell and args.format != "csv"  # CSV has no negative-Pell column
-    record = _period_record(label, m, e, report, args.pell, want_negative)
+    record = _period_record(label, e, args.pell, want_negative)
     if args.format == "json":
         fields = {_EXPAND_NAMES.get(key, key): v for key, v in record.items() if key != "m"}
         fields |= {"terminated": False, "preperiod": list(e.preperiod), "period": list(e.period)}
@@ -328,11 +328,9 @@ def cmd_trace(args) -> int:
 
 def _sweep_record(task: tuple[int, bool, bool, int | None]) -> dict | None:
     n, want_pell, want_negative, limit = task
-    m = isqrt(n)
-    if m * m == n:
+    if is_perfect_square(n):
         return None
-    e = expand_sqrt(n, limit)
-    return _period_record(n, m, e, verify_palindrome(e), want_pell, want_negative)
+    return _period_record(n, expand_sqrt(n, limit), want_pell, want_negative)
 
 
 def _pool(jobs: int):
@@ -441,7 +439,7 @@ def cmd_verify(args) -> int:
     docstring over two periods and checks N_k = (-1)^(k+1)*lam_{k+2} and
     M_k = (-1)^k*mu_{k+1} against the trail. When the period ends within
     _EXACT_CONVERGENTS quotients, it then runs convergents() to the period
-    end and compares that pair with pell_solutions(N, e)'s; past it, its
+    end and compares that pair with pell_solutions(e)'s; past it, its
     line says that the comparison was skipped.
 
     The step budget reaches every check. The trace, the centre stop and
@@ -468,7 +466,7 @@ def cmd_verify(args) -> int:
             lines.append(f"check {name}: FAIL ({exc})")
 
     e = expand_sqrt(n, limit)  # e.mus, e.lams: the states (mu_k, lam_k) of phi_1 .. phi_{l+1}, viewed anew in each check
-    trail_pell = functools.cache(lambda: pell_solutions(n, e))  # a raise is not cached: each check asking reports it
+    trail_pell = functools.cache(lambda: pell_solutions(e))  # a raise is not cached: each check asking reports it
 
     def recurrences():
         quots, mus, lams = e.quotients, e.mus, e.lams

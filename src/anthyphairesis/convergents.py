@@ -14,9 +14,9 @@ The interior is a palindrome and every M(a) is symmetric, so P = H*H^T
 over the first half only. H is built by binary splitting, a balanced
 product tree whose big multiplications pair operands of equal size.
 So the half period a_1 .. a_{l//2} and the parity of l are all the
-product needs: without an expansion, pell_solutions takes them from a
-trail-free expansion that stops at the centre of the period; with one,
-it checks the palindrome and slices its period.
+product needs: pell_solutions(N) takes them from a trail-free expansion
+that stops at the centre of the period; pell_solutions(e), given
+e = expand_sqrt(N), reads N off e, checks the palindrome, slices the period.
 
 convergents() and the product tree share no code, so `anth verify`
 checks that the convergent at the period end (k = l - 1 for an even
@@ -73,32 +73,33 @@ def _matrix_product(quotients: Sequence[int], lo: int, hi: int) -> _Matrix:
 
 
 def pell_solutions(
-    N: int, e: Expansion | None = None, max_steps: int | None = None
+    source: int | Expansion, max_steps: int | None = None
 ) -> tuple[tuple[int, int], tuple[int, int] | None]:
     """Fundamental solution of x^2 - N*y^2 = 1, and of x^2 - N*y^2 = -1 or None.
 
-    e is expand_sqrt(N) when the caller already has it, and its period
-    must be palindromic. Otherwise N is expanded here only up to the
-    centre of its period, within max_steps steps to the centre (None
-    means the default budget). Only the first half of the period's
-    interior is multiplied out (see the module docstring). For an odd
+    source is N, expanded here only up to the centre of its period within
+    max_steps steps to the centre (None means the default budget), or
+    expand_sqrt(N) when the caller already has it: N is then its radicand,
+    and its period must be palindromic. Only the first half of the
+    period's interior is multiplied out (see the module docstring). For an odd
     period the half-period convergent (p, q) solves the -1 equation and
     (p^2 + N*q^2, 2*p*q) is the fundamental solution; for an even one
     (p, q) is the fundamental solution and there is no -1 solution. Both
     equations are verified by direct multiplication before returning.
     """
-    m = isqrt(N)
-    if e is None:
-        half, odd = _to_centre(N, max_steps)
-    else:
-        if e.terminated:
+    if isinstance(source, Expansion):
+        if source.terminated:
             raise ValueError("N must not be a perfect square")
-        if e.radicand != N or e.preperiod != (m,):
-            raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
-        period = e.period
+        N, period = source.radicand, source.period
+        m = isqrt(N)
+        if source.preperiod != (m,):
+            raise ValueError(f"preperiod is not (isqrt(N),) for {QuadraticSurd.sqrt_of(N)}")
         if not _palindromic(period, m):
             raise AssertionError(f"period of {QuadraticSurd.sqrt_of(N)} is not palindromic")
         half, odd = period[: len(period) // 2], len(period) % 2 == 1
+    else:
+        N, m = source, isqrt(source)
+        half, odd = _to_centre(N, max_steps)
 
     if odd:  # even interior a_1 .. a_{2h}: P = H*H^T
         a, b, c, d = _matrix_product(half, 0, len(half))

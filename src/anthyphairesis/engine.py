@@ -315,11 +315,11 @@ def increment_factors(e: Expansion) -> Iterator[tuple[int, int]]:
     if not mus:
         raise ValueError("expansion does not carry integer increment-factor states")
     if mus[0] != isqrt(N):  # lams[0] is q_0 = 1: mus and lams view only a trail that starts (0, 1)
-        raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
+        raise ValueError(f"first state is not (isqrt(N), 1) for {QuadraticSurd.sqrt_of(N)}")
     pq = basis(N)
     for i, (mu, lam) in enumerate(zip(mus, lams)):
         if (N - mu * mu) % lam:
-            raise ValueError(f"expansion does not belong to {QuadraticSurd.sqrt_of(N)}")
+            raise ValueError(f"lam_k does not divide N - mu_k^2 for {QuadraticSurd.sqrt_of(N)}")
         if N >= (mu + lam) ** 2:
             raise ValueError(f"increment factor {i + 1} is not smaller than beta")
         if i + 1 < len(mus):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from anthyphairesis import cli
 from anthyphairesis.cli import InputError, _parse_spec, main
 from anthyphairesis.convergents import convergents, pell_solutions
-from anthyphairesis.engine import ResourceLimitExceeded, StepLimitExceeded, expand_sqrt
+from anthyphairesis.engine import Expansion, ResourceLimitExceeded, StepLimitExceeded, expand_sqrt
 from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.surd import QuadraticSurd
 from test_cli_transcript import CASES as TRANSCRIPT_CASES
@@ -489,6 +489,31 @@ def test_csv_computes_no_negative_pell_pair(capsys, monkeypatch, argv):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv, verdicts",
+    [
+        (["sweep", "200"], 186),
+        (["expand", "19"], 1),
+        (["expand", "sqrt(7/3)"], 1),
+        (["expand", "(7+sqrt(54))/5"], 0),
+        (["expand", "(0+sqrt(5))/-3"], 0),
+        (["expand", "sqrt(3/7)"], 0),
+    ],
+)
+def test_palindrome_is_verified_once_per_record_whose_normal_form_starts_at_p_0(capsys, monkeypatch, argv, verdicts):
+    # only where the normal form starts at p = 0 < q and the first quotient m is at least 1
+    calls = []
+    real = cli.verify_palindrome
+
+    def counted(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(cli, "verify_palindrome", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == verdicts
+
+
 @pytest.mark.parametrize("argv", [["expand", "16", "--pell"], ["expand", "1", "--negative-pell"]])
 def test_expand_rejects_a_square_for_pell_before_expanding_it(capsys, monkeypatch, argv):
     from anthyphairesis import engine
@@ -951,8 +976,6 @@ def test_verify_runs_each_symbolic_certifier_once(capsys, monkeypatch):
 
 def test_verify_reads_the_quotients_a_fixed_number_of_times(capsys, monkeypatch):
     # periods 2, 16 and 458: a read per step of a check would grow with the period
-    from anthyphairesis.engine import Expansion
-
     quotients = Expansion.quotients.fget
     reads = []
 
@@ -1201,8 +1224,8 @@ def test_a_tampered_expansion_fails_verify(capsys, monkeypatch, tamper, failures
 
 def test_verify_compares_the_period_end_convergent_with_pell(capsys, monkeypatch):
     # a Pell pair off by one: both Pell paths agree with each other, the convergents do not
-    def off_by_one(n, *rest, **budget):
-        (x, y), negative = pell_solutions(n, *rest, **budget)
+    def off_by_one(source, **budget):
+        (x, y), negative = pell_solutions(source, **budget)
         return (x + 1, y), negative
 
     monkeypatch.setattr(cli, "pell_solutions", off_by_one)
@@ -1215,20 +1238,20 @@ def test_verify_compares_the_period_end_convergent_with_pell(capsys, monkeypatch
 def test_verify_expands_pell_from_the_trail_once(capsys, monkeypatch):
     calls = []
 
-    def counted(n, *rest, **budget):
-        calls.append(rest)
-        return pell_solutions(n, *rest, **budget)
+    def counted(source, **budget):
+        calls.append(isinstance(source, Expansion))
+        return pell_solutions(source, **budget)
 
     monkeypatch.setattr(cli, "pell_solutions", counted)
     assert run(capsys, "verify", "19")[0] == 0
-    assert [len(rest) for rest in calls] == [1, 0]  # the trail's, then the centre stop's
+    assert calls == [True, False]  # the trail's, then the centre stop's
 
 
 def test_verify_reports_a_raising_pell_in_each_check_that_asks(capsys, monkeypatch):
-    def raising(n, *rest, **budget):
-        if rest:
+    def raising(source, **budget):
+        if isinstance(source, Expansion):
             raise ArithmeticError("pell from the trail fails")
-        return pell_solutions(n)
+        return pell_solutions(source)
 
     monkeypatch.setattr(cli, "pell_solutions", raising)
     code, out, err = run(capsys, "verify", "19")
@@ -1267,7 +1290,7 @@ def test_verify_passes_its_step_budget_to_the_trace_the_centre_stop_and_the_tail
         monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
     monkeypatch.setenv("ANTH_MAX_STEPS", "40")
     assert run(capsys, "verify", "19")[0] == 0
-    # pell_solutions(n, e) from the trail takes no steps; the centre stop gets the budget
+    # pell_solutions(e) from the trail takes no steps; the centre stop gets the budget
     assert budgets["_trace_quotients"] == [40] and budgets["pell_solutions"][-1] == 40 and budgets["expand_surd"] == [40]
 
 

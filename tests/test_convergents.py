@@ -148,7 +148,7 @@ def test_pell_solutions_match_convergent_recurrence():
         l = len(e.period)
         index = l - 1 if l % 2 == 0 else 2 * l - 1
         full = list(convergents(e.quotient_stream(index + 1)))
-        fundamental, negative = pell_solutions(n, e)
+        fundamental, negative = pell_solutions(e)
         assert pell_solutions(n) == (fundamental, negative), n
         assert fundamental == full[index], n
         if l % 2:
@@ -158,17 +158,11 @@ def test_pell_solutions_match_convergent_recurrence():
 
 
 def test_pell_solutions_rejects_foreign_or_square_expansion():
+    with pytest.raises(ValueError, match=r"^preperiod is not \(isqrt\(N\),\) for sqrt\(54\)$"):
+        pell_solutions(expand_surd(QuadraticSurd(7, 54, 5)))  # (7+sqrt(54))/5: radicand 54, but not sqrt(54)
     with pytest.raises(ValueError):
-        pell_solutions(54, expand_sqrt(19))
-    with pytest.raises(ValueError):
-        pell_solutions(16, expand_sqrt(16))
+        pell_solutions(expand_sqrt(16))
     assert pell_solutions(13) == ((649, 180), (18, 5))
-
-
-def test_pell_solutions_rejects_radicand_with_same_integer_part():
-    # sqrt(19) and sqrt(20) share the integer part 4
-    with pytest.raises(ValueError, match=r"does not belong to sqrt\(20\)"):
-        pell_solutions(20, expand_sqrt(19))
 
 
 def _spy_on_centre_stop(monkeypatch) -> list[tuple[int, int]]:
@@ -203,5 +197,5 @@ def test_pell_of_a_long_period_expands_half_of_it(monkeypatch):
     e = expand_sqrt(n)
     assert len(e.period) == 171_126
     centre_stops = _spy_on_centre_stop(monkeypatch)
-    assert pell_solutions(n) == pell_solutions(n, e)
+    assert pell_solutions(n) == pell_solutions(e)
     assert centre_stops == [(n, 171_126 // 2)]

@@ -294,12 +294,12 @@ def _sqrt19_with(states: dict[int, tuple[int, int]], period: tuple[int, ...] = (
             "omega_1 is not strictly between 0 and beta for sqrt(19)",
         ),
         (
-            lambda: pell_solutions(19, _sqrt19_with({}, (1, 8))),
+            lambda: pell_solutions(_sqrt19_with({}, (1, 8))),
             AssertionError,
             "period-end convergent of sqrt(19) does not solve Pell",
         ),
         (
-            lambda: pell_solutions(19, _sqrt19_with({}, (8,))),
+            lambda: pell_solutions(_sqrt19_with({}, (8,))),
             AssertionError,
             "odd-period convergent of sqrt(19) does not solve negative Pell",
         ),
@@ -319,7 +319,8 @@ _PAST_THE_LIMIT = 7 * 10**5000 + 1  # 5,001 digits, past every int-to-str limit;
 
 
 def _off_first_state(n: int) -> Expansion:
-    """An expansion of sqrt(n) whose one state (mu_1, lam_1) = (1, 1) is not (isqrt(n), 1), so no omega reads it."""
+    """An expansion of sqrt(n) whose preperiod (1,) is not (isqrt(n),) and whose one
+    state (mu_1, lam_1) = (1, 1) is not (isqrt(n), 1), so no omega reads it."""
     return Expansion((1,), (2,), n, (0, 1, 1, 1))
 
 
@@ -327,9 +328,9 @@ def _off_first_state(n: int) -> Expansion:
     "call, error, message",
     [
         (lambda n: euler_trace(n, 1), StepLimitExceeded, "trace of {} exceeded 1 steps without repeating"),
-        (lambda n: pell_solutions(n, expand_sqrt(2)), ValueError, "expansion does not belong to {}"),
-        (lambda n: increment_factors(_off_first_state(n)), ValueError, "expansion does not belong to {}"),
-        (lambda n: omega_sequence(_off_first_state(n)), ValueError, "expansion does not belong to {}"),
+        (lambda n: pell_solutions(_off_first_state(n)), ValueError, "preperiod is not (isqrt(N),) for {}"),
+        (lambda n: increment_factors(_off_first_state(n)), ValueError, "first state is not (isqrt(N), 1) for {}"),
+        (lambda n: omega_sequence(_off_first_state(n)), ValueError, "first state is not (isqrt(N), 1) for {}"),
     ],
     ids=["euler_trace", "pell_solutions", "increment_factors", "omega_sequence"],
 )
