@@ -44,7 +44,7 @@ from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
 from .bookx import _trace_quotients, euler_trace, render_trace
-from .convergents import convergents, pell_solutions
+from .convergents import _last_convergent, convergents, pell_solutions
 from .engine import (
     Expansion,
     ResourceLimitExceeded,
@@ -426,21 +426,13 @@ def cmd_approx(args) -> int:
     return 0  # either way one convergent is alive at a time: the digits of the k-th grow with k
 
 
-# verify's convergent check runs convergents() to the period end, an O(l^2) run in
-# bit operations, only when that end is at most this many quotients: about 0.3 s at
-# 45,492 (sqrt(10^10+3)), against 3.4 s at 171,126 (sqrt(10^13+3)).
-_EXACT_CONVERGENTS = 1 << 16
-
-
 def cmd_verify(args) -> int:
     """Nine checks of sqrt(N), one line each, then the verdict; exit 1 when any fails.
 
     Convergent quality runs the norm recurrence of the convergents module
     docstring over two periods and checks N_k = (-1)^(k+1)*lam_{k+2} and
-    M_k = (-1)^k*mu_{k+1} against the trail. When the period ends within
-    _EXACT_CONVERGENTS quotients, it then runs convergents() to the period
-    end and compares that pair with pell_solutions(e)'s; past it, its
-    line says that the comparison was skipped.
+    M_k = (-1)^k*mu_{k+1} against the trail; then, at every period length, it
+    compares _last_convergent's period-end pair with pell_solutions(e)'s.
 
     The step budget reaches every check. The trace, the centre stop and
     the re-expanded tail take it as their own. The oracle's 3l + 1
@@ -454,11 +446,11 @@ def cmd_verify(args) -> int:
     lines = []
     ok = True
 
-    def check(name: str, fn) -> None:  # fn may return a note for its ok line
+    def check(name: str, fn) -> None:
         nonlocal ok
         try:
-            note = fn()
-            lines.append(f"check {name}: ok" if note is None else f"check {name}: ok ({note})")
+            fn()
+            lines.append(f"check {name}: ok")
         except (StepLimitExceeded, ResourceLimitExceeded, MemoryError):  # a budget ran out: exit 3, not a failed check
             raise
         except Exception as exc:  # report and keep going
@@ -521,9 +513,7 @@ def cmd_verify(args) -> int:
             if cross != (-mu if k % 2 else mu):
                 raise AssertionError(f"companion identity fails at convergent {k}")
         end = period if period % 2 == 0 else 2 * period  # the convergent k = end - 1 closes the Pell period
-        if end > _EXACT_CONVERGENTS:
-            return f"period-end comparison skipped: end {end} > {_EXACT_CONVERGENTS}"
-        if next(itertools.islice(convergents(stream), end - 1, None)) != trail_pell()[0]:
+        if _last_convergent(stream[:end]) != trail_pell()[0]:
             raise AssertionError(f"convergent {end - 1} is not the fundamental Pell solution")
 
     def pell():  # each side checks x^2 - N*y^2 = 1 (and -1) before it returns

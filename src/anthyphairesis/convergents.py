@@ -18,10 +18,10 @@ product needs: pell_solutions(N) takes them from a trail-free expansion
 that stops at the centre of the period; pell_solutions(e), given
 e = expand_sqrt(N), reads N off e, checks the palindrome, slices the period.
 
-convergents() and the product tree share no code, so `anth verify`
-checks that the convergent at the period end (k = l - 1 for an even
-period length l, 2l - 1 for an odd one) is pell_solutions' fundamental
-pair. It checks the quality of the convergents without forming them:
+`anth verify` compares the convergent at the period end (k = l - 1 for an
+even period length l, 2l - 1 for an odd one), _last_convergent's product of
+convergents() runs, with pell_solutions' pair: the two share no code. It
+checks the quality of the convergents without forming them:
 N_k = p_k^2 - N*q_k^2 and M_k = p_k*p_{k-1} - N*q_k*q_{k-1} follow
 N_{k+1} = a^2*N_k + 2a*M_k + N_{k-1} and M_{k+1} = a*N_k + M_k, with
 a = a_{k+1} and seeds N_{-2} = -N, N_{-1} = 1, M_{-1} = 0, in ints below 2*sqrt(N).
@@ -51,6 +51,20 @@ def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         yield p_cur, q_cur
+
+
+def _last_convergent(quotients: Sequence[int]) -> tuple[int, int]:
+    """The last convergent (p, q) of a non-empty quotient list. Each run of 64 quotients goes through
+    convergents() to the matrix [[p, p'], [q, q']] of its last two; these multiply in pairs, level by level."""
+    level = []
+    for i in range(0, len(quotients), 64):
+        *_, (p1, q1), (p, q) = (1, 0), *convergents(quotients[i : i + 64])  # (1, 0) is (p_{-1}, q_{-1})
+        level.append((p, p1, q, q1))
+    while len(level) > 1:  # an odd last matrix goes up a level as it is
+        odd = level[-1:] if len(level) % 2 else []
+        level = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                 for (a, b, c, d), (e, f, g, h) in zip(level[::2], level[1::2])] + odd
+    return level[0][0], level[0][2]
 
 
 _Matrix = tuple[int, int, int, int]  # [[a, b], [c, d]] row by row

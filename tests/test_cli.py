@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from anthyphairesis import cli
 from anthyphairesis.cli import InputError, _parse_spec, main
-from anthyphairesis.convergents import convergents, pell_solutions
+from anthyphairesis.convergents import pell_solutions
 from anthyphairesis.engine import Expansion, ResourceLimitExceeded, StepLimitExceeded, expand_sqrt
 from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.surd import QuadraticSurd
@@ -1235,6 +1235,21 @@ def test_verify_compares_the_period_end_convergent_with_pell(capsys, monkeypatch
     assert (code, out, err) == (1, "\n".join(lines) + "\nverify 19: FAILED\n", "")
 
 
+@pytest.mark.parametrize("n, k", [(19, 5), (200000089, 75909)], ids=["period 6", "odd period 37955"])
+def test_verify_fails_a_pell_pair_that_is_not_fundamental(capsys, monkeypatch, n, k):
+    # both Pell paths return the square of the fundamental unit, which solves x^2 - N*y^2 = 1 as well;
+    # only the period-end convergent shows it, at every period length (sqrt(200000089)'s ends at 75,910)
+    def squared(source, **budget):
+        (x, y), negative = pell_solutions(source, **budget)
+        return (x * x + n * y * y, 2 * x * y), negative
+
+    monkeypatch.setattr(cli, "pell_solutions", squared)
+    code, out, err = run(capsys, "verify", str(n))
+    failures = {"convergent quality": f"convergent {k} is not the fundamental Pell solution"}
+    lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
+    assert (code, out, err) == (1, "\n".join(lines) + f"\nverify {n}: FAILED\n", "")
+
+
 def test_verify_expands_pell_from_the_trail_once(capsys, monkeypatch):
     calls = []
 
@@ -1304,27 +1319,6 @@ def test_a_check_that_runs_out_of_budget_exits_3_with_one_line(capsys, monkeypat
     assert (code, out) == (3, "")
     reason = "step limit exhausted" if error is StepLimitExceeded else "memory limit reached"
     assert err == f"error: {reason}: sqrt(19): oracle out of budget\n"
-
-
-def test_verify_runs_convergents_to_the_period_end_only_within_the_bound(capsys, monkeypatch):
-    # every period that N <= 3000 reaches ends within the bound, so its comparison is exact
-    ends = (len(p) if len(p) % 2 == 0 else 2 * len(p) for p in (expand_sqrt(n).period for n in range(2, 3001)) if p)
-    assert max(ends) <= cli._EXACT_CONVERGENTS
-    calls = []
-
-    def counted(quotients):
-        calls.append(quotients)
-        return convergents(quotients)
-
-    monkeypatch.setattr(cli, "convergents", counted)
-    code, out, _ = run(capsys, "verify", "19")  # period 6, which ends at convergent 5
-    assert code == 0 and len(calls) == 1
-    monkeypatch.setattr(cli, "_EXACT_CONVERGENTS", 6)
-    assert run(capsys, "verify", "19") == (0, out, "") and len(calls) == 2
-    assert "check convergent quality: ok\n" in out
-    monkeypatch.setattr(cli, "_EXACT_CONVERGENTS", 5)  # past the bound the ok line says what it left out
-    skipped = out.replace("quality: ok\n", "quality: ok (period-end comparison skipped: end 6 > 5)\n")
-    assert run(capsys, "verify", "19") == (0, skipped, "") and len(calls) == 2
 
 
 def _json_reference(record: dict) -> str:

@@ -1,14 +1,18 @@
 """convergents: three-term recurrence, quality identity, Pell solutions."""
 
+import ast
+import inspect
 import itertools
 import math
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anthyphairesis import engine
-from anthyphairesis.convergents import _matrix_product, convergents, pell_fundamental, pell_negative, pell_solutions
+from anthyphairesis.convergents import _last_convergent, _matrix_product, convergents, pell_fundamental, pell_negative, pell_solutions
 from anthyphairesis.engine import expand_sqrt, expand_surd
 from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.surd import QuadraticSurd, is_perfect_square
@@ -133,6 +137,49 @@ def test_product_tree_equals_the_plain_product(seed):
         assert _matrix_product(qs, 0, n) == plain, n
         if n < 140:
             plain = _times(plain, (qs[n], 1, 1, 0))
+
+
+def test_last_convergent_at_every_length_across_the_runs():
+    # lengths 1..200 cross the 64-quotient run boundaries at 64, 128 and 192, and an odd matrix at each level
+    rng = random.Random(7)
+    draws = (lambda: 1, lambda: rng.randint(2, 300), lambda: rng.randint(2**64, 2**80))
+    qs = [rng.choice(draws)() for _ in range(200)]
+    for n, pair in enumerate(convergents(qs), 1):
+        assert _last_convergent(qs[:n]) == pair, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 2**70), min_size=1, max_size=200), st.integers(1, 4000))
+def test_last_convergent_is_the_last_of_convergents(pattern, length):
+    # a drawn pattern cycled to a drawn length, as verify cycles the period over the stream
+    qs = list(itertools.islice(itertools.cycle(pattern), length))
+    assert _last_convergent(qs) == list(convergents(qs))[-1]
+
+
+def _reachable(tree: ast.Module, roots: tuple[str, ...]) -> set[str]:
+    """Project functions called, directly or not, from the roots: a name defined in the module
+    is followed into its body, a name imported from the package is a leaf."""
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    project = set(bodies) | {alias.asname or alias.name for node in tree.body
+                             if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    seen, todo = set(), [bodies[root] for root in roots]
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in project - seen:
+                seen.add(node.func.id)
+                if node.func.id in bodies:
+                    todo.append(bodies[node.func.id])
+    return seen
+
+
+def test_the_period_end_product_shares_no_code_with_pell():
+    """verify compares _last_convergent with pell_solutions, so no project function may be reachable
+    from both: the allow-list is empty."""
+    tree = ast.parse(inspect.getsource(sys.modules["anthyphairesis.convergents"]))
+    product = _reachable(tree, ("_last_convergent",))
+    pell = _reachable(tree, ("pell_solutions", "_matrix_product"))
+    assert "convergents" in product and {"_matrix_product", "_to_centre"} <= pell
+    assert product.isdisjoint(pell), product & pell
 
 
 LONG_PERIOD_N = (1000003, 10000019, 92590649, 150008437)
