@@ -36,25 +36,23 @@ import argparse
 import contextlib
 import functools
 import itertools
-import operator
 import os
 import re
 import sys
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
-from .bookx import _trace_quotients, euler_trace, render_trace
-from .convergents import _last_convergent, convergents, pell_solutions
+from .bookx import euler_trace, render_trace
+from .convergents import convergents, pell_solutions
 from .engine import (
     Expansion,
     ResourceLimitExceeded,
     StepLimitExceeded,
     expand_sqrt,
     expand_surd,
-    pigeonhole_bound,
 )
 from .oracle import oracle_expand
-from .palindrome import omega_sequence, verify_palindrome
+from .palindrome import certify, verify_palindrome
 from .surd import QuadraticSurd, _dec, is_perfect_square
 
 __all__ = ["main"]
@@ -427,117 +425,11 @@ def cmd_approx(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Nine checks of sqrt(N), one line each, then the verdict; exit 1 when any fails.
-
-    Convergent quality runs the norm recurrence of the convergents module
-    docstring over two periods and checks N_k = (-1)^(k+1)*lam_{k+2} and
-    M_k = (-1)^k*mu_{k+1} against the trail; then, at every period length, it
-    compares _last_convergent's period-end pair with pell_solutions(e)'s.
-
-    The step budget reaches every check. The trace, the centre stop and
-    the re-expanded tail take it as their own. The oracle's 3l + 1
-    quotients must fit in it, which covers the 2l steps of the convergent
-    check after it. The other checks read only the expansion's states,
-    which fitted. A check that runs out stops verify with exit 3, not a
-    failed check.
-    """
     n = _non_square(args.N, "verify")
     limit = _step_limit()
-    lines = []
-    ok = True
-
-    def check(name: str, fn) -> None:
-        nonlocal ok
-        try:
-            fn()
-            lines.append(f"check {name}: ok")
-        except (StepLimitExceeded, ResourceLimitExceeded, MemoryError):  # a budget ran out: exit 3, not a failed check
-            raise
-        except Exception as exc:  # report and keep going
-            ok = False
-            lines.append(f"check {name}: FAIL ({exc})")
-
-    e = expand_sqrt(n, limit)  # e.mus, e.lams: the states (mu_k, lam_k) of phi_1 .. phi_{l+1}, viewed anew in each check
-    trail_pell = functools.cache(lambda: pell_solutions(e))  # a raise is not cached: each check asking reports it
-
-    def recurrences():
-        quots, mus, lams = e.quotients, e.mus, e.lams
-        for k in range(1, len(mus)):
-            if lams[k] * lams[k - 1] != n - mus[k - 1] * mus[k - 1]:
-                raise AssertionError(f"product identity fails at step {k + 1}")
-            if mus[k] + mus[k - 1] != quots[k] * lams[k]:
-                raise AssertionError(f"sum identity fails at step {k + 1}")
-
-    def bounds():
-        mus, lams = e.mus, e.lams
-        for k in range(1, len(mus)):
-            if not (1 <= lams[k] < n and mus[k] * mus[k] < n):
-                raise AssertionError(f"state bounds fail at step {k + 1}")
-        if len(e.preperiod) + len(e.period) - 1 >= pigeonhole_bound(n):
-            raise AssertionError("period not found before the pigeonhole bound")
-
-    def palindrome():
-        report = verify_palindrome(e)
-        if not report.holds:
-            raise AssertionError("period is not palindromic")
-
-    def omegas():
-        omega_sequence(e)
-
-    def oracle_agreement():
-        steps = 3 * len(e.period) + 1
-        if limit is not None and steps > limit:
-            raise StepLimitExceeded(
-                f"{QuadraticSurd.sqrt_of(n)}: oracle agreement needs {steps} steps, more than {limit} steps"
-            )
-        got = oracle_expand(QuadraticSurd.sqrt_of(n), steps)
-        expected = itertools.chain(e.preperiod, itertools.cycle(e.period))  # e.quotient_stream(steps), unbuilt
-        if len(got) != steps or not all(map(operator.eq, got, expected)):
-            raise AssertionError("oracle quotients diverge from the engine")
-
-    def trace_agreement():
-        if _trace_quotients(n, limit) != e.quotients:
-            raise AssertionError("symbolic trace quotients diverge from the engine")
-
-    def convergent_quality():  # mus and lams are mu_1.., lam_1..lam_{period+1}, cycled
-        mus, lams, period = e.mus, e.lams, len(e.period)
-        if len(lams) <= period:
-            raise AssertionError(f"period of {period} quotients is longer than the {len(lams) - 1} states of the trail")
-        stream = e.quotient_stream(2 * period)
-        norm_prev, norm, cross = -n, 1, 0  # N_{-2}, N_{-1}, M_{-1}
-        for k, a in enumerate(stream):
-            norm_prev, norm, cross = norm, a * (a * norm + 2 * cross) + norm_prev, a * norm + cross
-            lam, mu = lams[k % period + 1], mus[k % period]
-            if norm != (lam if k % 2 else -lam):
-                raise AssertionError(f"quality identity fails at convergent {k}")
-            if cross != (-mu if k % 2 else mu):
-                raise AssertionError(f"companion identity fails at convergent {k}")
-        end = period if period % 2 == 0 else 2 * period  # the convergent k = end - 1 closes the Pell period
-        if _last_convergent(stream[:end]) != trail_pell()[0]:
-            raise AssertionError(f"convergent {end - 1} is not the fundamental Pell solution")
-
-    def pell():  # each side checks x^2 - N*y^2 = 1 (and -1) before it returns
-        if trail_pell() != pell_solutions(n, max_steps=limit):
-            raise AssertionError("the full period and the centre stop give different solutions")
-
-    def pure_tail():  # the last check: it frees e first, since its re-expansion builds a trail as large as e's
-        nonlocal e
-        tail, period = QuadraticSurd(e.mus[0], n, e.lams[1]), e.period
-        del e
-        te = expand_surd(tail, limit)
-        if te.preperiod != () or te.period != period:
-            raise AssertionError("re-expanded tail is not purely periodic with the same period")
-
-    check("recurrence identities", recurrences)
-    check("state bounds and pigeonhole", bounds)
-    check("palindrome (both routes)", palindrome)
-    check("omega identities", omegas)
-    check("oracle agreement (3 periods)", oracle_agreement)
-    check("symbolic trace agreement", trace_agreement)
-    check("convergent quality", convergent_quality)
-    check("pell fundamental", pell)
-    check("purely periodic tail", pure_tail)
-
+    outcomes = list(certify(expand_sqrt(n, limit), limit))  # every check runs before any line: a budget that runs out prints none
+    lines = [f"check {name}: " + ("ok" if message is None else f"FAIL ({message})") for name, message in outcomes]
+    ok = all(message is None for _, message in outcomes)
     lines.append(f"verify {n}: {'all checks passed' if ok else 'FAILED'}")
     _emit(lines, args.out)
     return 0 if ok else 1

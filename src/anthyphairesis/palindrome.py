@@ -1,4 +1,4 @@
-"""Palindrome verification for expansion periods, two independent ways.
+"""Palindrome verification for expansion periods, two independent ways, and verify's nine checks.
 
 The cheap way reads the quotient list directly: the period minus its
 final quotient must be a palindrome and the final quotient must be twice
@@ -14,12 +14,15 @@ disagree, which is a bug.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import pairwise
 
-from .bookx import _is_beta_squared, _plus_beta, basis, conjugate
-from .engine import Expansion, increment_factors
+from .bookx import _is_beta_squared, _plus_beta, _trace_quotients, basis, conjugate
+from .engine import Expansion, ResourceLimitExceeded, StepLimitExceeded, expand_surd, increment_factors, pigeonhole_bound
+from .oracle import oracle_expand
 from .surd import QuadraticSurd
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "omega_sequence",
     "find_reflection",
     "period_stats",
+    "certify",
 ]
 
 
@@ -116,7 +120,7 @@ def omega_sequence(e: Expansion) -> Iterator[tuple[int, int]]:
             raise AssertionError(f"omega_{n}*(I_{n - 1}*beta + omega_{n - 1}) != beta^2 for {QuadraticSurd.sqrt_of(N)}")
         prev = w
     del mus, lams, quotients  # the increment pass takes views of its own
-    return ((mu, lam_next) for (mu, _), (_, lam_next) in pairwise(increment_factors(e)))
+    return ((mu, lam_next) for (mu, _), (_, lam_next) in itertools.pairwise(increment_factors(e)))
 
 
 def _palindromic(period: tuple[int, ...], m: int) -> bool:
@@ -164,3 +168,112 @@ def period_stats(e: Expansion) -> tuple[int, int, int]:
         raise ValueError("expansion carries no states")
     l = len(e.period)
     return (l, l, l + 1)
+
+
+def certify(e: Expansion, limit: int | None = None) -> Iterator[tuple[str, str | None]]:
+    """verify's nine checks of e = expand_sqrt(N), N its radicand, in order: (name, None) for a pass, else (name, str(error)).
+
+    Convergent quality runs the norm recurrence of the convergents module
+    docstring over two periods and checks N_k = (-1)^(k+1)*lam_{k+2} and
+    M_k = (-1)^k*mu_{k+1} against the trail; then, at every period length, it
+    compares _last_convergent's period-end pair with pell_solutions(e)'s.
+
+    The step budget limit reaches every check. The trace, the centre stop
+    and the re-expanded tail take it as their own. The oracle's 3l + 1
+    quotients must fit in it, which covers the 2l steps of the convergent
+    check after it. The other checks read only the expansion's states,
+    which fitted. A check that runs out raises StepLimitExceeded,
+    ResourceLimitExceeded or MemoryError out of certify: it has not failed.
+    """
+    from .convergents import _last_convergent, pell_solutions  # convergents imports this module
+
+    n = e.radicand
+    trail_pell = functools.cache(lambda: pell_solutions(e))  # a raise is not cached: each check asking reports it
+
+    def recurrences():
+        quots, mus, lams = e.quotients, e.mus, e.lams
+        for k in range(1, len(mus)):
+            if lams[k] * lams[k - 1] != n - mus[k - 1] * mus[k - 1]:
+                raise AssertionError(f"product identity fails at step {k + 1}")
+            if mus[k] + mus[k - 1] != quots[k] * lams[k]:
+                raise AssertionError(f"sum identity fails at step {k + 1}")
+
+    def bounds():
+        mus, lams = e.mus, e.lams
+        for k in range(1, len(mus)):
+            if not (1 <= lams[k] < n and mus[k] * mus[k] < n):
+                raise AssertionError(f"state bounds fail at step {k + 1}")
+        if len(e.preperiod) + len(e.period) - 1 >= pigeonhole_bound(n):
+            raise AssertionError("period not found before the pigeonhole bound")
+
+    def palindrome():
+        report = verify_palindrome(e)
+        if not report.holds:
+            raise AssertionError("period is not palindromic")
+
+    def omegas():
+        omega_sequence(e)
+
+    def oracle_agreement():
+        steps = 3 * len(e.period) + 1
+        if limit is not None and steps > limit:
+            raise StepLimitExceeded(
+                f"{QuadraticSurd.sqrt_of(n)}: oracle agreement needs {steps} steps, more than {limit} steps"
+            )
+        got = oracle_expand(QuadraticSurd.sqrt_of(n), steps)
+        expected = itertools.chain(e.preperiod, itertools.cycle(e.period))  # e.quotient_stream(steps), unbuilt
+        if len(got) != steps or not all(map(operator.eq, got, expected)):
+            raise AssertionError("oracle quotients diverge from the engine")
+
+    def trace_agreement():
+        if _trace_quotients(n, limit) != e.quotients:
+            raise AssertionError("symbolic trace quotients diverge from the engine")
+
+    def convergent_quality():  # mus and lams are mu_1.., lam_1..lam_{period+1}, cycled
+        mus, lams, period = e.mus, e.lams, len(e.period)
+        if len(lams) <= period:
+            raise AssertionError(f"period of {period} quotients is longer than the {len(lams) - 1} states of the trail")
+        stream = e.quotient_stream(2 * period)
+        norm_prev, norm, cross = -n, 1, 0  # N_{-2}, N_{-1}, M_{-1}
+        for k, a in enumerate(stream):
+            norm_prev, norm, cross = norm, a * (a * norm + 2 * cross) + norm_prev, a * norm + cross
+            lam, mu = lams[k % period + 1], mus[k % period]
+            if norm != (lam if k % 2 else -lam):
+                raise AssertionError(f"quality identity fails at convergent {k}")
+            if cross != (-mu if k % 2 else mu):
+                raise AssertionError(f"companion identity fails at convergent {k}")
+        end = period if period % 2 == 0 else 2 * period  # the convergent k = end - 1 closes the Pell period
+        if _last_convergent(stream[:end]) != trail_pell()[0]:
+            raise AssertionError(f"convergent {end - 1} is not the fundamental Pell solution")
+
+    def pell():  # each side checks x^2 - N*y^2 = 1 (and -1) before it returns
+        if trail_pell() != pell_solutions(n, max_steps=limit):
+            raise AssertionError("the full period and the centre stop give different solutions")
+
+    def pure_tail():  # the last check: it frees e first, since its re-expansion builds a trail as large as e's
+        nonlocal e
+        tail, period = QuadraticSurd(e.mus[0], n, e.lams[1]), e.period
+        del e
+        te = expand_surd(tail, limit)
+        if te.preperiod != () or te.period != period:
+            raise AssertionError("re-expanded tail is not purely periodic with the same period")
+
+    for name, check in (
+        ("recurrence identities", recurrences),
+        ("state bounds and pigeonhole", bounds),
+        ("palindrome (both routes)", palindrome),
+        ("omega identities", omegas),
+        ("oracle agreement (3 periods)", oracle_agreement),
+        ("symbolic trace agreement", trace_agreement),
+        ("convergent quality", convergent_quality),
+        ("pell fundamental", pell),
+        ("purely periodic tail", pure_tail),
+    ):
+        message = None
+        try:
+            check()
+        except (StepLimitExceeded, ResourceLimitExceeded, MemoryError):  # a budget ran out: not a failed check
+            raise
+        except Exception as exc:  # report and keep going
+            message = str(exc)  # not exc: its traceback would hold views of the trail
+        yield name, message

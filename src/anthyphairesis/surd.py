@@ -7,6 +7,7 @@ and square tests are exact for arbitrarily large operands.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 __all__ = [
@@ -37,14 +38,13 @@ def is_perfect_square(n: int) -> bool:
 def _dec(n: int) -> str:
     """Decimal digits of an exact integer, whatever Python's int-to-str limit is.
 
-    Integers too long for one str() call are split at a power of ten into
-    halves, rendered separately and joined, so output never hits the limit
-    (sys.set_int_max_str_digits), which stays in force for parsing input.
+    An integer of 3*limit bits or more, which may have more digits than the
+    limit (sys.set_int_max_str_digits) allows, is split at a power of ten into
+    halves, rendered separately and joined: no str() call hits the limit, which stays in force for parsing input.
     """
-    try:
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (int() where Python has no limit): no limit
+    if not limit or n.bit_length() < 3 * limit:  # then |n| < 8**limit: at most limit digits, and str() holds them
         return str(n)
-    except ValueError:  # over the limit
-        pass
     if n < 0:
         return "-" + _dec(-n)
     k = n.bit_length() * 3 // 20  # about half of n's decimal digits, so 10**k < n

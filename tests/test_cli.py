@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from anthyphairesis import cli
+from anthyphairesis import cli, palindrome
 from anthyphairesis.cli import InputError, _parse_spec, main
 from anthyphairesis.convergents import pell_solutions
 from anthyphairesis.engine import Expansion, ResourceLimitExceeded, StepLimitExceeded, expand_sqrt
@@ -23,6 +23,7 @@ from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.surd import QuadraticSurd
 from test_cli_transcript import CASES as TRANSCRIPT_CASES
 
+CONVERGENTS = sys.modules["anthyphairesis.convergents"]  # the package's `convergents` is the function
 GOLDEN_54 = os.path.join(os.path.dirname(__file__), "..", "goldens", "trace54.txt")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -402,6 +403,25 @@ def test_dec_renders_past_the_int_str_limit(low_int_str_limit):
         sys.set_int_max_str_digits(0)
     assert [int(text) for text in rendered] == values
     assert rendered[3] == "1" + "0" * 600
+
+
+def test_dec_makes_no_str_call_that_must_fail(low_int_str_limit):
+    # below about 14,430 bits, Python 3.11 converts an int past the limit in full before str() raises
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("needs Python's int-to-str digit limit")
+    calls = []
+
+    class Recorded(int):
+        def __str__(self):
+            calls.append(self.bit_length())  # not the int: its repr may be past the limit
+            return int.__str__(self)
+
+    values = [10**640, -(10**640), 10**640 + 1, 7 * 10**700, 3**20000]  # 641 digits or more, the limit 640
+    rendered = [cli._dec(Recorded(v)) for v in values]
+    assert calls == []
+    sys.set_int_max_str_digits(0)
+    assert [int(text) for text in rendered] == values
+    assert cli._dec(Recorded(7)) == "7" and calls == [3]
 
 
 def test_pell_over_4300_digits_renders(capsys, low_int_str_limit):
@@ -913,7 +933,7 @@ def test_verify_omega_and_oracle_checks_hold_one_copy_of_what_they_compare(capsy
     # of the oracle's 3l + 1 quotients takes its check from about 12 to about 18 B a step
     import tracemalloc
 
-    from anthyphairesis import engine, palindrome
+    from anthyphairesis import engine
 
     n = 10**7 + 3
     e = expand_sqrt(n)
@@ -935,9 +955,9 @@ def test_verify_omega_and_oracle_checks_hold_one_copy_of_what_they_compare(capsy
         marks["oracle"] = peak()
         return trace_quotients(*args)
 
-    omega_sequence, trace_quotients = cli.omega_sequence, cli._trace_quotients
-    monkeypatch.setattr(cli, "omega_sequence", omegas_then_mark)
-    monkeypatch.setattr(cli, "_trace_quotients", trace_after_oracle)
+    omega_sequence, trace_quotients = palindrome.omega_sequence, palindrome._trace_quotients
+    monkeypatch.setattr(palindrome, "omega_sequence", omegas_then_mark)
+    monkeypatch.setattr(palindrome, "_trace_quotients", trace_after_oracle)
     tracemalloc.start()
     try:
         mark()
@@ -1110,7 +1130,7 @@ def test_memory_error_in_a_verify_check_exits_3_not_failed(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "oracle_expand", exhausted)
+    monkeypatch.setattr(palindrome, "oracle_expand", exhausted)
     code, out, err = run(capsys, "verify", "54")
     assert code == 3
     assert err.count("\n") == 1 and err.startswith("error: memory limit reached: ")
@@ -1139,82 +1159,83 @@ _VERIFY_CHECKS = (
 )
 
 
-@pytest.mark.parametrize(
-    "tamper, failures",
-    [
-        (
-            _swap_first_two_quotients,
-            {
-                "recurrence identities": "sum identity fails at step 2",
-                "palindrome (both routes)": "period is not palindromic",
-                "omega identities": "omega_2*(I_1*beta + omega_1) != beta^2 for sqrt(19)",
-                "oracle agreement (3 periods)": "oracle quotients diverge from the engine",
-                "symbolic trace agreement": "symbolic trace quotients diverge from the engine",
-                "convergent quality": "quality identity fails at convergent 1",
-                "pell fundamental": "period of sqrt(19) is not palindromic",
-                "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
-            },
-        ),
-        (
-            _tamper_trail(5, lambda v: v + 1),  # q_2, which is lam_3
-            {
-                "recurrence identities": "product identity fails at step 3",
-                "omega identities": "omega_2 is not the inverse of (phi_2)* for sqrt(19)",
-                "convergent quality": "quality identity fails at convergent 1",
-            },
-        ),
-        (
-            _tamper_trail(4, lambda v: v + 1),  # p_2, which is mu_2
-            {
-                "recurrence identities": "sum identity fails at step 2",
-                "palindrome (both routes)": "quotient-level and reflection-level palindrome verdicts disagree",
-                "omega identities": "omega_2 is not the inverse of (phi_2)* for sqrt(19)",
-                "convergent quality": "companion identity fails at convergent 1",
-            },
-        ),
-        (
-            _tamper_trail(3, lambda v: 19),  # a lambda, set to N
-            {
-                "recurrence identities": "product identity fails at step 2",
-                "state bounds and pigeonhole": "state bounds fail at step 2",
-                "omega identities": "omega_1 is not the inverse of (phi_1)* for sqrt(19)",
-                "convergent quality": "quality identity fails at convergent 0",
-                "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
-            },
-        ),
-        (
-            lambda e: e._replace(period=e.period * 2),  # still palindromic: its Pell pair solves x^2 - N*y^2 = 1 but is the fundamental one squared
-            {
-                "palindrome (both routes)": "quotient-level and reflection-level palindrome verdicts disagree",
-                "symbolic trace agreement": "symbolic trace quotients diverge from the engine",
-                "convergent quality": "period of 12 quotients is longer than the 6 states of the trail",
-                "pell fundamental": "the full period and the centre stop give different solutions",
-                "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
-            },
-        ),
-        (
-            _tamper_trail(3, lambda v: 0),  # a lambda, set to 0
-            {
-                "recurrence identities": "product identity fails at step 2",
-                "state bounds and pigeonhole": "state bounds fail at step 2",
-                "omega identities": "omega_1 is not the inverse of (phi_1)* for sqrt(19)",
-                "convergent quality": "quality identity fails at convergent 0",
-                "purely periodic tail": "denominator must be non-zero",
-            },
-        ),
-        (
-            _tamper_trail(3, lambda v: -5),  # a lambda, made negative
-            {
-                "recurrence identities": "product identity fails at step 2",
-                "state bounds and pigeonhole": "state bounds fail at step 2",
-                "omega identities": "omega_1 is not the inverse of (phi_1)* for sqrt(19)",
-                "convergent quality": "quality identity fails at convergent 0",
-                "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
-            },
-        ),
-    ],
-    ids=["swapped quotients", "mu off by one", "mu_2 off by one", "lambda set to N", "period doubled", "lambda set to 0", "lambda negative"],
-)
+# seeded faults of sqrt(19)'s expansion, each with the message of every check it fails
+TAMPERED = [
+    (
+        _swap_first_two_quotients,
+        {
+            "recurrence identities": "sum identity fails at step 2",
+            "palindrome (both routes)": "period is not palindromic",
+            "omega identities": "omega_2*(I_1*beta + omega_1) != beta^2 for sqrt(19)",
+            "oracle agreement (3 periods)": "oracle quotients diverge from the engine",
+            "symbolic trace agreement": "symbolic trace quotients diverge from the engine",
+            "convergent quality": "quality identity fails at convergent 1",
+            "pell fundamental": "period of sqrt(19) is not palindromic",
+            "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
+        },
+    ),
+    (
+        _tamper_trail(5, lambda v: v + 1),  # q_2, which is lam_3
+        {
+            "recurrence identities": "product identity fails at step 3",
+            "omega identities": "omega_2 is not the inverse of (phi_2)* for sqrt(19)",
+            "convergent quality": "quality identity fails at convergent 1",
+        },
+    ),
+    (
+        _tamper_trail(4, lambda v: v + 1),  # p_2, which is mu_2
+        {
+            "recurrence identities": "sum identity fails at step 2",
+            "palindrome (both routes)": "quotient-level and reflection-level palindrome verdicts disagree",
+            "omega identities": "omega_2 is not the inverse of (phi_2)* for sqrt(19)",
+            "convergent quality": "companion identity fails at convergent 1",
+        },
+    ),
+    (
+        _tamper_trail(3, lambda v: 19),  # a lambda, set to N
+        {
+            "recurrence identities": "product identity fails at step 2",
+            "state bounds and pigeonhole": "state bounds fail at step 2",
+            "omega identities": "omega_1 is not the inverse of (phi_1)* for sqrt(19)",
+            "convergent quality": "quality identity fails at convergent 0",
+            "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
+        },
+    ),
+    (
+        lambda e: e._replace(period=e.period * 2),  # still palindromic: its Pell pair solves x^2 - N*y^2 = 1 but is the fundamental one squared
+        {
+            "palindrome (both routes)": "quotient-level and reflection-level palindrome verdicts disagree",
+            "symbolic trace agreement": "symbolic trace quotients diverge from the engine",
+            "convergent quality": "period of 12 quotients is longer than the 6 states of the trail",
+            "pell fundamental": "the full period and the centre stop give different solutions",
+            "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
+        },
+    ),
+    (
+        _tamper_trail(3, lambda v: 0),  # a lambda, set to 0
+        {
+            "recurrence identities": "product identity fails at step 2",
+            "state bounds and pigeonhole": "state bounds fail at step 2",
+            "omega identities": "omega_1 is not the inverse of (phi_1)* for sqrt(19)",
+            "convergent quality": "quality identity fails at convergent 0",
+            "purely periodic tail": "denominator must be non-zero",
+        },
+    ),
+    (
+        _tamper_trail(3, lambda v: -5),  # a lambda, made negative
+        {
+            "recurrence identities": "product identity fails at step 2",
+            "state bounds and pigeonhole": "state bounds fail at step 2",
+            "omega identities": "omega_1 is not the inverse of (phi_1)* for sqrt(19)",
+            "convergent quality": "quality identity fails at convergent 0",
+            "purely periodic tail": "re-expanded tail is not purely periodic with the same period",
+        },
+    ),
+]
+TAMPERED_IDS = ["swapped quotients", "mu off by one", "mu_2 off by one", "lambda set to N", "period doubled", "lambda set to 0", "lambda negative"]
+
+
+@pytest.mark.parametrize("tamper, failures", TAMPERED, ids=TAMPERED_IDS)
 def test_a_tampered_expansion_fails_verify(capsys, monkeypatch, tamper, failures):
     monkeypatch.setattr(cli, "expand_sqrt", lambda n, *rest: tamper(expand_sqrt(n, *rest)))
     code, out, err = run(capsys, "verify", "19")
@@ -1228,7 +1249,7 @@ def test_verify_compares_the_period_end_convergent_with_pell(capsys, monkeypatch
         (x, y), negative = pell_solutions(source, **budget)
         return (x + 1, y), negative
 
-    monkeypatch.setattr(cli, "pell_solutions", off_by_one)
+    monkeypatch.setattr(CONVERGENTS, "pell_solutions", off_by_one)
     code, out, err = run(capsys, "verify", "19")
     failures = {"convergent quality": "convergent 5 is not the fundamental Pell solution"}
     lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
@@ -1243,7 +1264,7 @@ def test_verify_fails_a_pell_pair_that_is_not_fundamental(capsys, monkeypatch, n
         (x, y), negative = pell_solutions(source, **budget)
         return (x * x + n * y * y, 2 * x * y), negative
 
-    monkeypatch.setattr(cli, "pell_solutions", squared)
+    monkeypatch.setattr(CONVERGENTS, "pell_solutions", squared)
     code, out, err = run(capsys, "verify", str(n))
     failures = {"convergent quality": f"convergent {k} is not the fundamental Pell solution"}
     lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
@@ -1257,7 +1278,7 @@ def test_verify_expands_pell_from_the_trail_once(capsys, monkeypatch):
         calls.append(isinstance(source, Expansion))
         return pell_solutions(source, **budget)
 
-    monkeypatch.setattr(cli, "pell_solutions", counted)
+    monkeypatch.setattr(CONVERGENTS, "pell_solutions", counted)
     assert run(capsys, "verify", "19")[0] == 0
     assert calls == [True, False]  # the trail's, then the centre stop's
 
@@ -1268,7 +1289,7 @@ def test_verify_reports_a_raising_pell_in_each_check_that_asks(capsys, monkeypat
             raise ArithmeticError("pell from the trail fails")
         return pell_solutions(source)
 
-    monkeypatch.setattr(cli, "pell_solutions", raising)
+    monkeypatch.setattr(CONVERGENTS, "pell_solutions", raising)
     code, out, err = run(capsys, "verify", "19")
     failures = {name: "pell from the trail fails" for name in ("convergent quality", "pell fundamental")}
     lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
@@ -1301,8 +1322,8 @@ def test_verify_passes_its_step_budget_to_the_trace_the_centre_stop_and_the_tail
 
         return call
 
-    for name in ("_trace_quotients", "pell_solutions", "expand_surd"):
-        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+    for holder, name in ((palindrome, "_trace_quotients"), (CONVERGENTS, "pell_solutions"), (palindrome, "expand_surd")):
+        monkeypatch.setattr(holder, name, recorded(name, getattr(holder, name)))
     monkeypatch.setenv("ANTH_MAX_STEPS", "40")
     assert run(capsys, "verify", "19")[0] == 0
     # pell_solutions(e) from the trail takes no steps; the centre stop gets the budget
@@ -1314,7 +1335,7 @@ def test_a_check_that_runs_out_of_budget_exits_3_with_one_line(capsys, monkeypat
     def exhausted(*args):
         raise error("sqrt(19): oracle out of budget")
 
-    monkeypatch.setattr(cli, "oracle_expand", exhausted)
+    monkeypatch.setattr(palindrome, "oracle_expand", exhausted)
     code, out, err = run(capsys, "verify", "19")
     assert (code, out) == (3, "")
     reason = "step limit exhausted" if error is StepLimitExceeded else "memory limit reached"

@@ -182,6 +182,55 @@ def test_the_period_end_product_shares_no_code_with_pell():
     assert product.isdisjoint(pell), product & pell
 
 
+def _package_references() -> dict[str, set[str]]:
+    """Each function and class of the library modules, as module.name, mapped to the project names
+    its body refers to: its module's own, and those imported from the package at the top or at call time."""
+    refs = {}
+    for short in ("bookx", "convergents", "engine", "oracle", "palindrome", "surd"):
+        tree = ast.parse(inspect.getsource(sys.modules[f"anthyphairesis.{short}"]))
+        defined = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        names = {node.name: f"{short}.{node.name}" for node in defined}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names |= {alias.asname or alias.name: f"{node.module}.{alias.name}" for alias in node.names}
+        for node in defined:  # a class's body holds its methods: QuadraticSurd reaches _dec through __str__
+            body = (name for stmt in node.body for name in ast.walk(stmt) if isinstance(name, ast.Name))
+            refs[f"{short}.{node.name}"] = {names[name.id] for name in body if name.id in names}
+    return refs
+
+
+def test_the_steppers_share_only_the_budget_net_the_surd_type_and_isqrt():
+    """The six steppers of the three derivations, and Pell's two products, reach the project functions and
+    classes of their own, except for this allow-list, which is exactly what some two of them share:
+    - the budget net: engine._budget, _exhausted, _memory_steps, pigeonhole_bound, StepLimitExceeded and
+      ResourceLimitExceeded;
+    - surd.QuadraticSurd (the messages name the surd), with surd._dec, which its __str__ reaches;
+    - surd.isqrt.
+    surd.normalize, which expand_surd and oracle_expand share, lies outside the steppers."""
+    allowed = {
+        "engine._budget", "engine._exhausted", "engine._memory_steps", "engine.pigeonhole_bound",
+        "engine.StepLimitExceeded", "engine.ResourceLimitExceeded", "surd.QuadraticSurd", "surd._dec", "surd.isqrt",
+    }
+    refs = _package_references()
+    steppers = ("engine._anthyphairesis", "engine._to_centre", "oracle.oracle_expand", "bookx._trace_steps",
+                "convergents._matrix_product", "convergents._last_convergent")
+    reach = {}
+    for root in steppers:
+        seen, todo = {root}, [root]
+        while todo:
+            for name in refs.get(todo.pop(), set()) - seen:
+                seen.add(name)
+                todo.append(name)
+        reach[root] = seen
+    assert {"surd.floor_surd", "surd.normalize"} <= reach["oracle.oracle_expand"]
+    assert {"bookx.inverse_wrt_beta_squared", "engine._budget"} <= reach["bookx._trace_steps"]  # a call-time import
+    shared = set()
+    for a, b in itertools.combinations(steppers, 2):
+        assert reach[a] & reach[b] <= allowed, (a, b, reach[a] & reach[b] - allowed)
+        shared |= reach[a] & reach[b]
+    assert shared == allowed
+
+
 LONG_PERIOD_N = (1000003, 10000019, 92590649, 150008437)
 
 

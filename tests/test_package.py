@@ -29,7 +29,7 @@ def test_package_exports_every_public_name():
 
 PUBLIC_NAMES = [
     "Expansion", "PalindromeReport", "QuadraticSurd", "ReflectionNotFound",
-    "ResourceLimitExceeded", "StepLimitExceeded", "TraceStep", "basis", "classify", "conjugate",
+    "ResourceLimitExceeded", "StepLimitExceeded", "TraceStep", "basis", "certify", "classify", "conjugate",
     "convergents", "euler_trace", "expand_sqrt", "expand_surd", "find_reflection", "floor_surd",
     "increment_factors", "inverse_wrt_beta_squared", "is_perfect_square", "isqrt", "line_mul",
     "logos_cross_check", "normalize", "omega_sequence", "oracle_expand", "pell_fundamental",
@@ -39,7 +39,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 35
     assert anthyphairesis.__all__ == PUBLIC_NAMES
     assert cli.__all__ == ["main"]  # the command line exports only its entry point
 

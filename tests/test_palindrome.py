@@ -2,18 +2,30 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
-from anthyphairesis.engine import Expansion, expand_sqrt, expand_surd, increment_factors
+from anthyphairesis import palindrome
+from anthyphairesis.engine import (
+    Expansion,
+    ResourceLimitExceeded,
+    StepLimitExceeded,
+    expand_sqrt,
+    expand_surd,
+    increment_factors,
+)
+from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.palindrome import (
     ReflectionNotFound,
+    certify,
     find_reflection,
     omega_sequence,
     period_stats,
     verify_palindrome,
 )
 from anthyphairesis.surd import QuadraticSurd, is_perfect_square, normalize
+from test_cli import _VERIFY_CHECKS, TAMPERED
 
 
 def test_verify_palindrome_paper_periods():
@@ -214,3 +226,102 @@ def test_tampered_state_fails_both_symbolic_checks(n):
                 increment_factors(tampered)
             with pytest.raises(ValueError if i == closing_mu else AssertionError):
                 omega_sequence(tampered)
+
+
+# certify: the checks of `anth verify`, run on an expansion with no CLI
+
+CONVERGENTS = sys.modules["anthyphairesis.convergents"]  # the package's `convergents` is the function
+
+
+def _outcomes(failures: dict[str, str] | None = None) -> list[tuple[str, str | None]]:
+    """certify's pairs, in order, when the checks named fail with the messages given and the others pass."""
+    return [(name, (failures or {}).get(name)) for name in _VERIFY_CHECKS]
+
+
+@pytest.mark.parametrize("n", [2, 3, 13, 19, 46, 54, 61, 94, 1000003])
+def test_certify_passes_every_check_in_order(n):
+    assert list(certify(expand_sqrt(n))) == _outcomes()
+
+
+def test_certify_reports_what_a_tampered_expansion_fails():
+    # the seeded faults of verify's CLI tests, each with the same messages
+    for tamper, failures in TAMPERED:
+        assert list(certify(tamper(expand_sqrt(19)))) == _outcomes(failures)
+
+
+def test_certify_reports_a_wrong_oracle_quotient(monkeypatch):
+    def one_wrong(s, steps):
+        quotients = oracle_expand(s, steps)
+        quotients[7] += 1
+        return quotients
+
+    monkeypatch.setattr(palindrome, "oracle_expand", one_wrong)
+    failures = {"oracle agreement (3 periods)": "oracle quotients diverge from the engine"}
+    assert list(certify(expand_sqrt(19))) == _outcomes(failures)
+
+
+@pytest.mark.parametrize("n, k", [(19, 5), (13, 9)], ids=["even period 6", "odd period 5"])
+def test_certify_reports_a_pell_pair_that_is_not_fundamental(monkeypatch, n, k):
+    # both Pell paths return the square of the fundamental pair: only the period-end convergent shows it
+    pell_solutions = CONVERGENTS.pell_solutions
+
+    def squared(source, **budget):
+        (x, y), negative = pell_solutions(source, **budget)
+        return (x * x + n * y * y, 2 * x * y), negative
+
+    monkeypatch.setattr(CONVERGENTS, "pell_solutions", squared)
+    failures = {"convergent quality": f"convergent {k} is not the fundamental Pell solution"}
+    assert list(certify(expand_sqrt(n))) == _outcomes(failures)
+
+
+def test_certify_reports_a_raising_pell_in_each_check_that_asks(monkeypatch):
+    pell_solutions = CONVERGENTS.pell_solutions
+
+    def raising(source, **budget):
+        if isinstance(source, Expansion):
+            raise ArithmeticError("pell from the trail fails")
+        return pell_solutions(source, **budget)
+
+    monkeypatch.setattr(CONVERGENTS, "pell_solutions", raising)
+    failures = {name: "pell from the trail fails" for name in ("convergent quality", "pell fundamental")}
+    assert list(certify(expand_sqrt(19))) == _outcomes(failures)
+
+
+@pytest.mark.parametrize("error", [StepLimitExceeded, ResourceLimitExceeded, MemoryError])
+def test_certify_lets_a_budget_error_out_after_the_checks_before_it(monkeypatch, error):
+    def exhausted(*args):
+        raise error("sqrt(19): oracle out of budget")
+
+    monkeypatch.setattr(palindrome, "oracle_expand", exhausted)
+    checks = certify(expand_sqrt(19))
+    assert list(itertools.islice(checks, 4)) == _outcomes()[:4]
+    with pytest.raises(error, match=r"^sqrt\(19\): oracle out of budget$"):
+        next(checks)
+
+
+def test_certify_takes_the_step_budget():
+    # 6 steps fit the expansion of sqrt(19) (period 6) but not the oracle's 3l + 1 = 19 quotients
+    with pytest.raises(StepLimitExceeded, match=r"^sqrt\(19\): oracle agreement needs 19 steps, more than 6 steps$"):
+        list(certify(expand_sqrt(19, 6), 6))
+    assert list(certify(expand_sqrt(19, 19), 19)) == _outcomes()
+
+
+def test_certify_frees_the_expansion_before_it_expands_the_tail(monkeypatch):
+    # the tail's expansion builds a trail as large as e's: e must be gone by then
+    freed = []
+
+    class Marked(int):  # the closing q of the trail, which neither the tail nor any check keeps
+        def __del__(self):
+            freed.append(int(self))
+
+    def marked(n):
+        e = expand_sqrt(n)
+        return e._replace(trail=e.trail[:-1] + (Marked(e.trail[-1]),))
+
+    def expanding(*args):
+        assert freed == [3]  # q_7 = q_1 = 19 - 4^2
+        return expand_surd(*args)
+
+    monkeypatch.setattr(palindrome, "expand_surd", expanding)
+    outcomes = list(certify(marked(19)))  # not inside the assert, whose rewriting would keep the expansion
+    assert outcomes == _outcomes() and freed == [3]
