@@ -28,9 +28,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from math import gcd, isqrt
-from operator import itemgetter
 
-from .surd import QuadraticSurd, is_perfect_square
+from .surd import QuadraticSurd, _budget, _exhausted, is_perfect_square
 
 __all__ = [
     "TraceStep",
@@ -202,12 +201,6 @@ class TraceStep(namedtuple("TraceStep", "index lam mu phi product_constant psi q
 # come to about 1.2 KB, the steps alone to 445 B (sqrt(10^8+3), tracemalloc).
 _TRACE_STEP_BYTES = 4096
 
-# Peak bytes one quotient-only trace step costs verify: its quotient in a list, then
-# in the tuple, 16.6 (sqrt(10^13+3), tracemalloc). Charged about twice that, on top of
-# the trail step of the same index, which verify holds beside it.
-_TRACE_QUOTIENT_BYTES = 32
-
-
 def _as_lambda_mu(phi: Triple) -> tuple[int, int]:
     # phi = (alpha - mu*beta)/lam for natural lam, mu
     a, b, lam = phi
@@ -230,9 +223,6 @@ def _trace_steps(N: int, max_steps: int | None, bytes_per_step: int) -> Iterator
     ResourceLimitExceeded first when steps of bytes_per_step would
     outgrow memory.
     """
-    # the step safety net only; no stepping code is shared with the engine
-    from .engine import _budget, _exhausted
-
     if N < 2 or isqrt(N) ** 2 == N:
         raise ValueError("N must be a non-square integer >= 2")
     max_steps, limit = _budget(1, N, max_steps, bytes_per_step)
@@ -265,14 +255,6 @@ def euler_trace(N: int, max_steps: int | None = None) -> list[TraceStep]:
     first = steps[0]
     steps.append(TraceStep(len(steps) + 1, first.lam, first.mu, first.phi, None, None, None, 1))
     return steps
-
-
-def _trace_quotients(N: int, max_steps: int | None = None) -> tuple[int, ...]:
-    """The quotients m, a_1, .., a_l of the symbolic trace of sqrt(N): _trace_steps' checks, no TraceStep kept."""
-    from .engine import _TRAIL_STEP_BYTES
-
-    steps = _trace_steps(N, max_steps, _TRAIL_STEP_BYTES + _TRACE_QUOTIENT_BYTES)
-    return (isqrt(N), *map(itemgetter(6), steps))
 
 
 def _lines(u: Triple, name: str) -> tuple[str, str]:

@@ -44,16 +44,10 @@ from json.encoder import encode_basestring_ascii
 
 from .bookx import euler_trace, render_trace
 from .convergents import convergents, pell_solutions
-from .engine import (
-    Expansion,
-    ResourceLimitExceeded,
-    StepLimitExceeded,
-    expand_sqrt,
-    expand_surd,
-)
+from .engine import Expansion, expand_sqrt, expand_surd
 from .oracle import oracle_expand
 from .palindrome import certify, verify_palindrome
-from .surd import QuadraticSurd, _dec, is_perfect_square
+from .surd import QuadraticSurd, ResourceLimitExceeded, StepLimitExceeded, _dec, is_perfect_square
 
 __all__ = ["main"]
 
@@ -326,9 +320,8 @@ def cmd_trace(args) -> int:
 
 def _sweep_record(task: tuple[int, bool, bool, int | None]) -> dict | None:
     n, want_pell, want_negative, limit = task
-    if is_perfect_square(n):
-        return None
-    return _period_record(n, expand_sqrt(n, limit), want_pell, want_negative)
+    e = expand_sqrt(n, limit)
+    return None if e.terminated else _period_record(n, e, want_pell, want_negative)
 
 
 def _pool(jobs: int):

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .engine import Expansion, _to_centre
-from .palindrome import _palindromic
+from .engine import Expansion, _palindromic, _to_centre
 from .surd import QuadraticSurd, isqrt
 
 __all__ = ["convergents", "pell_fundamental", "pell_negative", "pell_solutions"]

@@ -28,45 +28,21 @@ recurrence on sqrt(N) without a trail and stops at the period's centre.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import os
-import resource
 from collections import namedtuple
 from collections.abc import Iterator
 from math import isqrt
 
 from .bookx import Triple, _add, _is_beta_squared, _plus_beta, basis, sign_of
-from .surd import QuadraticSurd, normalize
+from .surd import QuadraticSurd, _budget, _exhausted, normalize
 
 __all__ = [
     "Expansion",
-    "ResourceLimitExceeded",
-    "StepLimitExceeded",
     "expand_sqrt",
     "expand_surd",
     "increment_factors",
     "remainders",
-    "pigeonhole_bound",
 ]
-
-
-class StepLimitExceeded(RuntimeError):
-    """Raised when the step budget runs out before a state repeats.
-
-    With the default limits this indicates a bug, never a property of
-    the input, so it is surfaced loudly instead of truncating.
-    """
-
-
-class ResourceLimitExceeded(RuntimeError):
-    """Raised when an expansion would outgrow this process's memory.
-
-    Every step budget is capped so that the steps fit in the address-space
-    limit (RLIMIT_AS) or, when none is set, in physical memory. Hitting
-    that cap is a property of the input and the machine, not a bug, and
-    it comes before a MemoryError would.
-    """
 
 
 # Peak bytes one step costs a command: an expansion holds 88 a step, its ints and
@@ -81,18 +57,6 @@ _TRAIL_STEP_BYTES = 1024
 # odd period, whose x*x is the largest int), tracemalloc. Charged about twice
 # that; _TRAIL_STEP_BYTES keeps a wider margin, 1,024 against at most 193.
 _CENTRE_STEP_BYTES = 48
-
-
-@functools.cache
-def _memory_steps(bytes_per_step: int) -> int:
-    """How many steps of bytes_per_step fit in this process's memory, worked out on first use.
-
-    The memory is the address-space limit (RLIMIT_AS), else physical memory.
-    """
-    memory, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if memory == resource.RLIM_INFINITY:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    return memory // bytes_per_step
 
 
 class Expansion(namedtuple("Expansion", "preperiod period radicand trail", defaults=(0, ()))):
@@ -133,17 +97,10 @@ class Expansion(namedtuple("Expansion", "preperiod period radicand trail", defau
         return list(itertools.islice(itertools.chain(self.preperiod, itertools.cycle(self.period)), count))
 
 
-def pigeonhole_bound(N: int) -> int:
-    """One more than the number of reduced states over radicand N.
-
-    A reduced state (p, q) has 1 <= p <= m and m - p < q <= m + p, with
-    m = isqrt(N): 2p values of q for each p, m(m+1) states in all. A
-    period visits each at most once, so period < bound for every N >= 2.
-    """
-    if N < 2:
-        raise ValueError("bound needs N >= 2")
-    m = isqrt(N)
-    return m * (m + 1) + 1
+def _palindromic(period: tuple[int, ...], m: int) -> bool:
+    """The period minus its last quotient reads the same both ways, and the last quotient is 2*m."""
+    interior = period[:-1]
+    return interior == interior[::-1] and period[-1] == 2 * m
 
 
 def expand_sqrt(N: int, max_steps: int | None = None) -> Expansion:
@@ -215,38 +172,6 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: int | None) -> Expansion:
             del quots[:j]
             return Expansion(preperiod, tuple(quots), d, trail)
     raise _exhausted(f"{QuadraticSurd(trail[0], d, trail[1])}: no state repeated within", max_steps, limit)
-
-
-def _budget(q: int, d: int, max_steps: int | None, bytes_per_step: int) -> tuple[int, int]:
-    """The step budget of an expansion of (p + sqrt(d))/q, and the steps it may take.
-
-    The default budget (max_steps None) is a preperiod term plus a period
-    term, |q|.bit_length() + 2 + pigeonhole_bound(d), which provably
-    suffices. Preperiod: with convergents P_k/Q_k of x,
-    conj(x_k) = -(Q_{k-2}*conj(x) - P_{k-2})/(Q_{k-1}*conj(x) - P_{k-1}).
-    For k >= 2, x lies between these convergents, 1/(Q_{k-2}*Q_{k-1})
-    apart, and x - conj(x) = 2*sqrt(d)/q; once Q_{k-2}*Q_{k-1} >
-    |q|/(2*sqrt(d)), conj(x) lies outside them, so conj(x_k) < 0 and
-    x_{k+1} = 1/(x_k - a_k) is reduced.
-    Q_{k-2}*Q_{k-1} >= 2^(k-2) (Fibonacci growth), so k = |q|.bit_length()
-    + 1 suffices. Period: fewer steps than pigeonhole_bound(d).
-    Whatever the budget, the steps, at bytes_per_step each, must also fit
-    in memory (see ResourceLimitExceeded); the second value is the budget
-    capped that way.
-    """
-    if max_steps is None:
-        max_steps = abs(q).bit_length() + 2 + pigeonhole_bound(d)
-    limit = _memory_steps(bytes_per_step)
-    if max_steps < limit:  # not min(): a sweep makes thousands of short calls
-        limit = max_steps
-    return max_steps, limit
-
-
-def _exhausted(head: str, max_steps: int, limit: int, tail: str = "") -> RuntimeError:
-    """The error for a loop that ran out of its limit of steps: head, the count, then tail or the memory reason."""
-    if limit == max_steps:
-        return StepLimitExceeded(f"{head} {max_steps} steps{tail}")
-    return ResourceLimitExceeded(f"{head} {limit} steps, all that fit in memory")
 
 
 def _to_centre(N: int, max_steps: int | None = None) -> tuple[tuple[int, ...], bool]:

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-from .bookx import _is_beta_squared, _plus_beta, _trace_quotients, basis, conjugate
-from .engine import Expansion, ResourceLimitExceeded, StepLimitExceeded, expand_surd, increment_factors, pigeonhole_bound
+from .bookx import _is_beta_squared, _plus_beta, _trace_steps, basis, conjugate
+from .convergents import _last_convergent, pell_solutions
+from .engine import _TRAIL_STEP_BYTES, Expansion, _palindromic, expand_surd, increment_factors
 from .oracle import oracle_expand
-from .surd import QuadraticSurd
+from .surd import QuadraticSurd, ResourceLimitExceeded, StepLimitExceeded, pigeonhole_bound
 
 __all__ = [
     "PalindromeReport",
@@ -123,12 +125,6 @@ def omega_sequence(e: Expansion) -> Iterator[tuple[int, int]]:
     return ((mu, lam_next) for (mu, _), (_, lam_next) in itertools.pairwise(increment_factors(e)))
 
 
-def _palindromic(period: tuple[int, ...], m: int) -> bool:
-    """The period minus its last quotient reads the same both ways, and the last quotient is 2*m."""
-    interior = period[:-1]
-    return interior == interior[::-1] and period[-1] == 2 * m
-
-
 def verify_palindrome(e: Expansion) -> PalindromeReport:
     """Check the palindromic shape of a period against the expansion's integer part, its first quotient.
 
@@ -170,6 +166,18 @@ def period_stats(e: Expansion) -> tuple[int, int, int]:
     return (l, l, l + 1)
 
 
+# Peak bytes one quotient-only trace step costs verify: its quotient in a list, then
+# in the tuple, 16.6 (sqrt(10^13+3), tracemalloc). Charged about twice that, on top of
+# the trail step of the same index, which verify holds beside it.
+_TRACE_QUOTIENT_BYTES = 32
+
+
+def _trace_quotients(N: int, max_steps: int | None = None) -> tuple[int, ...]:
+    """The quotients m, a_1, .., a_l of the symbolic trace of sqrt(N): _trace_steps' checks, no TraceStep kept."""
+    steps = _trace_steps(N, max_steps, _TRAIL_STEP_BYTES + _TRACE_QUOTIENT_BYTES)
+    return (math.isqrt(N), *map(operator.itemgetter(6), steps))
+
+
 def certify(e: Expansion, limit: int | None = None) -> Iterator[tuple[str, str | None]]:
     """verify's nine checks of e = expand_sqrt(N), N its radicand, in order: (name, None) for a pass, else (name, str(error)).
 
@@ -185,8 +193,6 @@ def certify(e: Expansion, limit: int | None = None) -> Iterator[tuple[str, str |
     which fitted. A check that runs out raises StepLimitExceeded,
     ResourceLimitExceeded or MemoryError out of certify: it has not failed.
     """
-    from .convergents import _last_convergent, pell_solutions  # convergents imports this module
-
     n = e.radicand
     trail_pell = functools.cache(lambda: pell_solutions(e))  # a raise is not cached: each check asking reports it
 

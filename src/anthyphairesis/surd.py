@@ -1,12 +1,20 @@
-"""Exact arithmetic for quadratic surds (p + sqrt(d)) / q.
+"""Exact arithmetic for quadratic surds (p + sqrt(d)) / q, and the budget net of every loop over them.
 
 Everything is integer arithmetic, with no floats anywhere, so floors
 and square tests are exact for arbitrarily large operands.
+
+The budget net bounds the engine's loops and the symbolic trace alike
+and steps nothing itself: _budget gives a loop its steps (by default
+from pigeonhole_bound, capped by _memory_steps), and _exhausted names
+StepLimitExceeded or ResourceLimitExceeded when they run out.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import resource
 import sys
 from collections import namedtuple
 
@@ -16,6 +24,9 @@ __all__ = [
     "is_perfect_square",
     "normalize",
     "floor_surd",
+    "ResourceLimitExceeded",
+    "StepLimitExceeded",
+    "pigeonhole_bound",
 ]
 
 
@@ -100,12 +111,17 @@ def normalize(s: QuadraticSurd) -> QuadraticSurd:
 
     When the divisibility fails, (p, q, d) is scaled to
     (p*|q|, q*|q|, d*q*q), which preserves the value and makes the
-    scaled denominator divide the scaled d - p*p exactly.
+    scaled denominator divide the scaled d - p*p exactly. The scaled
+    (p', d', q') is checked to have the input's value: p*q' == p'*q,
+    d*q'^2 == d'*q^2 and q*q' > 0.
     """
     if (s.d - s.p * s.p) % s.q == 0:
         return s
     a = abs(s.q)
-    return QuadraticSurd(s.p * a, s.d * s.q * s.q, s.q * a)
+    t = QuadraticSurd(s.p * a, s.d * s.q * s.q, s.q * a)
+    if s.p * t.q != t.p * s.q or s.d * t.q * t.q != t.d * s.q * s.q or s.q * t.q <= 0:
+        raise AssertionError(f"normal form {t} does not have the value of {s}")
+    return t
 
 
 def floor_surd(s: QuadraticSurd) -> int:
@@ -119,3 +135,78 @@ def floor_surd(s: QuadraticSurd) -> int:
     if s.q > 0 or r * r == s.d:
         return (s.p + r) // s.q
     return (s.p + r + 1) // s.q
+
+
+class StepLimitExceeded(RuntimeError):
+    """Raised when the step budget runs out before a state repeats.
+
+    With the default limits this indicates a bug, never a property of
+    the input, so it is surfaced loudly instead of truncating.
+    """
+
+
+class ResourceLimitExceeded(RuntimeError):
+    """Raised when an expansion would outgrow this process's memory.
+
+    Every step budget is capped so that the steps fit in the address-space
+    limit (RLIMIT_AS) or, when none is set, in physical memory. Hitting
+    that cap is a property of the input and the machine, not a bug, and
+    it comes before a MemoryError would.
+    """
+
+
+@functools.cache
+def _memory_steps(bytes_per_step: int) -> int:
+    """How many steps of bytes_per_step fit in this process's memory, worked out on first use.
+
+    The memory is the address-space limit (RLIMIT_AS), else physical memory.
+    """
+    memory, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if memory == resource.RLIM_INFINITY:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return memory // bytes_per_step
+
+
+def pigeonhole_bound(N: int) -> int:
+    """One more than the number of reduced states over radicand N.
+
+    A reduced state (p, q) has 1 <= p <= m and m - p < q <= m + p, with
+    m = isqrt(N): 2p values of q for each p, m(m+1) states in all. A
+    period visits each at most once, so period < bound for every N >= 2.
+    """
+    if N < 2:
+        raise ValueError("bound needs N >= 2")
+    m = math.isqrt(N)
+    return m * (m + 1) + 1
+
+
+def _budget(q: int, d: int, max_steps: int | None, bytes_per_step: int) -> tuple[int, int]:
+    """The step budget of an expansion of (p + sqrt(d))/q, and the steps it may take.
+
+    The default budget (max_steps None) is a preperiod term plus a period
+    term, |q|.bit_length() + 2 + pigeonhole_bound(d), which provably
+    suffices. Preperiod: with convergents P_k/Q_k of x,
+    conj(x_k) = -(Q_{k-2}*conj(x) - P_{k-2})/(Q_{k-1}*conj(x) - P_{k-1}).
+    For k >= 2, x lies between these convergents, 1/(Q_{k-2}*Q_{k-1})
+    apart, and x - conj(x) = 2*sqrt(d)/q; once Q_{k-2}*Q_{k-1} >
+    |q|/(2*sqrt(d)), conj(x) lies outside them, so conj(x_k) < 0 and
+    x_{k+1} = 1/(x_k - a_k) is reduced.
+    Q_{k-2}*Q_{k-1} >= 2^(k-2) (Fibonacci growth), so k = |q|.bit_length()
+    + 1 suffices. Period: fewer steps than pigeonhole_bound(d).
+    Whatever the budget, the steps, at bytes_per_step each, must also fit
+    in memory (see ResourceLimitExceeded); the second value is the budget
+    capped that way.
+    """
+    if max_steps is None:
+        max_steps = abs(q).bit_length() + 2 + pigeonhole_bound(d)
+    limit = _memory_steps(bytes_per_step)
+    if max_steps < limit:  # not min(): a sweep makes thousands of short calls
+        limit = max_steps
+    return max_steps, limit
+
+
+def _exhausted(head: str, max_steps: int, limit: int, tail: str = "") -> RuntimeError:
+    """The error for a loop that ran out of its limit of steps: head, the count, then tail or the memory reason."""
+    if limit == max_steps:
+        return StepLimitExceeded(f"{head} {max_steps} steps{tail}")
+    return ResourceLimitExceeded(f"{head} {limit} steps, all that fit in memory")

@@ -13,16 +13,10 @@ from contextlib import contextmanager
 from anthyphairesis.bookx import basis, euler_trace, line_mul
 from anthyphairesis.cli import main
 from anthyphairesis.convergents import convergents, pell_fundamental
-from anthyphairesis.engine import (
-    expand_sqrt,
-    expand_surd,
-    increment_factors,
-    pigeonhole_bound,
-    remainders,
-)
+from anthyphairesis.engine import expand_sqrt, expand_surd, increment_factors, remainders
 from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.palindrome import find_reflection, omega_sequence, verify_palindrome
-from anthyphairesis.surd import QuadraticSurd, floor_surd, is_perfect_square, isqrt
+from anthyphairesis.surd import QuadraticSurd, floor_surd, is_perfect_square, isqrt, pigeonhole_bound
 
 
 GOLDEN_54 = os.path.join(os.path.dirname(__file__), "..", "goldens", "trace54.txt")

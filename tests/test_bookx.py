@@ -15,7 +15,6 @@ from anthyphairesis.bookx import (
     _plus_beta,
     _product,
     _reduced,
-    _trace_quotients,
     basis,
     classify,
     conjugate,
@@ -26,14 +25,9 @@ from anthyphairesis.bookx import (
     render_trace,
     sign_of,
 )
-from anthyphairesis.engine import (
-    ResourceLimitExceeded,
-    StepLimitExceeded,
-    expand_sqrt,
-    increment_factors,
-    remainders,
-)
-from anthyphairesis.surd import is_perfect_square, isqrt
+from anthyphairesis.engine import expand_sqrt, increment_factors, remainders
+from anthyphairesis.palindrome import _trace_quotients
+from anthyphairesis.surd import ResourceLimitExceeded, StepLimitExceeded, is_perfect_square, isqrt
 
 GOLDEN_54 = os.path.join(os.path.dirname(__file__), "..", "goldens", "trace54.txt")
 
@@ -478,9 +472,9 @@ def test_trace_quotients_honour_the_step_budget(n):
 def test_trace_quotients_are_charged_with_the_trail_step_beside_them(monkeypatch):
     # memory for 10 trail steps: sqrt(43) expands in its 10, but 10 trace steps
     # of a trail step plus a quotient do not fit, and euler_trace's 4 KB steps fit 2
-    from anthyphairesis import engine
+    from anthyphairesis import engine, surd
 
-    monkeypatch.setattr(engine, "_memory_steps", lambda bytes_per_step: 10 * engine._TRAIL_STEP_BYTES // bytes_per_step)
+    monkeypatch.setattr(surd, "_memory_steps", lambda bytes_per_step: 10 * engine._TRAIL_STEP_BYTES // bytes_per_step)
     assert len(expand_sqrt(43).period) == 10
     assert _trace_quotients(19) == expand_sqrt(19).quotients
     with pytest.raises(ResourceLimitExceeded) as exc:

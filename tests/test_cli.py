@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 from anthyphairesis import cli, palindrome
 from anthyphairesis.cli import InputError, _parse_spec, main
 from anthyphairesis.convergents import pell_solutions
-from anthyphairesis.engine import Expansion, ResourceLimitExceeded, StepLimitExceeded, expand_sqrt
+from anthyphairesis.engine import Expansion, expand_sqrt
 from anthyphairesis.oracle import oracle_expand
-from anthyphairesis.surd import QuadraticSurd
+from anthyphairesis.surd import QuadraticSurd, ResourceLimitExceeded, StepLimitExceeded
 from test_cli_transcript import CASES as TRANSCRIPT_CASES
 
-CONVERGENTS = sys.modules["anthyphairesis.convergents"]  # the package's `convergents` is the function
 GOLDEN_54 = os.path.join(os.path.dirname(__file__), "..", "goldens", "trace54.txt")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -458,7 +457,7 @@ def test_pell_over_4300_digits_renders(capsys, low_int_str_limit):
         (["pell", "61", "--negative-pell"], 1),
         (["expand", "61", "--pell", "--negative-pell"], 1),
         (["verify", "61"], 2),
-        (["sweep", "30", "--pell", "--negative-pell"], 25),
+        (["sweep", "30", "--pell", "--negative-pell"], 29),  # every N in 2..30: a square ends at its one quotient
     ],
 )
 def test_pell_commands_expand_each_n_once(capsys, monkeypatch, argv, expansions):
@@ -847,9 +846,9 @@ def test_long_periods_fit_the_memory_budget(capsys, argv):
 
 @pytest.fixture
 def room_for_ten_trail_steps(monkeypatch):
-    from anthyphairesis import engine
+    from anthyphairesis import engine, surd
 
-    monkeypatch.setattr(engine, "_memory_steps", lambda bytes_per_step: 10 * engine._TRAIL_STEP_BYTES // bytes_per_step)
+    monkeypatch.setattr(surd, "_memory_steps", lambda bytes_per_step: 10 * engine._TRAIL_STEP_BYTES // bytes_per_step)
 
 
 @pytest.mark.parametrize(
@@ -886,11 +885,11 @@ def test_a_smaller_step_budget_still_fires_first(capsys, room_for_ten_trail_step
 def test_pell_memory_cap_charges_48_bytes_per_step_to_the_centre(capsys, monkeypatch, n):
     # memory for s steps of 48 bytes lets pell take s steps to the centre: the
     # l // 2 of a period of length l fit in 48 * (l // 2) bytes, and one byte less stops it
-    from anthyphairesis import engine
+    from anthyphairesis import surd
 
     half = len(expand_sqrt(n).period) // 2
     for memory in (48 * half, 48 * half - 1):
-        monkeypatch.setattr(engine, "_memory_steps", lambda bytes_per_step: memory // bytes_per_step)
+        monkeypatch.setattr(surd, "_memory_steps", lambda bytes_per_step: memory // bytes_per_step)
         code, out, err = run(capsys, "pell", str(n))
         if memory == 48 * half:
             assert (code, err) == (0, "") and out.startswith(f"pell({n}): x=")
@@ -1249,7 +1248,7 @@ def test_verify_compares_the_period_end_convergent_with_pell(capsys, monkeypatch
         (x, y), negative = pell_solutions(source, **budget)
         return (x + 1, y), negative
 
-    monkeypatch.setattr(CONVERGENTS, "pell_solutions", off_by_one)
+    monkeypatch.setattr(palindrome, "pell_solutions", off_by_one)
     code, out, err = run(capsys, "verify", "19")
     failures = {"convergent quality": "convergent 5 is not the fundamental Pell solution"}
     lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
@@ -1264,7 +1263,7 @@ def test_verify_fails_a_pell_pair_that_is_not_fundamental(capsys, monkeypatch, n
         (x, y), negative = pell_solutions(source, **budget)
         return (x * x + n * y * y, 2 * x * y), negative
 
-    monkeypatch.setattr(CONVERGENTS, "pell_solutions", squared)
+    monkeypatch.setattr(palindrome, "pell_solutions", squared)
     code, out, err = run(capsys, "verify", str(n))
     failures = {"convergent quality": f"convergent {k} is not the fundamental Pell solution"}
     lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
@@ -1278,7 +1277,7 @@ def test_verify_expands_pell_from_the_trail_once(capsys, monkeypatch):
         calls.append(isinstance(source, Expansion))
         return pell_solutions(source, **budget)
 
-    monkeypatch.setattr(CONVERGENTS, "pell_solutions", counted)
+    monkeypatch.setattr(palindrome, "pell_solutions", counted)
     assert run(capsys, "verify", "19")[0] == 0
     assert calls == [True, False]  # the trail's, then the centre stop's
 
@@ -1289,7 +1288,7 @@ def test_verify_reports_a_raising_pell_in_each_check_that_asks(capsys, monkeypat
             raise ArithmeticError("pell from the trail fails")
         return pell_solutions(source)
 
-    monkeypatch.setattr(CONVERGENTS, "pell_solutions", raising)
+    monkeypatch.setattr(palindrome, "pell_solutions", raising)
     code, out, err = run(capsys, "verify", "19")
     failures = {name: "pell from the trail fails" for name in ("convergent quality", "pell fundamental")}
     lines = [f"check {name}: " + (f"FAIL ({failures[name]})" if name in failures else "ok") for name in _VERIFY_CHECKS]
@@ -1322,7 +1321,7 @@ def test_verify_passes_its_step_budget_to_the_trace_the_centre_stop_and_the_tail
 
         return call
 
-    for holder, name in ((palindrome, "_trace_quotients"), (CONVERGENTS, "pell_solutions"), (palindrome, "expand_surd")):
+    for holder, name in ((palindrome, "_trace_quotients"), (palindrome, "pell_solutions"), (palindrome, "expand_surd")):
         monkeypatch.setattr(holder, name, recorded(name, getattr(holder, name)))
     monkeypatch.setenv("ANTH_MAX_STEPS", "40")
     assert run(capsys, "verify", "19")[0] == 0

@@ -4,6 +4,7 @@ import ast
 import inspect
 import itertools
 import math
+import os
 import random
 import sys
 
@@ -184,7 +185,7 @@ def test_the_period_end_product_shares_no_code_with_pell():
 
 def _package_references() -> dict[str, set[str]]:
     """Each function and class of the library modules, as module.name, mapped to the project names
-    its body refers to: its module's own, and those imported from the package at the top or at call time."""
+    its body refers to: its module's own, and those its module imports from the package."""
     refs = {}
     for short in ("bookx", "convergents", "engine", "oracle", "palindrome", "surd"):
         tree = ast.parse(inspect.getsource(sys.modules[f"anthyphairesis.{short}"]))
@@ -199,36 +200,72 @@ def _package_references() -> dict[str, set[str]]:
     return refs
 
 
-def test_the_steppers_share_only_the_budget_net_the_surd_type_and_isqrt():
-    """The six steppers of the three derivations, and Pell's two products, reach the project functions and
-    classes of their own, except for this allow-list, which is exactly what some two of them share:
-    - the budget net: engine._budget, _exhausted, _memory_steps, pigeonhole_bound, StepLimitExceeded and
-      ResourceLimitExceeded;
-    - surd.QuadraticSurd (the messages name the surd), with surd._dec, which its __str__ reaches;
-    - surd.isqrt.
-    surd.normalize, which expand_surd and oracle_expand share, lies outside the steppers."""
-    allowed = {
-        "engine._budget", "engine._exhausted", "engine._memory_steps", "engine.pigeonhole_bound",
-        "engine.StepLimitExceeded", "engine.ResourceLimitExceeded", "surd.QuadraticSurd", "surd._dec", "surd.isqrt",
-    }
-    refs = _package_references()
-    steppers = ("engine._anthyphairesis", "engine._to_centre", "oracle.oracle_expand", "bookx._trace_steps",
-                "convergents._matrix_product", "convergents._last_convergent")
+STEPPERS = ("engine._anthyphairesis", "engine._to_centre", "oracle.oracle_expand", "bookx._trace_steps",
+            "convergents._matrix_product", "convergents._last_convergent")
+
+
+def _stepper_reach(refs: dict[str, set[str]]) -> dict[str, set[str]]:
+    """The project functions and classes each stepper reaches, itself included."""
     reach = {}
-    for root in steppers:
+    for root in STEPPERS:
         seen, todo = {root}, [root]
         while todo:
             for name in refs.get(todo.pop(), set()) - seen:
                 seen.add(name)
                 todo.append(name)
         reach[root] = seen
+    return reach
+
+
+def test_the_steppers_share_only_the_budget_net_the_surd_type_and_isqrt():
+    """The six steppers of the three derivations, and Pell's two products, reach the project functions and
+    classes of their own, except for this allow-list, which is exactly what some two of them share:
+    - the budget net: surd._budget, _exhausted, _memory_steps, pigeonhole_bound, StepLimitExceeded and
+      ResourceLimitExceeded;
+    - surd.QuadraticSurd (the messages name the surd), with surd._dec, which its __str__ reaches;
+    - surd.isqrt.
+    surd.normalize, which expand_surd and oracle_expand still share, lies outside the steppers; it checks
+    that the normal form it returns has the value of its input."""
+    allowed = {
+        "surd._budget", "surd._exhausted", "surd._memory_steps", "surd.pigeonhole_bound",
+        "surd.StepLimitExceeded", "surd.ResourceLimitExceeded", "surd.QuadraticSurd", "surd._dec", "surd.isqrt",
+    }
+    reach = _stepper_reach(_package_references())
     assert {"surd.floor_surd", "surd.normalize"} <= reach["oracle.oracle_expand"]
-    assert {"bookx.inverse_wrt_beta_squared", "engine._budget"} <= reach["bookx._trace_steps"]  # a call-time import
+    assert {"bookx.inverse_wrt_beta_squared", "surd._budget"} <= reach["bookx._trace_steps"]
     shared = set()
-    for a, b in itertools.combinations(steppers, 2):
+    for a, b in itertools.combinations(STEPPERS, 2):
         assert reach[a] & reach[b] <= allowed, (a, b, reach[a] & reach[b] - allowed)
         shared |= reach[a] & reach[b]
     assert shared == allowed
+
+
+# Each module imports only modules of a lower rank, so no import is circular
+IMPORT_RANK = {"surd": 0, "oracle": 1, "bookx": 1, "engine": 2, "convergents": 3, "palindrome": 4, "cli": 5}
+
+
+def test_the_library_imports_its_modules_at_the_top_one_way_and_shares_only_surd():
+    """No function imports a module of the package: every relative import sits at a module's top, and
+    each reaches down IMPORT_RANK (convergents does not import palindrome, nor bookx engine). What some
+    two steppers share is defined in surd."""
+    src = os.path.dirname(sys.modules["anthyphairesis"].__file__)
+    for path in sorted(os.listdir(src)):
+        if not path.endswith(".py"):
+            continue
+        short = path[:-3]
+        with open(os.path.join(src, path), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = [node for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level]
+                assert inner == [], (short, getattr(fn, "name", "lambda"), [node.lineno for node in inner])
+        if short != "__init__":
+            imported = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
+            assert all(IMPORT_RANK[module] < IMPORT_RANK[short] for module in imported), (short, imported)
+    refs = _package_references()
+    reach = _stepper_reach(refs)
+    shared = set().union(*(reach[a] & reach[b] for a, b in itertools.combinations(STEPPERS, 2)))
+    assert shared and shared <= {name for name in refs if name.startswith("surd.")}, shared
 
 
 LONG_PERIOD_N = (1000003, 10000019, 92590649, 150008437)

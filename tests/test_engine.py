@@ -11,17 +11,24 @@ from anthyphairesis.bookx import euler_trace
 from anthyphairesis.convergents import pell_solutions
 from anthyphairesis.engine import (
     Expansion,
-    StepLimitExceeded,
     _anthyphairesis,
     _to_centre,
     expand_sqrt,
     expand_surd,
     increment_factors,
-    pigeonhole_bound,
     remainders,
 )
 from anthyphairesis.palindrome import omega_sequence
-from anthyphairesis.surd import QuadraticSurd, _dec, floor_surd, is_perfect_square, isqrt, normalize
+from anthyphairesis.surd import (
+    QuadraticSurd,
+    StepLimitExceeded,
+    _dec,
+    floor_surd,
+    is_perfect_square,
+    isqrt,
+    normalize,
+    pigeonhole_bound,
+)
 
 PAPER_EXPANSIONS = {
     19: ((4,), (2, 1, 3, 1, 2, 8)),
@@ -424,7 +431,7 @@ def test_engine_oracle_agreement_random_surds():
 
 
 def test_resource_limit_exceeded_survives_pickling():
-    from anthyphairesis.engine import ResourceLimitExceeded
+    from anthyphairesis.surd import ResourceLimitExceeded
 
     exc = pickle.loads(pickle.dumps(ResourceLimitExceeded("sqrt(46): 10 steps fill this process's memory")))
     assert type(exc) is ResourceLimitExceeded
@@ -443,8 +450,8 @@ def test_centre_stop_gives_the_first_half_of_every_period_below_1e5():
 
 def test_centre_stop_budget_boundary(monkeypatch):
     # a period of length l reaches its centre in exactly l // 2 steps; one fewer runs out of the budget or the memory
-    from anthyphairesis import engine
-    from anthyphairesis.engine import ResourceLimitExceeded
+    from anthyphairesis import surd
+    from anthyphairesis.surd import ResourceLimitExceeded
 
     for n in range(2, 3001):
         e = expand_sqrt(n)
@@ -458,7 +465,7 @@ def test_centre_stop_budget_boundary(monkeypatch):
         with pytest.raises(StepLimitExceeded) as info:
             _to_centre(n, short)
         assert str(info.value) == f"sqrt({n}): centre of the period not reached within {short} steps"
-        monkeypatch.setattr(engine, "_memory_steps", lambda bytes_per_step: short)
+        monkeypatch.setattr(surd, "_memory_steps", lambda bytes_per_step: short)
         with pytest.raises(ResourceLimitExceeded) as info:
             _to_centre(n)
         assert str(info.value) == f"sqrt({n}): centre of the period not reached within {short} steps, all that fit in memory"
@@ -468,8 +475,8 @@ def test_centre_stop_budget_boundary(monkeypatch):
 def test_trail_budget_boundary(monkeypatch):
     # a budget of b steps lets the trail take b + 1 quotients: an expansion of L quotients
     # closes within L - 1, and L - 2 runs out of the budget or the memory, also inside the preperiod
-    from anthyphairesis import engine
-    from anthyphairesis.engine import ResourceLimitExceeded
+    from anthyphairesis import surd
+    from anthyphairesis.surd import ResourceLimitExceeded
 
     rng = random.Random(0xB0D)
     cases = [(expand_sqrt, n, f"sqrt({n})", ()) for n in range(2, 3001) if not is_perfect_square(n)]
@@ -490,7 +497,7 @@ def test_trail_budget_boundary(monkeypatch):
             with pytest.raises(StepLimitExceeded) as info:
                 expand(x, short)
             assert str(info.value) == f"{head}: no state repeated within {short} steps"
-            monkeypatch.setattr(engine, "_memory_steps", lambda bytes_per_step: short)
+            monkeypatch.setattr(surd, "_memory_steps", lambda bytes_per_step: short)
             with pytest.raises(ResourceLimitExceeded) as info:
                 expand(x)
             assert str(info.value) == f"{head}: no state repeated within {short} steps, all that fit in memory"

@@ -2,19 +2,11 @@
 
 import itertools
 import random
-import sys
 
 import pytest
 
 from anthyphairesis import palindrome
-from anthyphairesis.engine import (
-    Expansion,
-    ResourceLimitExceeded,
-    StepLimitExceeded,
-    expand_sqrt,
-    expand_surd,
-    increment_factors,
-)
+from anthyphairesis.engine import Expansion, expand_sqrt, expand_surd, increment_factors
 from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.palindrome import (
     ReflectionNotFound,
@@ -24,7 +16,7 @@ from anthyphairesis.palindrome import (
     period_stats,
     verify_palindrome,
 )
-from anthyphairesis.surd import QuadraticSurd, is_perfect_square, normalize
+from anthyphairesis.surd import QuadraticSurd, ResourceLimitExceeded, StepLimitExceeded, is_perfect_square, normalize
 from test_cli import _VERIFY_CHECKS, TAMPERED
 
 
@@ -230,9 +222,6 @@ def test_tampered_state_fails_both_symbolic_checks(n):
 
 # certify: the checks of `anth verify`, run on an expansion with no CLI
 
-CONVERGENTS = sys.modules["anthyphairesis.convergents"]  # the package's `convergents` is the function
-
-
 def _outcomes(failures: dict[str, str] | None = None) -> list[tuple[str, str | None]]:
     """certify's pairs, in order, when the checks named fail with the messages given and the others pass."""
     return [(name, (failures or {}).get(name)) for name in _VERIFY_CHECKS]
@@ -263,26 +252,26 @@ def test_certify_reports_a_wrong_oracle_quotient(monkeypatch):
 @pytest.mark.parametrize("n, k", [(19, 5), (13, 9)], ids=["even period 6", "odd period 5"])
 def test_certify_reports_a_pell_pair_that_is_not_fundamental(monkeypatch, n, k):
     # both Pell paths return the square of the fundamental pair: only the period-end convergent shows it
-    pell_solutions = CONVERGENTS.pell_solutions
+    pell_solutions = palindrome.pell_solutions
 
     def squared(source, **budget):
         (x, y), negative = pell_solutions(source, **budget)
         return (x * x + n * y * y, 2 * x * y), negative
 
-    monkeypatch.setattr(CONVERGENTS, "pell_solutions", squared)
+    monkeypatch.setattr(palindrome, "pell_solutions", squared)
     failures = {"convergent quality": f"convergent {k} is not the fundamental Pell solution"}
     assert list(certify(expand_sqrt(n))) == _outcomes(failures)
 
 
 def test_certify_reports_a_raising_pell_in_each_check_that_asks(monkeypatch):
-    pell_solutions = CONVERGENTS.pell_solutions
+    pell_solutions = palindrome.pell_solutions
 
     def raising(source, **budget):
         if isinstance(source, Expansion):
             raise ArithmeticError("pell from the trail fails")
         return pell_solutions(source, **budget)
 
-    monkeypatch.setattr(CONVERGENTS, "pell_solutions", raising)
+    monkeypatch.setattr(palindrome, "pell_solutions", raising)
     failures = {name: "pell from the trail fails" for name in ("convergent quality", "pell fundamental")}
     assert list(certify(expand_sqrt(19))) == _outcomes(failures)
 

@@ -70,6 +70,16 @@ def test_normalize_examples():
     assert Fraction(r.p + isqrt(r.d), r.q) == 2
 
 
+def test_normalize_rejects_a_scaled_form_of_another_value(monkeypatch):
+    # a scaling that keeps one factor of |q| too few in d' builds sqrt(d)/q' of the wrong size
+    from anthyphairesis import surd
+
+    s = QuadraticSurd(1, 5, 3)  # 3 does not divide 5 - 1: normalize scales it, to (3, 45, 9)
+    monkeypatch.setattr(surd, "QuadraticSurd", lambda p, d, q: QuadraticSurd(p, d // isqrt(abs(q)), q))
+    with pytest.raises(AssertionError, match=r"^normal form \(3\+sqrt\(15\)\)/9 does not have the value of \(1\+sqrt\(5\)\)/3$"):
+        normalize(s)
+
+
 @given(
     st.integers(min_value=-1000, max_value=1000),
     st.integers(min_value=0, max_value=5000),
