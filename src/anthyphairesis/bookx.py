@@ -50,11 +50,12 @@ Triple = tuple[int, int, int]
 BETA_SQUARED: Triple = (0, 1, 1)  # the area beta^2
 
 
-def basis(ratio: Fraction | int) -> Basis:
+def basis(ratio: __import__("fractions").Fraction | int) -> Basis:
     """The basis of alpha^2 = ratio*beta^2, once ratio is checked positive and not a rational square.
 
-    fractions is imported only for a ratio that is not an int: its import
-    (with decimal) would cost every command's start-up.
+    fractions is imported only for a ratio that is not an int, or when the
+    annotation is evaluated: its import (with decimal) would cost every
+    command's start-up.
     """
     if isinstance(ratio, int):
         p, q = ratio, 1

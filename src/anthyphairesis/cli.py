@@ -206,16 +206,17 @@ def _plain(record: dict) -> str:
 _CSV_HEADER = "N,m,period_len,palindrome,case,distinct_logoi,pell_x,pell_y"
 
 
-def _csv_row(N, m, period_len, palindrome, case, distinct_logoi, pell=None) -> str:
-    """One row of the fixed CSV schema of expand and sweep.
+def _csv_row(record: dict) -> str:
+    """One row of the fixed CSV schema of expand and sweep, read off a record by key; pell may be absent.
 
     No field can hold a comma, a quote or a line break (input labels match
     the spec grammar), so no field needs quoting.
     """
+    palindrome, logoi, pell = record["palindrome"], record["distinct_logoi"], record.get("pell")
     verdict = "" if palindrome is None else ("yes" if palindrome else "no")
     x, y = ("", "") if pell is None else map(_dec, pell)
-    logoi = "" if distinct_logoi is None else distinct_logoi
-    return f"{N},{_dec(m)},{period_len},{verdict},{case or ''},{logoi},{x},{y}"
+    logoi = "" if logoi is None else logoi
+    return f"{record['N']},{_dec(record['m'])},{record['period_len']},{verdict},{record['case'] or ''},{logoi},{x},{y}"
 
 
 def _fmt_quotients(preperiod, period) -> str:
@@ -278,7 +279,8 @@ def cmd_expand(args) -> int:
         if args.format == "json":
             lines = [_json_line({"input": label, "terminated": True, "quotients": quots})]
         elif args.format == "csv":
-            lines = [_CSV_HEADER, _csv_row(label, quots[0], 0, None, None, None)]
+            row = {"N": label, "m": quots[0], "period_len": 0, "palindrome": None, "case": None, "distinct_logoi": None}
+            lines = [_CSV_HEADER, _csv_row(row)]
         else:
             lines = [f"rational: [{', '.join(_decs(quots))}]"]
         _emit(lines, args.out)
@@ -291,7 +293,7 @@ def cmd_expand(args) -> int:
         fields |= {"terminated": False, "preperiod": list(e.preperiod), "period": list(e.period)}
         lines = [_json_line(fields)]
     elif args.format == "csv":
-        lines = [_CSV_HEADER, _csv_row(**record)]
+        lines = [_CSV_HEADER, _csv_row(record)]
     else:
         verdict = "n/a" if record["palindrome"] is None else record["palindrome"]
         pell = {key: record[key] for key in ("pell", "negative_pell") if key in record}
@@ -321,7 +323,7 @@ def cmd_trace(args) -> int:
 def _sweep_record(task: tuple[int, bool, bool, int | None]) -> dict | None:
     n, want_pell, want_negative, limit = task
     e = expand_sqrt(n, limit)
-    return None if e.terminated else _period_record(n, e, want_pell, want_negative)
+    return _period_record(n, e, want_pell, want_negative) if e.period else None  # None for a square
 
 
 def _pool(jobs: int):
@@ -344,7 +346,7 @@ def cmd_sweep(args) -> int:
     limit = _step_limit()
     want_negative = args.negative_pell and args.format != "csv"  # CSV has no negative-Pell column
     tasks = ((n, args.pell, want_negative, limit) for n in range(2, args.n_max + 1))
-    render = {"plain": _plain, "json": _json_line, "csv": lambda r: _csv_row(**r)}[args.format]
+    render = {"plain": _plain, "json": _json_line, "csv": _csv_row}[args.format]
     records = failures = 0
     summary = None
 

@@ -170,7 +170,7 @@ def _anthyphairesis(p: int, d: int, q: int, max_steps: int | None) -> Expansion:
             trail = tuple(trail)
             preperiod = tuple(quots[:j])
             del quots[:j]
-            return Expansion(preperiod, tuple(quots), d, trail)
+            return tuple.__new__(Expansion, (preperiod, tuple(quots), d, trail))  # Expansion(...), without its Python __new__
     raise _exhausted(f"{QuadraticSurd(trail[0], d, trail[1])}: no state repeated within", max_steps, limit)
 
 

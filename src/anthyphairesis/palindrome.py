@@ -141,14 +141,16 @@ def verify_palindrome(e: Expansion) -> PalindromeReport:
     holds = _palindromic(period, (e.preperiod or period)[0])
 
     case = center = None
-    mus, lams = e.mus, e.lams
+    trail = e.trail
+    mus = trail[2::2] if trail[:2] == (0, 1) else ()  # e.mus and then e.lams, off one read of the trail
     if len(mus) >= 2:  # a sqrt(N) expansion with two states (mu_k, lam_k) or more
+        lams = trail[1:-1:2]
         case, center = find_reflection(zip(mus, lams), zip(mus, lams[1:]))
         if holds and len(period) != 2 * center - (2 if case == "I" else 1):
             raise AssertionError(
                 "quotient-level and reflection-level palindrome verdicts disagree"
             )
-    return PalindromeReport(holds, case, center)
+    return tuple.__new__(PalindromeReport, (holds, case, center))  # PalindromeReport(...), without its Python __new__
 
 
 def period_stats(e: Expansion) -> tuple[int, int, int]:

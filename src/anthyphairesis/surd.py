@@ -53,6 +53,8 @@ def _dec(n: int) -> str:
     limit (sys.set_int_max_str_digits) allows, is split at a power of ten into
     halves, rendered separately and joined: no str() call hits the limit, which stays in force for parsing input.
     """
+    if n.bit_length() < 1920:  # |n| < 8**640: at most 578 digits, and every limit is 0 or at least 640
+        return str(n)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (int() where Python has no limit): no limit
     if not limit or n.bit_length() < 3 * limit:  # then |n| < 8**limit: at most limit digits, and str() holds them
         return str(n)

@@ -1,6 +1,7 @@
 """cli: output formats, exit codes, golden compare, sweep determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import multiprocessing
@@ -178,6 +179,19 @@ def test_sweep_jobs_deterministic(tmp_path, capsys):
     assert main(["sweep", "200", "--out", str(a)]) == 0
     assert main(["sweep", "200", "--jobs", "4", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+SWEEP_3000_SHA256 = {  # sha256 of repr((exit code, stdout, stderr)) of sweep 3000 in each format
+    "plain": "824ee1ed53677c0479923d1b97cfe5146fc3cc9a20e0592e41f16748899e6d93",
+    "json": "e819570b82a475593f526ad6c1009560577126ae5aefd2832e6b9664eda34915",
+    "csv": "2dd26ad9140be25ffa38bedcc856178546e470ee64b151465bbd5b57706372f6",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SWEEP_3000_SHA256))
+def test_sweep_3000_bytes_are_pinned(capsys, fmt):
+    result = run(capsys, "sweep", "3000", "--format", fmt)
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == SWEEP_3000_SHA256[fmt]
 
 
 @pytest.mark.parametrize("cpus", [None, 1, 3, pytest.param(os.cpu_count(), id="this_host")])
@@ -421,6 +435,27 @@ def test_dec_makes_no_str_call_that_must_fail(low_int_str_limit):
     sys.set_int_max_str_digits(0)
     assert [int(text) for text in rendered] == values
     assert cli._dec(Recorded(7)) == "7" and calls == [3]
+
+
+@pytest.mark.parametrize("limit", [640, 641, 4300, 0])
+def test_dec_is_str_at_the_edges_of_its_fast_path_and_of_its_split(limit):
+    # below 1,920 bits _dec returns str(n) before it reads the limit: at most 578 digits, under every limit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("needs Python's int-to-str digit limit")
+    assert len(str(2**1919 - 1)) == 578
+    edges = [2**1920 - 1, 2**1920, 2**1920 + 1]
+    for split in (640, 641, 4300):  # the largest int of 3*split - 1 bits, the smallest of 3*split bits
+        edges += [2 ** (3 * split - 1) - 1, 2 ** (3 * split - 1)]
+    values = edges + [-v for v in edges]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        rendered = [cli._dec(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(0)
+        expected = [str(v) for v in values]
+        sys.set_int_max_str_digits(old)
+    assert rendered == expected
 
 
 def test_pell_over_4300_digits_renders(capsys, low_int_str_limit):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import io
 import os
 import pickle
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import tokenize
+import typing
 
 import pytest
 
@@ -133,3 +135,28 @@ def test_importing_the_cli_loads_no_heavy_module():
     added = modules("import anthyphairesis.cli; " + listing) - modules(listing)
     assert "anthyphairesis.cli" in added
     assert not added & {"dataclasses", "inspect", "fractions", "decimal", "multiprocessing", "typing"}
+
+
+def _defined_here():
+    """Every function and class each module of the package defines, with the methods, properties and wrapped functions of its classes."""
+    for short in sorted(f[:-3] for f in os.listdir(os.path.join(SRC, "anthyphairesis")) if f.endswith(".py")):
+        module = importlib.import_module("anthyphairesis" if short == "__init__" else f"anthyphairesis.{short}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                yield f"{short}.{name}", obj
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", getattr(member, "fget", member))
+                    if inspect.isfunction(member):
+                        yield f"{short}.{name}.{attr}", member
+            elif inspect.isfunction(inspect.unwrap(obj)):
+                yield f"{short}.{name}", obj
+
+
+def test_every_annotation_resolves():
+    names = []
+    for name, obj in _defined_here():
+        typing.get_type_hints(obj)  # a NameError names an annotation that does not resolve
+        names.append(name)
+    assert {"bookx.basis", "engine.Expansion.mus", "cli._parsers", "surd._memory_steps"} <= set(names)
