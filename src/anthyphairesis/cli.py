@@ -25,9 +25,9 @@ own, each valued one followed by a value that does not start with "-"
 and passes the option's type and choices, is read off a table of the
 command parser's own actions, with no argparse parse. Any other argv
 goes to the top-level parser, so argparse alone prints help, usage and
-every usage error. JSON lines come
-from one writer here, _json_line, which writes what
-json.dumps(sort_keys=True, separators=(",", ":")) would.
+every usage error. expand, sweep and pell render their records through
+one writer here, _write; JSON lines come from _json_line, which writes
+what json.dumps(sort_keys=True, separators=(",", ":")) would.
 """
 
 from __future__ import annotations
@@ -161,8 +161,9 @@ def _decs(ns) -> list[str]:
 
 
 # A record maps field names to plain values: ints, bools, None, strings,
-# quotient lists (lists) and Pell pairs (tuples (x, y)). Each output
-# format has one renderer below, applied only to the format asked for.
+# quotient lists (lists) and Pell pairs (tuples (x, y)). _write renders
+# the records of expand, sweep and pell in the format asked for: JSON and
+# CSV through the renderers below, plain through the command's template.
 
 
 def _json_value(v) -> str:
@@ -219,12 +220,10 @@ def _csv_row(record: dict) -> str:
     return f"{record['N']},{_dec(record['m'])},{record['period_len']},{verdict},{record['case'] or ''},{logoi},{x},{y}"
 
 
-def _fmt_quotients(preperiod, period) -> str:
-    body = ",".join(_decs(period))
-    if preperiod:
-        head = ",".join(_decs(preperiod))
-        return f"[{head}; ({body})]"
-    return f"[({body})]"
+def _write(args, records: Iterable[dict], plain) -> None:
+    """Each record as one line of args.format to args.out: canonical JSON, a CSV row under the header, or plain(record)."""
+    lines = map({"json": _json_line, "csv": _csv_row, "plain": plain}[args.format], records)
+    _emit(itertools.chain([_CSV_HEADER], lines) if args.format == "csv" else lines, args.out)
 
 
 def _is_sqrt_int(s: QuadraticSurd) -> bool:
@@ -263,6 +262,16 @@ def _period_record(label, e: Expansion, want_pell: bool, want_negative: bool) ->
 _EXPAND_NAMES = {"N": "input", "period_len": "period_length", "palindrome": "palindromic"}  # expand's JSON keys
 
 
+def _expand_line(fields: dict) -> str:
+    """expand's plain line, read off the fields of its JSON record."""
+    if fields["terminated"]:
+        return f"rational: [{', '.join(_decs(fields['quotients']))}]"
+    head = ",".join(_decs(fields["preperiod"])) + "; " if fields["preperiod"] else ""
+    verdict = "n/a" if fields["palindromic"] is None else fields["palindromic"]
+    pell = {key: fields[key] for key in ("pell", "negative_pell") if key in fields}
+    return f"{fields['input']} = [{head}({','.join(_decs(fields['period']))})] {_plain({'palindromic': verdict, **pell})}"
+
+
 def cmd_expand(args) -> int:
     target, label = _parse_spec(args.input)
     limit = _step_limit(args.steps)
@@ -276,29 +285,14 @@ def cmd_expand(args) -> int:
 
     if e.terminated:
         quots = list(e.preperiod)
-        if args.format == "json":
-            lines = [_json_line({"input": label, "terminated": True, "quotients": quots})]
-        elif args.format == "csv":
-            row = {"N": label, "m": quots[0], "period_len": 0, "palindrome": None, "case": None, "distinct_logoi": None}
-            lines = [_CSV_HEADER, _csv_row(row)]
-        else:
-            lines = [f"rational: [{', '.join(_decs(quots))}]"]
-        _emit(lines, args.out)
-        return 0
-
-    want_negative = args.negative_pell and args.format != "csv"  # CSV has no negative-Pell column
-    record = _period_record(label, e, args.pell, want_negative)
-    if args.format == "json":
+        record = {"N": label, "m": quots[0], "period_len": 0, "palindrome": None, "case": None, "distinct_logoi": None}
+        fields = {"input": label, "terminated": True, "quotients": quots}
+    else:
+        want_negative = args.negative_pell and args.format != "csv"  # CSV has no negative-Pell column
+        record = _period_record(label, e, args.pell, want_negative)
         fields = {_EXPAND_NAMES.get(key, key): v for key, v in record.items() if key != "m"}
         fields |= {"terminated": False, "preperiod": list(e.preperiod), "period": list(e.period)}
-        lines = [_json_line(fields)]
-    elif args.format == "csv":
-        lines = [_CSV_HEADER, _csv_row(record)]
-    else:
-        verdict = "n/a" if record["palindrome"] is None else record["palindrome"]
-        pell = {key: record[key] for key in ("pell", "negative_pell") if key in record}
-        lines = [f"{label} = {_fmt_quotients(e.preperiod, e.period)} {_plain({'palindromic': verdict, **pell})}"]
-    _emit(lines, args.out)
+    _write(args, [record if args.format == "csv" else fields], _expand_line)  # CSV has sweep's schema
     return 0
 
 
@@ -346,48 +340,41 @@ def cmd_sweep(args) -> int:
     limit = _step_limit()
     want_negative = args.negative_pell and args.format != "csv"  # CSV has no negative-Pell column
     tasks = ((n, args.pell, want_negative, limit) for n in range(2, args.n_max + 1))
-    render = {"plain": _plain, "json": _json_line, "csv": _csv_row}[args.format]
     records = failures = 0
     summary = None
 
-    def lines():
+    def rows():
         nonlocal records, failures, summary
-        if args.format == "csv":
-            yield _CSV_HEADER
         with _pool(args.jobs) as pool:
             results = pool.imap(_sweep_record, tasks, chunksize=250) if pool else map(_sweep_record, tasks)
             for r in results:
                 if r is not None:
                     records += 1
                     failures += not r["palindrome"]
-                    yield render(r)
+                    yield r
         summary = f"{records} non-squares <= {args.n_max}, {failures} palindrome failures"
-        if args.format == "json":
-            yield _json_line({"n_max": args.n_max, "records": records, "palindrome_failures": failures})
-        elif args.format == "plain":
-            yield f"# {summary}"
+        if args.format != "csv":
+            yield {"n_max": args.n_max, "records": records, "palindrome_failures": failures}
 
-    _emit(lines(), args.out)
+    _write(args, rows(), lambda r: _plain(r) if "N" in r else f"# {summary}")
     if args.format == "csv":  # CSV output holds only rows: the summary goes to stderr once they are written
         sys.stdout.flush()
         print(summary, file=sys.stderr)
     return 5 if failures else 0
 
 
+def _pell_line(record: dict) -> str:
+    fields = {"negative" if key == "negative_pell" else key: v for key, v in record.items() if key != "N"}
+    return f"pell({_dec(record['N'])}): {_plain(fields)}"
+
+
 def cmd_pell(args) -> int:
     n = _non_square(args.N, "Pell")
     (x, y), negative = pell_solutions(n, max_steps=_step_limit())
-    if args.format == "json":
-        record = {"N": n, "x": x, "y": y}
-        if args.negative_pell:
-            record["negative_pell"] = negative
-        line = _json_line(record)
-    else:
-        fields = {"x": x, "y": y}
-        if args.negative_pell:
-            fields["negative"] = negative
-        line = f"pell({_dec(n)}): {_plain(fields)}"
-    _emit([line], args.out)
+    record = {"N": n, "x": x, "y": y}
+    if args.negative_pell:
+        record["negative_pell"] = negative
+    _write(args, [record], _pell_line)
     return 0
 
 

@@ -332,10 +332,14 @@ def test_out_file_in_a_missing_directory_is_bad_input(tmp_path, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_out_file_write_error_is_bad_input(capsys):
-    # /dev/full opens, then every write fails with ENOSPC: expand's one line
-    # and a short sweep's rows when the file closes, a long sweep's rows
+    # /dev/full opens, then every write fails with ENOSPC: one command's few
+    # lines and a short sweep's rows when the file closes, a long sweep's rows
     # mid-stream, when a buffer fills; no CSV summary follows rows not written
-    for argv in (["expand", "19"], ["sweep", "50", "--format", "csv"], ["sweep", "3000", "--format", "csv"]):
+    for argv in (
+        ["expand", "19"], ["pell", "13"], ["approx", "19"], ["verify", "54"], ["trace", "54"],
+        ["sweep", "50", "--format", "json"], ["sweep", "50"],
+        ["sweep", "50", "--format", "csv"], ["sweep", "3000", "--format", "csv"],
+    ):
         code, out, err = run(capsys, *argv, "--out", "/dev/full")
         assert (code, out) == (2, ""), argv
         assert err == "error: cannot write /dev/full: No space left on device\n", argv

@@ -102,8 +102,8 @@ def command_line(env, argv) -> str:
     return shlex.join([f"{k}={v}" for k, v in env.items()] + ["anth", *argv])
 
 
-def entry(env, argv) -> str:
-    """Run argv through cli.main from the repository root and render its transcript entry."""
+def run(env, argv) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of argv run through cli.main from the repository root."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(ROOT)
@@ -112,8 +112,16 @@ def entry(env, argv) -> str:
             mp.setenv(key, value)
         with redirect_stdout(out), redirect_stderr(err):
             code = main(list(argv))
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def entry(env, argv) -> str:
+    """argv's transcript entry."""
+    code, out, err = run(env, argv)
     return f"$ {command_line(env, argv)}\nexit {code}, stdout {len(out)} chars, stderr {len(err)} chars\n{out}{err}"
+
+
+_SIZES = re.compile(r"exit (\S+), stdout (\d+) chars, stderr (\d+) chars")
 
 
 def golden_entries() -> dict[str, str]:
@@ -123,8 +131,8 @@ def golden_entries() -> dict[str, str]:
     while i < len(text):
         head_end = text.index("\n", i)
         sizes_end = text.index("\n", head_end + 1)
-        sizes = re.fullmatch(r"exit \S+, stdout (\d+) chars, stderr (\d+) chars", text[head_end + 1 : sizes_end])
-        end = sizes_end + 1 + int(sizes[1]) + int(sizes[2])
+        sizes = _SIZES.fullmatch(text[head_end + 1 : sizes_end])
+        end = sizes_end + 1 + int(sizes[2]) + int(sizes[3])
         entries[text[i + 2 : head_end]] = text[i:end]
         i = end
     return entries
@@ -140,6 +148,39 @@ def test_transcript_lists_every_case_once():
 @pytest.mark.parametrize("env, argv", CASES, ids=[command_line(env, argv) for env, argv in CASES])
 def test_cli_matches_the_golden_transcript(env, argv):
     assert entry(env, argv) == golden_entries()[command_line(env, argv)]
+
+
+def golden_run(text: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one golden entry."""
+    _, sizes, body = text.split("\n", 2)
+    sizes = _SIZES.fullmatch(sizes)
+    return int(sizes[1]), body[: int(sizes[2])], body[int(sizes[2]) :]
+
+
+def _succeeding():
+    """The cases whose golden entry exits 0; none while the golden file is missing."""
+    entries = golden_entries() if GOLDEN.exists() else {}
+    return [(env, argv) for env, argv in CASES
+            if command_line(env, argv) in entries and golden_run(entries[command_line(env, argv)])[0] == 0]
+
+
+SUCCEEDING = _succeeding()
+
+
+@pytest.mark.parametrize("env, argv", SUCCEEDING, ids=[command_line(env, argv) for env, argv in SUCCEEDING])
+def test_out_file_holds_the_transcript_stdout(env, argv, tmp_path):
+    # --out FILE moves stdout into FILE byte for byte; the exit code and stderr stay
+    code, out, err = golden_run(golden_entries()[command_line(env, argv)])
+    target = tmp_path / "out"
+    assert run(env, [*argv, "--out", str(target)]) == (code, "", err)
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_a_golden_mismatch_writes_no_out_file(tmp_path):
+    target = tmp_path / "out"
+    argv = ["trace", "19", "--golden", "goldens/trace54.txt", "--out", str(target)]
+    assert run({}, argv) == (4, "", "golden mismatch against goldens/trace54.txt\n")
+    assert not target.exists()
 
 
 if __name__ == "__main__":
