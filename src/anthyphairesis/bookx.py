@@ -39,7 +39,6 @@ __all__ = [
     "inverse_wrt_beta_squared",
     "sign_of",
     "classify",
-    "logos_cross_check",
     "euler_trace",
     "render_trace",
 ]
@@ -104,12 +103,6 @@ def _plus_beta(u: Triple, k: int) -> Triple:
     """u + k*beta; reduced whenever u is."""
     a, b, den = u
     return a, b + k * den, den
-
-
-def _add(u: Triple, v: Triple) -> Triple:
-    a1, b1, d1 = u
-    a2, b2, d2 = v
-    return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
 
 def conjugate(u: Triple) -> Triple:
@@ -178,11 +171,6 @@ def classify(basis: Basis, u: Triple) -> str:
     return "other"
 
 
-def logos_cross_check(basis: Basis, a1: Triple, a2: Triple, b1: Triple, b2: Triple) -> bool:
-    """Ratio equality a1/a2 = b1/b2 by exact cross-multiplication of areas."""
-    return line_mul(basis, a1, b2) == line_mul(basis, a2, b1)
-
-
 class TraceStep(namedtuple("TraceStep", "index lam mu phi product_constant psi quotient repeats_index")):
     """One division step of the symbolic expansion of sqrt(N); each line is a reduced triple.
 
@@ -220,9 +208,11 @@ def _trace_steps(N: int, max_steps: int | None, bytes_per_step: int) -> Iterator
     steps stop when phi returns to phi_1: x_1 = 1/phi_1 is reduced, so by
     Galois's theorem phi_1 is the first phi to repeat, and a fault that
     broke this would run into the budget rather than close a wrong
-    period. Raises StepLimitExceeded past max_steps steps, and
-    ResourceLimitExceeded first when steps of bytes_per_step would
-    outgrow memory.
+    period. With the remainders e_0 = beta, e_1 = alpha - I_0*beta and
+    e_{k+1} = e_{k-1} - I_k*e_k, phi_k = beta*e_k/e_{k-1}, so this stop is
+    the Logos criterion e_1 : e_0 = e_{l+1} : e_l (Elements X.2). Raises
+    StepLimitExceeded past max_steps steps, and ResourceLimitExceeded
+    first when steps of bytes_per_step would outgrow memory.
     """
     if N < 2 or isqrt(N) ** 2 == N:
         raise ValueError("N must be a non-square integer >= 2")

@@ -33,7 +33,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from math import isqrt
 
-from .bookx import Triple, _add, _is_beta_squared, _plus_beta, basis, sign_of
+from .bookx import _is_beta_squared, _plus_beta, basis
 from .surd import QuadraticSurd, _budget, _exhausted, normalize
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "expand_sqrt",
     "expand_surd",
     "increment_factors",
-    "remainders",
 ]
 
 
@@ -252,33 +251,3 @@ def increment_factors(e: Expansion) -> Iterator[tuple[int, int]]:
             if not _is_beta_squared(pq, (1, -mu, lam), rhs):
                 raise ValueError(f"inversion identity fails between factors {i + 1} and {i + 2}")
     return zip(mus, lams)
-
-
-def remainders(N: int, count: int) -> tuple[Triple, ...]:
-    """First `count` anthyphairetic remainders of (alpha, beta), alpha^2 = N*beta^2.
-
-    e_1 = alpha - I_0*beta and e_{k+1} = e_{k-1} - I_k*e_k, with the
-    quotient stream taken from expand_sqrt(N). Each remainder is a
-    reduced line triple (a, b, den) for (a*alpha + b*beta)/den.
-    Positivity and strict decrease of consecutive remainders are
-    verified by exact sign.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    e = expand_sqrt(N)
-    if e.terminated:
-        raise ValueError("N must be a non-square")
-    stream = e.quotient_stream(count)
-    pq = basis(N)
-    prev, cur = (1, 0, 1), (0, 1, 1)  # alpha, beta
-    lines: list[Triple] = []
-    for quotient in stream:
-        nxt = _add(prev, (-quotient * cur[0], -quotient * cur[1], cur[2]))
-        if sign_of(pq, nxt) <= 0:
-            raise AssertionError(f"remainder {len(lines) + 1} of {QuadraticSurd.sqrt_of(N)} is not positive")
-        drop = _add(cur, (-nxt[0], -nxt[1], nxt[2]))
-        if sign_of(pq, drop) <= 0:
-            raise AssertionError(f"remainder {len(lines) + 1} of {QuadraticSurd.sqrt_of(N)} does not decrease")
-        lines.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(lines)

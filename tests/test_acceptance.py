@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from anthyphairesis.bookx import basis, euler_trace, line_mul
 from anthyphairesis.cli import main
 from anthyphairesis.convergents import convergents, pell_fundamental
-from anthyphairesis.engine import expand_sqrt, expand_surd, increment_factors, remainders
+from anthyphairesis.engine import expand_sqrt, expand_surd, increment_factors
 from anthyphairesis.oracle import oracle_expand
 from anthyphairesis.palindrome import find_reflection, omega_sequence, verify_palindrome
 from anthyphairesis.surd import QuadraticSurd, floor_surd, is_perfect_square, isqrt, pigeonhole_bound
@@ -146,29 +146,54 @@ def test_criterion_06_recurrence_identities_10k():
                 assert mus[k] + mus[k - 1] == quots[k] * lams[k], n
 
 
-def test_criterion_07_logos_cross_product():
-    with verdict("7 (Logos cross-product, symbolic)"):
-        from anthyphairesis.bookx import logos_cross_check
+BETA = (0, 1, 1)
 
-        lines = remainders(19, 7)
-        beta = (0, 1, 1)
+# The paper's remainders of sqrt(19): e_0 = beta, then e_1..e_7 as line triples
+# (a, b, den) for (a*alpha + b*beta)/den, alpha^2 = 19*beta^2.
+REMAINDERS_19 = (
+    BETA, (1, -4, 1), (-2, 9, 1), (3, -13, 1), (-11, 48, 1), (14, -61, 1), (-39, 170, 1), (326, -1421, 1),
+)
+
+
+def _remainders(n, count):
+    """e_0..e_count of alpha^2 = n*beta^2: e_0 = beta, e_1 = alpha - I_0*beta, e_{k+1} = e_{k-1} - I_k*e_k."""
+    prev, cur = (1, 0), (0, 1)  # alpha, beta as integer pairs
+    lines = [BETA]
+    for quotient in expand_sqrt(n).quotient_stream(count):
+        prev, cur = cur, (prev[0] - quotient * cur[0], prev[1] - quotient * cur[1])
+        lines.append((*cur, 1))
+    return lines
+
+
+def test_criterion_07_logos_cross_product():
+    with verdict("7 (Logos criterion, symbolic, where the trace closes)"):
+        pq = basis(19)
+        e = REMAINDERS_19
+        assert _remainders(19, 7) == list(e)
         area = (326, -1421, 1)
-        assert line_mul(basis(19), beta, lines[6]) == area
-        assert line_mul(basis(19), lines[0], lines[5]) == area
+        assert line_mul(pq, BETA, e[7]) == area  # beta : e_1 = e_6 : e_7
+        assert line_mul(pq, e[1], e[6]) == area
+        steps = euler_trace(19)
+        assert len(steps) == 7 and steps[6].phi == steps[0].phi
+        for k in range(1, 8):  # phi_k = beta*e_k/e_{k-1}
+            assert line_mul(pq, steps[k - 1].phi, e[k - 1]) == line_mul(pq, BETA, e[k])
 
         for n in non_squares(200):
+            pq = basis(n)
             period = len(expand_sqrt(n).period)
-            rem = remainders(n, 2 * period + 2)
-            for k in range(period):
-                assert logos_cross_check(
-                    basis(n), rem[k], rem[k + 1], rem[k + period], rem[k + period + 1]
-                ), n
+            e = _remainders(n, 2 * period + 1)
+            steps = euler_trace(n)
+            assert len(steps) == period + 1, n
+            for k in range(1, period + 2):  # the closing step is e_1 : e_0 = e_{l+1} : e_l
+                assert line_mul(pq, steps[k - 1].phi, e[k - 1]) == line_mul(pq, BETA, e[k]), n
+            for k in range(1, period + 1):  # e_k : e_{k+1} = e_{k+l} : e_{k+l+1}
+                assert line_mul(pq, e[k], e[k + period + 1]) == line_mul(pq, e[k + 1], e[k + period]), n
 
 
 def test_criterion_08_pell():
     with verdict("8 (Pell solutions verified and minimal, N <= 500)"):
         assert pell_fundamental(19) == (170, 39)
-        e6 = remainders(19, 6)[5]
+        e6 = REMAINDERS_19[6]
         assert (abs(e6[0]), abs(e6[1]), e6[2]) == (39, 170, 1)
 
         for n in non_squares(500):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from anthyphairesis.bookx import (
     BETA_SQUARED,
-    _add,
     _is_beta_squared,
     _plus_beta,
     _product,
@@ -21,11 +20,10 @@ from anthyphairesis.bookx import (
     euler_trace,
     inverse_wrt_beta_squared,
     line_mul,
-    logos_cross_check,
     render_trace,
     sign_of,
 )
-from anthyphairesis.engine import expand_sqrt, increment_factors, remainders
+from anthyphairesis.engine import expand_sqrt, increment_factors
 from anthyphairesis.palindrome import _trace_quotients
 from anthyphairesis.surd import ResourceLimitExceeded, StepLimitExceeded, is_perfect_square, isqrt
 
@@ -185,33 +183,6 @@ def test_apotome_binomial_round_trip_from_increment_factors():
             psi = inverse_wrt_beta_squared(pq, phi)
             assert classify(pq, psi) == "binomial"
             assert classify(pq, inverse_wrt_beta_squared(pq, psi)) == "apotome"
-
-
-def test_logos_cross_check_paper_example():
-    n = 19
-    pq = basis(n)
-    e = remainders(n, 7)
-    beta = (0, 1, 1)
-    assert logos_cross_check(pq, beta, e[0], e[5], e[6])  # b/e1 = e6/e7
-    # derived negative: both areas computed, they differ
-    assert line_mul(pq, beta, e[6]) != line_mul(pq, e[0], e[4])
-    assert not logos_cross_check(pq, beta, e[0], e[4], e[6])
-
-
-def test_logos_cross_check_identical_ratio():
-    u = (2, -3, 1)
-    v = (1, 5, 1)
-    assert logos_cross_check(basis(19), u, v, u, v)
-
-
-def test_logos_cross_check_period_multiples():
-    for n in (19, 31, 44, 61):
-        period = len(expand_sqrt(n).period)
-        lines = remainders(n, 2 * period + 2)
-        for k in range(period):
-            assert logos_cross_check(
-                basis(n), lines[k], lines[k + 1], lines[k + period], lines[k + period + 1]
-            )
 
 
 def test_euler_trace_54_matches_table():
@@ -417,7 +388,8 @@ def test_is_beta_squared_is_line_mul_equal_to_beta_squared(u, v, ratio, to_inver
 @given(coeff, coeff, st.integers(-(10**6), 10**6))
 def test_plus_beta_is_add(c_a, c_b, k):
     u = _triple(c_a, c_b)
-    assert _plus_beta(u, k) == _add(u, (0, k, 1))
+    a, b, den = u
+    assert _plus_beta(u, k) == _reduced(a, b + k * den, den)
 
 
 def test_euler_trace_agrees_with_engine_to_3000():

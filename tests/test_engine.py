@@ -1,9 +1,8 @@
-"""engine: state recurrence, period detection, increment factors, remainders."""
+"""engine: state recurrence, period detection, increment factors."""
 
 import math
 import pickle
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from anthyphairesis.engine import (
     expand_sqrt,
     expand_surd,
     increment_factors,
-    remainders,
 )
 from anthyphairesis.palindrome import omega_sequence
 from anthyphairesis.surd import (
@@ -346,51 +344,6 @@ def test_messages_write_an_n_past_the_int_to_str_limit(call, error, message):
     with pytest.raises(error) as exc:
         call(_PAST_THE_LIMIT)
     assert str(exc.value) == message.format(f"sqrt({_dec(_PAST_THE_LIMIT)})")
-
-
-def _line_ratio_floor(u, v, n: int) -> int:
-    # exact floor of (value of u)/(value of v), both line triples over ratio n
-    c1, c2 = Fraction(u[0], u[2]), Fraction(u[1], u[2])
-    c3, c4 = Fraction(v[0], v[2]), Fraction(v[1], v[2])
-    a = c1 * c3 * n - c2 * c4
-    b = c2 * c3 - c1 * c4
-    c = c3 * c3 * n - c4 * c4
-    scale = a.denominator * b.denominator * c.denominator
-    a, b, c = int(a * scale), int(b * scale), int(c * scale)
-    if b < 0:
-        a, b, c = -a, -b, -c
-    return floor_surd(QuadraticSurd(a, b * b * n, c))
-
-
-def test_remainders_paper_values_19():
-    lines = remainders(19, 7)
-    expected = [
-        (1, -4, 1), (-2, 9, 1), (3, -13, 1), (-11, 48, 1), (14, -61, 1), (-39, 170, 1), (326, -1421, 1),
-    ]
-    assert list(lines) == expected
-
-
-def test_remainders_sqrt2():
-    # b = 2*e1 + e2 forces e2 = 3*beta - 2*alpha
-    lines = remainders(2, 2)
-    assert lines == ((1, -1, 1), (-2, 3, 1))
-
-
-def test_remainders_13_step_floors():
-    # derived: the quotient of each division step must equal the exact
-    # floor of the remainder ratio e_{k-1}/e_k
-    n = 13
-    lines = remainders(n, 3)
-    assert lines == ((1, -3, 1), (-1, 4, 1), (2, -7, 1))
-    e = expand_sqrt(n)
-    chain = [(1, 0, 1), (0, 1, 1)] + list(lines)
-    for k in range(len(chain) - 2):
-        assert _line_ratio_floor(chain[k], chain[k + 1], n) == e.quotient_stream(k + 1)[k]
-
-
-def test_remainders_rejects_squares():
-    with pytest.raises(ValueError):
-        remainders(16, 3)
 
 
 def test_pigeonhole_bound():

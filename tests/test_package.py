@@ -19,6 +19,7 @@ from anthyphairesis import QuadraticSurd, cli, euler_trace, expand_sqrt, expand_
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
 def test_package_exports_every_public_name():
@@ -34,16 +35,45 @@ PUBLIC_NAMES = [
     "ResourceLimitExceeded", "StepLimitExceeded", "TraceStep", "basis", "certify", "classify", "conjugate",
     "convergents", "euler_trace", "expand_sqrt", "expand_surd", "find_reflection", "floor_surd",
     "increment_factors", "inverse_wrt_beta_squared", "is_perfect_square", "isqrt", "line_mul",
-    "logos_cross_check", "normalize", "omega_sequence", "oracle_expand", "pell_fundamental",
-    "pell_negative", "pell_solutions", "period_stats", "pigeonhole_bound", "remainders",
-    "render_trace", "sign_of", "verify_palindrome",
+    "normalize", "omega_sequence", "oracle_expand", "pell_fundamental", "pell_negative",
+    "pell_solutions", "period_stats", "pigeonhole_bound", "render_trace", "sign_of", "verify_palindrome",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 33
     assert anthyphairesis.__all__ == PUBLIC_NAMES
     assert cli.__all__ == ["main"]  # the command line exports only its entry point
+
+
+def _bench_assignments(filename, *names):
+    """The literal keys or items of the named module-level assignments in bench/<filename>, read without importing it."""
+    with open(os.path.join(BENCH, filename), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and getattr(node.targets[0], "id", None) in names:
+            value = node.value
+            items = value.keys if isinstance(value, ast.Dict) else value.elts
+            found[node.targets[0].id] = [ast.literal_eval(item) for item in items]
+    assert sorted(found) == sorted(names), filename
+    return found
+
+
+def test_bench_layers_are_traced_functions():
+    # the tracer wraps only the functions of MODULES named in each module's __all__,
+    # and bench/run.py reads tracer.stats[name] for each layer: any other name is a KeyError
+    tracing = _bench_assignments("tracing.py", "MODULES", "UNITS")
+    layers = _bench_assignments("run.py", "LAYER_TIMES", "LAYER_CALLS")
+    names = layers["LAYER_TIMES"] + layers["LAYER_CALLS"] + tracing["UNITS"]
+    assert "bookx.line_mul" in names and "surd.isqrt" in names
+    for qualified in names:
+        short, name = qualified.split(".")
+        assert short in tracing["MODULES"], qualified
+        module = importlib.import_module(f"anthyphairesis.{short}")
+        assert name in module.__all__, qualified
+        fn = getattr(module, name)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, qualified
 
 
 def test_readme_lists_each_module_exports():
