@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -390,6 +391,56 @@ def test_plus_beta_is_add(c_a, c_b, k):
     u = _triple(c_a, c_b)
     a, b, den = u
     assert _plus_beta(u, k) == _reduced(a, b + k * den, den)
+
+
+BETA = (0, 1, 1)
+
+
+def _remainders(n, count):
+    """e_0..e_count of alpha^2 = n*beta^2: e_0 = beta, e_1 = alpha - I_0*beta, e_{k+1} = e_{k-1} - I_k*e_k."""
+    prev, cur = (1, 0), (0, 1)  # alpha, beta as integer pairs
+    lines = [BETA]
+    for quotient in expand_sqrt(n).quotient_stream(count):
+        prev, cur = cur, (prev[0] - quotient * cur[0], prev[1] - quotient * cur[1])
+        lines.append((*cur, 1))
+    return lines
+
+
+def _non_squares(limit):
+    return [n for n in range(2, limit + 1) if not is_perfect_square(n)]
+
+
+def test_remainders_are_positive_and_decreasing():
+    # Elements X.2's premise: each remainder is a line less than the one it was cut from
+    for n in _non_squares(200):
+        pq = basis(n)
+        e = _remainders(n, 2 * len(expand_sqrt(n).period) + 1)
+        for k in range(len(e) - 1):
+            (a, b, _), (c, d, _) = e[k], e[k + 1]
+            assert sign_of(pq, e[k + 1]) == 1, (n, k)
+            assert sign_of(pq, (a - c, b - d, 1)) == 1, (n, k)
+
+
+def test_trace_closes_where_the_remainder_ratio_first_recurs():
+    # the first k > 1 with e_1 : e_0 = e_k : e_{k-1}, found on the remainders alone, is the trace's closing step
+    for n in _non_squares(200):
+        pq = basis(n)
+        steps = euler_trace(n)
+        e = _remainders(n, 2 * len(steps))
+        k = next(k for k in range(2, len(e)) if line_mul(pq, e[1], e[k - 1]) == line_mul(pq, e[0], e[k]))
+        assert k == len(steps), n
+        assert len({s.phi for s in steps[:-1]}) == len(steps) - 1, n  # no ratio recurs before it
+
+
+def test_trace_phi_is_beta_times_the_remainder_ratio_on_drawn_n():
+    # phi_k * e_{k-1} = beta * e_k through the closing step, past the N <= 200 of the acceptance battery
+    rng = random.Random(37)
+    for n in rng.sample(_non_squares(10**5), 12):
+        pq = basis(n)
+        steps = euler_trace(n)
+        e = _remainders(n, len(steps))
+        for k in range(1, len(steps) + 1):
+            assert line_mul(pq, steps[k - 1].phi, e[k - 1]) == line_mul(pq, BETA, e[k]), (n, k)
 
 
 def test_euler_trace_agrees_with_engine_to_3000():

@@ -399,6 +399,45 @@ def test_console_entry_point_subprocess():
     assert proc.stdout == "sqrt(46) = [6; (1,3,1,1,2,6,2,1,1,3,1,12)] palindromic=yes\n"
 
 
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+ENTRY_POINT_SCRIPT = os.path.join(ROOT, "ci", "entry_point.sh")
+
+
+def test_workflow_runs_the_entry_point_script_after_install():
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml"), encoding="utf-8") as fh:
+        workflow = fh.read()
+    step = workflow.split("- name: Installed entry point\n", 1)[1].split("\n      - name: ", 1)[0]
+    assert [line.strip() for line in step.splitlines()] == ["run: |", "python -m pip install .", "bash ci/entry_point.sh"]
+    with open(ENTRY_POINT_SCRIPT, encoding="utf-8") as fh:
+        script = fh.read()
+    commands = [line for line in script.splitlines() if line and not line.startswith("#")]
+    assert commands[0] == "set -e"
+    assert not any("pipefail" in line for line in commands)  # `sweep 20000 | head -n 1` checks only its stderr
+
+
+def test_entry_point_script_stops_at_its_first_failing_check(tmp_path):
+    # with an `anth` that succeeds silently, the first check that wants another exit code
+    # fails; set -e stops there, and the ERR trap names its line
+    (tmp_path / "ci").mkdir()
+    script = tmp_path / "ci" / "entry_point.sh"
+    with open(ENTRY_POINT_SCRIPT, encoding="utf-8") as fh:
+        script.write_text(fh.read(), encoding="utf-8")
+    (tmp_path / "bin").mkdir()
+    anth = tmp_path / "bin" / "anth"
+    anth.write_text('#!/bin/sh\nprintf \'%s\\n\' "$*" >> "$ANTH_LOG"\n', encoding="utf-8")
+    anth.chmod(0o755)
+    log = tmp_path / "anth.log"
+    env = dict(os.environ, PATH=f"{tmp_path / 'bin'}{os.pathsep}{os.environ['PATH']}", ANTH_LOG=str(log))
+    proc = subprocess.run(["bash", str(script)], env=env, capture_output=True, text=True, timeout=60)
+    lines = script.read_text(encoding="utf-8").splitlines()
+    (failing,) = [i for i, line in enumerate(lines, 1) if "anth pell 54" in line]
+    assert proc.returncode == 1
+    assert proc.stderr == f"ci/entry_point.sh: check at line {failing} failed\n"
+    ran = log.read_text(encoding="utf-8").splitlines()
+    assert ran[0] == "expand 19" and ran[-1] == "pell 54"
+    assert len(ran) == sum(line.lstrip().startswith(("anth ", "timeout 30 anth ")) for line in lines[:failing - 1]) + 1
+
+
 @pytest.fixture
 def low_int_str_limit():
     """Python's lowest int-to-str digit limit while the test runs, where the limit exists."""

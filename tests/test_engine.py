@@ -346,6 +346,23 @@ def test_messages_write_an_n_past_the_int_to_str_limit(call, error, message):
     assert str(exc.value) == message.format(f"sqrt({_dec(_PAST_THE_LIMIT)})")
 
 
+@pytest.mark.parametrize("n", sorted(PAPER_EXPANSIONS))
+def test_quotients_are_floors_of_remainder_ratios(n):
+    # each quotient I_k is the exact floor of e_{k-1}/e_k, the lines a*sqrt(n) + b of the
+    # division (e_{-1} = alpha, e_0 = beta = 1, e_{k+1} = e_{k-1} - I_k*e_k), two periods on
+    count = 2 * len(expand_sqrt(n).period) + 1
+    quotients = expand_sqrt(n).quotient_stream(count)
+    prev, cur = (1, 0), (0, 1)
+    for quotient in quotients:
+        (a1, b1), (a2, b2) = prev, cur
+        # (a1*r + b1)/(a2*r + b2) = (p + c*r)/q with r = sqrt(n), times the conjugate a2*r - b2
+        p, c, q = a1 * a2 * n - b1 * b2, b1 * a2 - a1 * b2, a2 * a2 * n - b2 * b2
+        if c < 0:
+            p, c, q = -p, -c, -q
+        assert floor_surd(QuadraticSurd(p, c * c * n, q)) == quotient
+        prev, cur = cur, (a1 - quotient * a2, b1 - quotient * b2)
+
+
 def test_pigeonhole_bound():
     assert pigeonhole_bound(2) == 3
     assert pigeonhole_bound(54) == 57

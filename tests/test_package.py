@@ -60,20 +60,46 @@ def _bench_assignments(filename, *names):
     return found
 
 
+def _bench_layers():
+    """bench's traced modules, and every module.name its layer lists and units name."""
+    tracing = _bench_assignments("tracing.py", "MODULES", "UNITS")
+    layers = _bench_assignments("run.py", "LAYER_TIMES", "LAYER_CALLS")
+    return tracing["MODULES"], layers["LAYER_TIMES"] + layers["LAYER_CALLS"] + tracing["UNITS"]
+
+
+def _untraced(modules, names):
+    """The names that are not a function defined in a traced module and listed in its __all__."""
+    missing = []
+    for qualified in names:
+        short, name = qualified.split(".")
+        module = importlib.import_module(f"anthyphairesis.{short}")
+        fn = getattr(module, name, None)
+        if not (
+            short in modules
+            and name in module.__all__
+            and inspect.isfunction(fn)
+            and fn.__module__ == module.__name__
+        ):
+            missing.append(qualified)
+    return missing
+
+
 def test_bench_layers_are_traced_functions():
     # the tracer wraps only the functions of MODULES named in each module's __all__,
     # and bench/run.py reads tracer.stats[name] for each layer: any other name is a KeyError
-    tracing = _bench_assignments("tracing.py", "MODULES", "UNITS")
-    layers = _bench_assignments("run.py", "LAYER_TIMES", "LAYER_CALLS")
-    names = layers["LAYER_TIMES"] + layers["LAYER_CALLS"] + tracing["UNITS"]
+    modules, names = _bench_layers()
     assert "bookx.line_mul" in names and "surd.isqrt" in names
-    for qualified in names:
-        short, name = qualified.split(".")
-        assert short in tracing["MODULES"], qualified
-        module = importlib.import_module(f"anthyphairesis.{short}")
-        assert name in module.__all__, qualified
-        fn = getattr(module, name)
-        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, qualified
+    assert _untraced(modules, names) == []
+
+
+def test_bench_layer_check_names_an_unexported_layer(monkeypatch):
+    from anthyphairesis import bookx
+
+    modules, names = _bench_layers()
+    monkeypatch.setattr(bookx, "__all__", [name for name in bookx.__all__ if name != "line_mul"])
+    assert set(_untraced(modules, names)) == {"bookx.line_mul"}
+    assert _untraced([m for m in modules if m != "surd"], ["surd.isqrt", "bookx.euler_trace"]) == ["surd.isqrt"]
+    assert _untraced(modules, ["engine.Expansion", "bookx.BETA_SQUARED"]) == ["engine.Expansion", "bookx.BETA_SQUARED"]
 
 
 def test_readme_lists_each_module_exports():
